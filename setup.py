@@ -1,7 +1,6 @@
 from setuptools import Extension, setup
 
-# the committed C is the build input; regenerate it by hand from
-# _speedups.pyx (see README "Install") whenever the .pyx changes
+# _speedups.c is hand-written CPython C-API source, edited and built as is
 speedups = Extension("srlkit._speedups", ["src/srlkit/_speedups.c"])
 
 # the package works without the extension (pure-Python fallback), so a

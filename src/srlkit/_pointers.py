@@ -2,8 +2,9 @@
 
 A pointer is ``terminal:height`` in canonical decimal (no leading zeros).
 An expression is one or more pointers joined by ``*`` (chain) or ``,`` /
-``;`` (split). The compiled kernel in _speedups provides the same
-``parse_expr_parts`` / ``roundtrip_exhaustive`` contract.
+``;`` (split). The hand-written C kernel in _speedups.c implements the
+same ``parse_expr_parts`` / ``roundtrip_exhaustive`` contract, with the
+same results, error types and messages; this module is its reference.
 """
 
 import enum
@@ -97,8 +98,10 @@ def roundtrip_exhaustive(max_terminal: int, max_height: int, max_parts: int):
     connector combination up to max_parts parts.
 
     Returns (checked, mismatches, first_bad). Slow; the compiled kernel
-    does the same enumeration in C.
+    does the same enumeration, in the same order, in C.
     """
+    if not 1 <= max_parts <= 3:
+        raise ValueError("exhaustive enumeration supports 1..3 parts")
     singles = [
         f"{t}:{h}"
         for t in range(max_terminal + 1)
@@ -134,6 +137,4 @@ def roundtrip_exhaustive(max_terminal: int, max_height: int, max_parts: int):
                         prefix2 = prefix + c2
                         for c in singles:
                             check(prefix2 + c)
-    if max_parts >= 4:
-        raise ValueError("exhaustive enumeration supports at most 3 parts")
     return checked, mismatches, first_bad

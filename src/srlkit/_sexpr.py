@@ -1,7 +1,8 @@
 """Pure-Python scanner for parenthesized tree text.
 
-Fallback for the compiled kernel in _speedups; both implement the same
-grammar and raise the same error types:
+Fallback for, and reference of, the hand-written C kernel in
+_speedups.c; both implement the same grammar and raise the same error
+types with the same messages:
 
     tree := "(" label (tree+ | token) ")"
 

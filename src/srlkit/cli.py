@@ -274,7 +274,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--trace-mode", choices=["tree", "pattern"], default=None)
     p_extract.add_argument("--strict", action="store_true", default=None)
     p_extract.add_argument("--out", default=None, help="output CSV path (default dataset.csv)")
-    p_extract.add_argument("--jobs", type=int, default=None, help="worker threads (default 1)")
+    p_extract.add_argument(
+        "--jobs", type=int, default=None, help="accepted and ignored: extraction runs sequentially"
+    )
     p_extract.add_argument("--config", default=None, help="key = value config file; flags win")
 
     p_stats = sub.add_parser("stats", help="compute statistics from a dataset CSV")

@@ -6,12 +6,10 @@ A corpus is three parallel directory trees of `.prop`, `.onf`, and
 configured folder range. A file id is `<NN>/<stem>`. Discovery is driven
 by the `.prop` files; ids missing either companion file are skipped and
 logged. Output rows are totally ordered by (file id, tree index,
-predicate terminal, source line), so runs are byte-reproducible at any
-parallelism.
+predicate terminal, source line), so runs are byte-reproducible.
 """
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -293,7 +291,11 @@ def extract_corpus(
     strict: bool = False,
     jobs: int = 1,
 ) -> ExtractResult:
-    """Run discover -> parse -> resolve -> filter over a corpus."""
+    """Run discover -> parse -> resolve -> filter over a corpus.
+
+    Files are processed one after another. `jobs` is accepted and ignored:
+    the work is CPU-bound under the GIL, and a thread pool made runs slower.
+    """
     triples, discovery_skips = discover_files(layout)
     policy = TracePolicy(mode=trace_mode)
     summary = RunSummary(
@@ -301,13 +303,9 @@ def extract_corpus(
         skip_log=list(discovery_skips),
     )
     summary.files_skipped = len(discovery_skips)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda t: _process_file(t, policy, strict), triples))
-    else:
-        outcomes = [_process_file(t, policy, strict) for t in triples]
     records: list[SrlRecord] = []
-    for outcome in outcomes:  # already in file-id order
+    for triple in triples:  # in file-id order
+        outcome = _process_file(triple, policy, strict)
         summary.skip_log.extend(outcome.skips)
         if outcome.file_skipped:
             summary.files_skipped += 1

@@ -13,11 +13,16 @@ from pathlib import Path
 import pytest
 
 
+def c_compiler() -> list[str]:
+    """The C compiler command setuptools would call, split into words."""
+    return shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+
+
 def missing_build_tool():
     """Why the C extension cannot be built on this machine, or None."""
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    if shutil.which(shlex.split(cc)[0]) is None:
-        return f"no C compiler ({cc!r} not found)"
+    cc = c_compiler()
+    if shutil.which(cc[0]) is None:
+        return f"no C compiler ({shlex.join(cc)!r} not found)"
     if not (Path(sysconfig.get_paths()["include"]) / "Python.h").is_file():
         return "no Python headers (Python.h not found)"
     return None

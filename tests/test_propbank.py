@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -90,6 +92,40 @@ class TestParsePointerExpr:
         assert parse_pointer_expr(text).format() == text
 
 
+def _outcome(fn, text):
+    try:
+        return "returned", fn(text)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+@requires_build_tools
+class TestScannerParity:
+    """The compiled pointer scanner matches the pure one, error messages
+    included: skip-log lines embed them."""
+
+    @staticmethod
+    def _assert_same(text):
+        from srlkit import _pointers, _speedups
+
+        assert _outcome(_speedups.parse_expr_parts, text) == _outcome(
+            _pointers.parse_expr_parts, text
+        )
+
+    @given(st.text(alphabet="0123456789:*,;x -é"))
+    def test_fuzzed(self, text):
+        self._assert_same(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "3:0*", "01:2", "1:2:3", "1234567890123456789:0",
+         "123456789012345678:0", "14:1*16:1*17:1", "3:0,5:1;7:2",
+         # wider str storage, and a lone surrogate that has no UTF-8 form
+         "1:\u3000", "\U0001F600*1:2", "1:2,\ud800"],
+    )
+    def test_cases(self, text):
+        self._assert_same(text)
+
 
 class TestPointerSweep:
     """The exhaustive round-trip on a small range; criterion 2 runs the full
@@ -112,6 +148,15 @@ class TestPointerSweep:
         assert _speedups.roundtrip_exhaustive(*self.RANGE) == (
             _pointers.roundtrip_exhaustive(*self.RANGE)
         )
+
+    @pytest.mark.parametrize(
+        "module", ["_pointers", pytest.param("_speedups", marks=requires_build_tools)]
+    )
+    @pytest.mark.parametrize("max_parts", [0, 4])
+    def test_rejects_part_counts_outside_1_to_3(self, module, max_parts):
+        impl = importlib.import_module(f"srlkit.{module}")
+        with pytest.raises(ValueError, match=r"^exhaustive enumeration supports 1\.\.3 parts$"):
+            impl.roundtrip_exhaustive(*self.RANGE[:2], max_parts)
 
 
 PROP_LINE = "wsj/00/wsj_0001 0 8 gold say.01 v--a 0:2-ARG1 8:0-rel 9:1-ARG0"

@@ -1,0 +1,80 @@
+"""Checks on the hand-written C kernel itself: it compiles without
+warnings and leaks no references. Its results are compared with the pure
+modules in test_treebank.py and test_propbank.py."""
+
+import gc
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
+from native import c_compiler, requires_build_tools
+
+KERNEL = Path(__file__).resolve().parents[1] / "src" / "srlkit" / "_speedups.c"
+
+VALID_TREES = ["(S (NP (DT The) (NN cat)) (VP (VBZ sits)))", "( (X a) )", "(S (X é) (Y \U0001F600))"]
+BAD_TREES = [
+    "(X a) (Y b)",              # "(" after the root
+    "(X a) x",                  # token after the root
+    "(X a (Y b))",              # "(" after a token
+    ")",                        # ")" with nothing open
+    "(X a))",
+    "()",                       # no children or token
+    "(X)",
+    "(S ((Y b)))",              # empty label below the root
+    "( (S (X a)) (S (Y b)) )",  # wrapper with two children
+    "foo",                      # token before any "("
+    "(X a b)",                  # second token
+    "(X (Y b) a)",              # token after a child
+    "((",                       # unexpected end of input
+    "",                         # no tree
+    "  \n ",
+    b"(X a)",                   # not a str
+]
+VALID_POINTERS = ["14:1*16:1*17:1", "3:0,5:1;7:2", "123456789012345678:0"]
+BAD_POINTERS = [
+    "", "3:0*", "*3:0", "01:2", "1:2:3", "x", "1234567890123456789:0", "é:1",
+    b"1:2", None,
+]
+SWEEPS = [(2, 1, 2), (2, 1, 0), (2, 1, 4), ("a", 1, 1), (1, 1)]
+
+
+@requires_build_tools
+def test_compiles_without_warnings():
+    includes = {sysconfig.get_paths()["include"], sysconfig.get_paths()["platinclude"]}
+    proc = subprocess.run(
+        [*c_compiler(), "-fsyntax-only", "-Wall", "-Werror",
+         *(f"-I{path}" for path in sorted(includes)), str(KERNEL)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@requires_build_tools
+def test_no_reference_leaks():
+    from srlkit import _speedups
+
+    calls = (
+        [(_speedups.parse_node, (text,)) for text in VALID_TREES + BAD_TREES]
+        + [(_speedups.parse_expr_parts, (text,)) for text in VALID_POINTERS + BAD_POINTERS]
+        + [(_speedups.roundtrip_exhaustive, args) for args in SWEEPS]
+    )
+
+    def run_all():
+        for fn, args in calls:
+            try:
+                fn(*args)
+            except Exception:  # every error branch is meant to be hit
+                pass
+
+    rounds = 2000
+    run_all()  # first-call caches (interned names, exception classes) settle here
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for _ in range(rounds):
+        run_all()
+    gc.collect()
+    grown = sys.getallocatedblocks() - before
+    # a leak of one object per call of any single case would add >= rounds
+    assert grown < rounds // 4, f"{grown} blocks kept after {rounds * len(calls)} calls"

@@ -209,6 +209,14 @@ class TestBackendParity:
         with pytest.raises(Exception) as fast_exc:
             _speedups.parse_node(bad)
         assert type(pure_exc.value) is type(fast_exc.value)
+        assert str(pure_exc.value) == str(fast_exc.value)
+
+    # wider str storage, a non-ASCII space that is part of a token, and a
+    # lone surrogate that has no UTF-8 form
+    @pytest.mark.parametrize("text", ["(X é)", "(X \u3000a)", "(S (X \U0001F600) (Y \ud800))"])
+    def test_same_trees_any_character(self, text):
+        _sexpr, _speedups = self._both()
+        assert _sexpr.parse_node(text) == _speedups.parse_node(text)
 
     def test_fixture_corpus_trees(self, corpus_trees):
         _sexpr, _speedups = self._both()
