@@ -2,7 +2,7 @@
 
 Two policies produce surface-true text from treebanked tokens: TreeGuided
 drops exactly the tokens sitting under a "-NONE-" preterminal (exact by
-construction), PatternOnly drops tokens matching the trace patterns. The
+construction), PatternOnly drops tokens matching the trace pattern. The
 null complementizer "0" is only removed tree-guided, since "0" is a
 legitimate numeral elsewhere.
 """
@@ -12,24 +12,24 @@ import re
 from dataclasses import dataclass
 
 from srlkit.errors import TreeMismatch
+from srlkit.treebank import preterminals
 
 __all__ = [
     "TraceMode",
     "TracePolicy",
-    "DEFAULT_PATTERNS",
+    "TRACE_PATTERN",
     "EMPTY_POS",
     "is_trace_token",
+    "join_untraced",
     "strip_traces",
 ]
 
 EMPTY_POS = "-NONE-"
 
-# (a) star-enclosed with optional numeric index: *, *T*-1, *PRO*-2, *U*, *?*
-# (b) bare star with numeric index: *-1
-DEFAULT_PATTERNS: tuple[re.Pattern, ...] = (
-    re.compile(r"\*(?:[^\s]*\*)?(?:-\d+)?\Z"),
-    re.compile(r"\*-\d+\Z"),
-)
+# A star-enclosed label with an optional numeric index (*, *T*-1, *PRO*-2,
+# *U*, *?*). A bare star with an index (*-1) matches too, with the label
+# group skipped, so one pattern covers both trace shapes.
+TRACE_PATTERN = re.compile(r"\*(?:[^\s]*\*)?(?:-\d+)?\Z")
 
 
 class TraceMode(enum.Enum):
@@ -40,12 +40,19 @@ class TraceMode(enum.Enum):
 @dataclass(frozen=True)
 class TracePolicy:
     mode: TraceMode
-    patterns: tuple[re.Pattern, ...] = DEFAULT_PATTERNS
 
 
-def is_trace_token(token: str, patterns: tuple[re.Pattern, ...] = DEFAULT_PATTERNS) -> bool:
-    """True iff the token matches any trace pattern."""
-    return any(p.match(token) for p in patterns)
+def is_trace_token(token: str) -> bool:
+    """True iff the token matches the trace pattern."""
+    return TRACE_PATTERN.match(token) is not None
+
+
+def join_untraced(pres, mode: TraceMode) -> str:
+    """Tokens of the preterminals, traces dropped as `mode` says, joined
+    with single spaces."""
+    if mode is TraceMode.TREE_GUIDED:
+        return " ".join([p.token for p in pres if p.pos != EMPTY_POS])
+    return " ".join([p.token for p in pres if not is_trace_token(p.token)])
 
 
 def strip_traces(tokens, policy: TracePolicy | None = None, tree=None) -> str:
@@ -61,12 +68,8 @@ def strip_traces(tokens, policy: TracePolicy | None = None, tree=None) -> str:
     if policy.mode is TraceMode.TREE_GUIDED:
         if tree is None:
             raise TreeMismatch("tree-guided stripping requires a tree")
-        from srlkit.treebank import preterminals
-
         pres = preterminals(tree)
         if [p.token for p in pres] != tokens:
             raise TreeMismatch("tree leaves do not match the given tokens")
-        kept = [p.token for p in pres if p.pos != EMPTY_POS]
-    else:
-        kept = [t for t in tokens if not is_trace_token(t, policy.patterns)]
-    return " ".join(kept)
+        return join_untraced(pres, policy.mode)
+    return " ".join([t for t in tokens if not is_trace_token(t)])

@@ -19,20 +19,22 @@ from srlkit import stats as statsmod
 from srlkit import treebank
 from srlkit.cleaning import TraceMode
 from srlkit.errors import (
+    AlignmentError,
     ConfigError,
     IndexOutOfRange,
     SrlKitError,
     UnknownFile,
 )
-from srlkit.onf import parse_onf, parse_trees_file
 from srlkit.pipeline import (
     CorpusLayout,
+    check_aligned,
     discover_files,
     export_csv,
     extract_corpus,
+    read_file,
     resolve_role,
 )
-from srlkit.propbank import RoleLabel, parse_prop_file, sort_propositions
+from srlkit.propbank import RoleLabel, sort_propositions
 
 __all__ = ["main", "RunConfig"]
 
@@ -46,7 +48,6 @@ class RunConfig:
     schema: str = "srl"
     trace_mode: str = "tree"
     strict: bool = False
-    jobs: int = 1
     exclude: Path | None = None
     lexicon: Path | None = None
     t1: float = statsmod.DEFAULT_T1
@@ -110,7 +111,6 @@ def cmd_extract(config: RunConfig) -> int:
         layout,
         trace_mode=TraceMode(config.trace_mode),
         strict=config.strict,
-        jobs=config.jobs,
     )
     export_csv(result.records, config.out, schema=config.schema)
     summary = result.summary
@@ -150,24 +150,17 @@ def cmd_stats(config: RunConfig, csv_path, out_dir) -> int:
 def cmd_validate(config: RunConfig) -> int:
     layout = _layout(config)
     triples, skips = discover_files(layout)
-    violations: list[tuple[str, str, str]] = []
-    for file_id, reason in skips:
-        violations.append((file_id, "-", reason))
+    violations: list[tuple[str, str, str]] = [(file_id, "-", reason) for file_id, reason in skips]
     for triple in triples:
         try:
-            props = parse_prop_file(triple.prop_path.read_text(encoding="utf-8"))
-            sentences = parse_onf(triple.onf_path.read_text(encoding="utf-8"))
-            trees = [
-                treebank.parse_tree(t)
-                for t in parse_trees_file(triple.parse_path.read_text(encoding="utf-8"))
-            ]
+            props, sentences, trees = read_file(triple)
         except SrlKitError as exc:
             violations.append((triple.file_id, "-", f"unparseable file: {exc}"))
             continue
-        if len(sentences) != len(trees):
-            violations.append(
-                (triple.file_id, "-", f"{len(sentences)} sentences but {len(trees)} trees")
-            )
+        try:
+            check_aligned(sentences, trees)
+        except AlignmentError as exc:
+            violations.append((triple.file_id, "-", str(exc)))
         for prop in props:
             if prop.tree_index >= len(trees):
                 violations.append(
@@ -212,19 +205,11 @@ def cmd_validate(config: RunConfig) -> int:
 
 
 def cmd_inspect(config: RunConfig, file_id: str, tree_index: int) -> int:
-    folder, _, stem = file_id.partition("/")
-    prop_path = Path(config.prop) / folder / f"{stem}.prop"
-    onf_path = Path(config.onf) / folder / f"{stem}.onf"
-    parse_path = Path(config.parse) / folder / f"{stem}.parse"
-    for path in (prop_path, onf_path, parse_path):
+    triple = _layout(config).triple(file_id)
+    for path in (triple.prop_path, triple.onf_path, triple.parse_path):
         if not path.is_file():
             raise UnknownFile(f"no such corpus file: {path}")
-    props = parse_prop_file(prop_path.read_text(encoding="utf-8"))
-    sentences = parse_onf(onf_path.read_text(encoding="utf-8"))
-    trees = [
-        treebank.parse_tree(t)
-        for t in parse_trees_file(parse_path.read_text(encoding="utf-8"))
-    ]
+    props, sentences, trees = read_file(triple)
     if tree_index >= len(trees) or tree_index < 0:
         raise IndexOutOfRange(
             f"tree index {tree_index} out of range ({len(trees)} trees in {file_id})"
@@ -315,7 +300,6 @@ def _config_from_args(args) -> RunConfig:
         schema=_setting(args, file_values, "schema", "srl"),
         trace_mode=_setting(args, file_values, "trace-mode", "tree"),
         strict=bool(_setting(args, file_values, "strict", False, cast=bool)),
-        jobs=int(_setting(args, file_values, "jobs", 1, cast=int)),
         exclude=_setting(args, file_values, "exclude", None),
         lexicon=_setting(args, file_values, "lexicon", None),
         t1=float(_setting(args, file_values, "t1", statsmod.DEFAULT_T1, cast=float)),

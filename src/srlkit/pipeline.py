@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from srlkit import treebank
-from srlkit.cleaning import TraceMode, TracePolicy, strip_traces
+from srlkit.cleaning import TraceMode, TracePolicy, join_untraced
 from srlkit.errors import (
     AlignmentError,
     EmptyCorpus,
@@ -42,6 +42,8 @@ __all__ = [
     "SRL_HEADER",
     "ORL_HEADER",
     "discover_files",
+    "read_file",
+    "check_aligned",
     "resolve_role",
     "build_records",
     "filter_records",
@@ -55,6 +57,14 @@ ORL_HEADER = ["sentence", "treebanked_sentence", "holder", "expression", "target
 
 
 @dataclass(frozen=True)
+class FileTriple:
+    file_id: str
+    prop_path: Path
+    onf_path: Path
+    parse_path: Path
+
+
+@dataclass(frozen=True)
 class CorpusLayout:
     prop_root: Path
     onf_root: Path
@@ -62,13 +72,15 @@ class CorpusLayout:
     folder_range: tuple[int, int] = (0, 24)
     exclusions: frozenset[str] = frozenset()
 
-
-@dataclass(frozen=True)
-class FileTriple:
-    file_id: str
-    prop_path: Path
-    onf_path: Path
-    parse_path: Path
+    def triple(self, file_id: str) -> FileTriple:
+        """The `.prop`, `.onf` and `.parse` paths of a file id `<NN>/<stem>`."""
+        folder, _, stem = file_id.partition("/")
+        return FileTriple(
+            file_id,
+            Path(self.prop_root) / folder / f"{stem}.prop",
+            Path(self.onf_root) / folder / f"{stem}.onf",
+            Path(self.parse_root) / folder / f"{stem}.parse",
+        )
 
 
 @dataclass(frozen=True)
@@ -135,16 +147,29 @@ def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[s
             if file_id in layout.exclusions:
                 skips.append((file_id, "excluded by configuration"))
                 continue
-            onf_path = Path(layout.onf_root) / folder / f"{prop_path.stem}.onf"
-            parse_path = Path(layout.parse_root) / folder / f"{prop_path.stem}.parse"
-            missing = [p.suffix for p in (onf_path, parse_path) if not p.is_file()]
+            triple = layout.triple(file_id)
+            missing = [p.suffix for p in (triple.onf_path, triple.parse_path) if not p.is_file()]
             if missing:
                 skips.append((file_id, f"missing companion file(s): {' '.join(missing)}"))
                 continue
-            triples.append(FileTriple(file_id, prop_path, onf_path, parse_path))
+            triples.append(triple)
     if not triples:
         raise EmptyCorpus("no complete (.prop, .onf, .parse) triples found")
     return triples, skips
+
+
+def read_file(triple: FileTriple) -> tuple[list[Proposition], list[SentencePair], list]:
+    """Read and parse one file triple: its propositions, sentences and trees."""
+    props = parse_prop_file(triple.prop_path.read_text(encoding="utf-8"))
+    sentences = parse_onf(triple.onf_path.read_text(encoding="utf-8"))
+    tree_texts = parse_trees_file(triple.parse_path.read_text(encoding="utf-8"))
+    return props, sentences, [treebank.parse_tree(t) for t in tree_texts]
+
+
+def check_aligned(sentences: list[SentencePair], trees: list) -> None:
+    """Raise AlignmentError unless the file has one tree per sentence."""
+    if len(trees) != len(sentences):
+        raise AlignmentError(f"{len(sentences)} sentences but {len(trees)} trees")
 
 
 def resolve_role(expr_list: list[PointerExpr], tree, policy: TracePolicy | None = None) -> str:
@@ -152,13 +177,15 @@ def resolve_role(expr_list: list[PointerExpr], tree, policy: TracePolicy | None 
 
     Each pointer selects a subtree whose cleaned text becomes one part;
     parts that clean to "" are dropped and the survivors joined with
-    single spaces, expressions in source order.
+    single spaces, expressions in source order. With no policy, traces are
+    dropped tree-guided.
     """
+    mode = TraceMode.TREE_GUIDED if policy is None else policy.mode
     pieces = []
     for expr in expr_list:
         for pointer in expr.parts:
             node = treebank.select(tree, pointer.terminal, pointer.height)
-            text = strip_traces(treebank.leaves(node), policy, tree=node)
+            text = join_untraced(treebank.preterminals(node), mode)
             if text:
                 pieces.append(text)
     return " ".join(pieces)
@@ -199,10 +226,7 @@ def build_records(
     policy: TracePolicy | None = None,
 ) -> list[SrlRecord]:
     """One record per proposition; raises on the first bad proposition."""
-    if len(trees) != len(sentences):
-        raise AlignmentError(
-            f"{len(sentences)} sentences but {len(trees)} trees"
-        )
+    check_aligned(sentences, trees)
     return [_build_record(p, trees, sentences, file_id, policy) for p in props]
 
 
@@ -244,76 +268,48 @@ def export_csv(records: list[SrlRecord], path, schema: str = "srl") -> None:
                 )
 
 
-@dataclass
-class _FileOutcome:
-    file_id: str
-    records: list[SrlRecord] = field(default_factory=list)
-    propositions: int = 0
-    failed: int = 0
-    skips: list[tuple[str, str]] = field(default_factory=list)
-    file_skipped: bool = False
-
-
-def _process_file(triple: FileTriple, policy: TracePolicy, strict: bool) -> _FileOutcome:
-    out = _FileOutcome(file_id=triple.file_id)
-    try:
-        props = parse_prop_file(triple.prop_path.read_text(encoding="utf-8"))
-        sentences = parse_onf(triple.onf_path.read_text(encoding="utf-8"))
-        tree_texts = parse_trees_file(triple.parse_path.read_text(encoding="utf-8"))
-        trees = [treebank.parse_tree(t) for t in tree_texts]
-        if len(trees) != len(sentences):
-            raise AlignmentError(f"{len(sentences)} sentences but {len(trees)} trees")
-    except SrlKitError as exc:
-        if strict:
-            raise ExtractionError(f"{triple.file_id}: {exc}") from exc
-        out.skips.append((triple.file_id, str(exc)))
-        out.file_skipped = True
-        return out
-    out.propositions = len(props)
-    for prop in sort_propositions(props):
-        try:
-            record = _build_record(prop, trees, sentences, triple.file_id, policy)
-        except SrlKitError as exc:
-            if strict:
-                raise ExtractionError(
-                    f"{triple.file_id} prop line {prop.line_no}: {exc}"
-                ) from exc
-            out.skips.append((triple.file_id, f"prop line {prop.line_no}: {exc}"))
-            out.failed += 1
-            continue
-        out.records.append(record)
-    return out
-
-
 def extract_corpus(
     layout: CorpusLayout,
     trace_mode: TraceMode = TraceMode.TREE_GUIDED,
     strict: bool = False,
-    jobs: int = 1,
 ) -> ExtractResult:
-    """Run discover -> parse -> resolve -> filter over a corpus.
+    """Run discover -> parse -> resolve -> filter over a corpus, one file
+    after another in file-id order.
 
-    Files are processed one after another. `jobs` is accepted and ignored:
-    the work is CPU-bound under the GIL, and a thread pool made runs slower.
+    A file that fails to parse or align is skipped whole, a proposition
+    that fails to resolve alone; each skip is logged, or raised as an
+    ExtractionError under `strict`.
     """
     triples, discovery_skips = discover_files(layout)
     policy = TracePolicy(mode=trace_mode)
     summary = RunSummary(
         files_discovered=len(triples) + len(discovery_skips),
+        files_skipped=len(discovery_skips),
         skip_log=list(discovery_skips),
     )
-    summary.files_skipped = len(discovery_skips)
     records: list[SrlRecord] = []
-    for triple in triples:  # in file-id order
-        outcome = _process_file(triple, policy, strict)
-        summary.skip_log.extend(outcome.skips)
-        if outcome.file_skipped:
+    for triple in triples:
+        try:
+            props, sentences, trees = read_file(triple)
+            check_aligned(sentences, trees)
+        except SrlKitError as exc:
+            if strict:
+                raise ExtractionError(f"{triple.file_id}: {exc}") from exc
+            summary.skip_log.append((triple.file_id, str(exc)))
             summary.files_skipped += 1
             continue
         summary.files_processed += 1
-        summary.propositions += outcome.propositions
-        summary.propositions_failed += outcome.failed
-        records.extend(outcome.records)
+        summary.propositions += len(props)
+        for prop in sort_propositions(props):
+            try:
+                records.append(_build_record(prop, trees, sentences, triple.file_id, policy))
+            except SrlKitError as exc:
+                if strict:
+                    raise ExtractionError(
+                        f"{triple.file_id} prop line {prop.line_no}: {exc}"
+                    ) from exc
+                summary.skip_log.append((triple.file_id, f"prop line {prop.line_no}: {exc}"))
+                summary.propositions_failed += 1
     kept = filter_records(records)
     summary.rows_filtered = len(records) - len(kept)
     summary.rows_emitted = len(kept)

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass, field
 
 from srlkit._backend import parse_expr_parts
-from srlkit._pointers import Connector, PointerExpr, TreePointer, parse_expr_parts as _pure_parts
+from srlkit._pointers import Connector, PointerExpr, TreePointer
 from srlkit.errors import MalformedLine, MalformedPointer
 
 __all__ = [
@@ -59,7 +59,7 @@ class Proposition:
 
 def parse_pointer(text: str) -> TreePointer:
     """Parse a single `terminal:height` pointer."""
-    parts, connectors = _pure_parts(text)
+    parts, connectors = parse_expr_parts(text)
     if connectors:
         raise MalformedPointer(f"connector in plain pointer {text!r}")
     return TreePointer(*parts[0])

@@ -52,19 +52,6 @@ def pretty(tree: ParseTree, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def leaves(tree: ParseTree) -> list[str]:
-    """Left-to-right token sequence, trace tokens included."""
-    out = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Preterminal):
-            out.append(node.token)
-        else:
-            stack.extend(reversed(node.children))
-    return out
-
-
 def preterminals(tree: ParseTree) -> list[Preterminal]:
     """Left-to-right preterminal nodes, "-NONE-" terminals included."""
     out = []
@@ -78,17 +65,14 @@ def preterminals(tree: ParseTree) -> list[Preterminal]:
     return out
 
 
+def leaves(tree: ParseTree) -> list[str]:
+    """Left-to-right token sequence, trace tokens included."""
+    return [p.token for p in preterminals(tree)]
+
+
 def terminal_count(tree: ParseTree) -> int:
     """Number of preterminals, counting "-NONE-" terminals."""
-    count = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Preterminal):
-            count += 1
-        else:
-            stack.extend(node.children)
-    return count
+    return len(preterminals(tree))
 
 
 def _path_to_terminal(tree: ParseTree, index: int) -> list[ParseTree]:

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+import tempfile
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -19,14 +21,32 @@ settings.register_profile("suite", max_examples=120, deadline=None)
 settings.load_profile("suite")
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SPEEDUPS_SOURCE = SRC / "srlkit" / "_speedups.c"
+
+
+def _speedups_modules() -> list[Path]:
+    """Every file name this interpreter would import srlkit._speedups from."""
+    return [SRC / "srlkit" / f"_speedups{suffix}" for suffix in EXTENSION_SUFFIXES]
 
 
 def _speedups_current() -> bool:
     """True when a module for this interpreter is no older than _speedups.c."""
-    package = SRC / "srlkit"
-    source_mtime = (package / "_speedups.c").stat().st_mtime
-    built = (package / f"_speedups{suffix}" for suffix in EXTENSION_SUFFIXES)
-    return any(path.is_file() and path.stat().st_mtime >= source_mtime for path in built)
+    source_ns = SPEEDUPS_SOURCE.stat().st_mtime_ns
+    return any(p.is_file() and p.stat().st_mtime_ns >= source_ns for p in _speedups_modules())
+
+
+def _import_error():
+    """Why a fresh interpreter cannot import srlkit._speedups from src, or None."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import srlkit._speedups"],
+        cwd=SRC,
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode == 0:
+        return None
+    lines = [line for line in proc.stderr.splitlines() if line.strip()]
+    return lines[-1] if lines else f"exit status {proc.returncode}"
 
 
 def _build_speedups() -> str:
@@ -40,16 +60,34 @@ def _build_speedups() -> str:
     missing = missing_build_tool()
     if missing is not None:
         return f"not built: {missing}"
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "-q", "build_ext", "--inplace"],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-    )
-    # the extension is optional, so setup.py exits 0 when the compile fails
-    if not _speedups_current():
-        lines = [line for line in proc.stderr.splitlines() if line.strip()]
-        return f"build failed: {lines[-1] if lines else proc.returncode}"
+    # a stale module left in place would pass for the new build if the
+    # compile fails
+    for path in _speedups_modules():
+        path.unlink(missing_ok=True)
+    source_ns = SPEEDUPS_SOURCE.stat().st_mtime_ns
+    # --force, because setuptools compares whole-second mtimes and would skip
+    # an edit made within a second of the last build; a fresh build directory,
+    # because after a failed compile setuptools copies in the module an
+    # earlier build left there
+    with tempfile.TemporaryDirectory() as build_dir:
+        proc = subprocess.run(
+            [sys.executable, "setup.py", "-q", "build_ext", "--inplace", "--force",
+             "--build-lib", build_dir, "--build-temp", build_dir],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+        )
+    # the extension is optional, so setup.py exits 0 when the compile fails;
+    # only an import shows whether a module was built
+    error = _import_error()
+    if error is not None:
+        compiler = [line for line in proc.stderr.splitlines() if "error" in line.lower()]
+        return f"build failed: {compiler[0] if compiler else error}"
+    # setuptools copies the module in with a whole-second mtime, which can
+    # read older than the source it was just built from
+    for path in _speedups_modules():
+        if path.is_file() and path.stat().st_mtime_ns < source_ns:
+            os.utime(path, ns=(path.stat().st_atime_ns, source_ns))
     return "built in place"
 
 
@@ -99,13 +137,7 @@ def golden_records(golden_layout):
 @pytest.fixture(scope="session")
 def corpus_trees(golden_layout):
     """Every parsed tree of the bundled fixture corpus, keyed by file id."""
-    from srlkit import treebank
-    from srlkit.onf import parse_trees_file
-    from srlkit.pipeline import discover_files
+    from srlkit.pipeline import discover_files, read_file
 
     triples, _ = discover_files(golden_layout)
-    out = {}
-    for triple in triples:
-        texts = parse_trees_file(triple.parse_path.read_text(encoding="utf-8"))
-        out[triple.file_id] = [treebank.parse_tree(t) for t in texts]
-    return out
+    return {triple.file_id: read_file(triple)[2] for triple in triples}

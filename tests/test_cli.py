@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -190,6 +191,34 @@ class TestValidate:
         assert rc != 0
         out = capsys.readouterr().out
         assert "sentences but" in out
+
+    @pytest.mark.parametrize("name", ["badptr", "misaligned", "partial"])
+    def test_reports_every_extract_skip(self, name, fixtures_dir, tmp_path, capsys):
+        out = tmp_path / "dataset.csv"
+        assert main(["extract", *flags(fixtures_dir, name), "--out", str(out)]) == 0
+        skipped = {
+            skip_key(*line.split("\t"))
+            for line in (tmp_path / "dataset.csv.skiplog").read_text().splitlines()
+        }
+        capsys.readouterr()
+        assert main(["validate", *flags(fixtures_dir, name)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "file_id\ttree\tdetail"
+        reported = set()
+        for line in lines[1:-1]:
+            file_id, _tree, detail = line.split("\t")
+            reported.add(skip_key(file_id, detail))
+        assert skipped
+        assert skipped <= reported
+
+
+def skip_key(file_id, detail):
+    """What a skip-log reason or a validate detail is about: a missing
+    companion file, one proposition, or the whole file."""
+    if detail.startswith("missing companion file"):
+        return file_id, "missing"
+    prop = re.match(r"prop line \d+\b", detail)
+    return file_id, prop.group() if prop else "file-level"
 
 
 class TestInspect:

@@ -14,11 +14,13 @@ from srlkit.pipeline import (
     SRL_HEADER,
     SrlRecord,
     build_records,
+    check_aligned,
     discover_files,
     export_csv,
     extract_corpus,
     filter_records,
     map_to_orl,
+    read_file,
     resolve_role,
 )
 from srlkit.propbank import parse_prop_line, parse_pointer_expr
@@ -62,6 +64,14 @@ class TestDiscoverFiles:
         )
         with pytest.raises(EmptyCorpus):
             discover_files(layout)
+
+    def test_triple_paths(self, golden_layout):
+        triple = golden_layout.triple("01/wsj_0101")
+        assert triple.file_id == "01/wsj_0101"
+        assert triple.prop_path == golden_layout.prop_root / "01" / "wsj_0101.prop"
+        assert triple.onf_path == golden_layout.onf_root / "01" / "wsj_0101.onf"
+        assert triple.parse_path == golden_layout.parse_root / "01" / "wsj_0101.parse"
+        assert triple in discover_files(golden_layout)[0]
 
     def test_missing_root(self, tmp_path):
         layout = CorpusLayout(
@@ -161,6 +171,15 @@ class TestBuildRecords:
         assert record.merged_arguments.count("|") == 1
 
 
+class TestReadFile:
+    def test_misaligned_file_reads_but_fails_check(self, fixtures_dir):
+        # validate goes on to check the propositions of a misaligned file
+        layout = layout_for(fixtures_dir, "misaligned")
+        _, sentences, trees = read_file(layout.triple("00/wsj_0001"))
+        with pytest.raises(AlignmentError, match="2 sentences but 1 trees"):
+            check_aligned(sentences, trees)
+
+
 class TestFilterRecords:
     @staticmethod
     def _rec(arg0, arg1):
@@ -244,10 +263,10 @@ class TestExtractCorpus:
         assert s.rows_emitted == s.propositions - s.propositions_failed - s.rows_filtered
         assert len(result.records) == 20
 
-    def test_deterministic_across_runs_and_jobs(self, golden_layout):
-        a = extract_corpus(golden_layout, jobs=1).records
-        b = extract_corpus(golden_layout, jobs=4).records
-        c = extract_corpus(golden_layout, jobs=1).records
+    def test_deterministic_across_runs(self, golden_layout):
+        a = extract_corpus(golden_layout).records
+        b = extract_corpus(golden_layout).records
+        c = extract_corpus(golden_layout).records
         assert a == b == c
 
     def test_spans_are_subsequences_of_sentence(self, golden_records):
