@@ -4,7 +4,9 @@
 Usage: python benchmarks/bench_kernels.py [--trees N] [--pointers N] [--repeats K]
 
 Parses the same randomly generated corpus with both backends and reports
-throughput; also cross-checks that both produce identical results.
+throughput; also cross-checks that both produce identical results. Tree
+text is read into SpanTrees: compiled `parse_spans` against the pure
+reference, `_sexpr.parse_spans` (the object parser, then `flatten`).
 """
 
 import argparse
@@ -69,13 +71,13 @@ def main():
         print("compiled extension not built; timing the pure backend only")
     else:
         for text in trees[:500]:
-            assert _sexpr.parse_node(text) == _speedups.parse_node(text)
+            assert _sexpr.parse_spans(text) == _speedups.parse_spans(text)
         for text in pointers[:5000]:
             assert _pointers.parse_expr_parts(text) == _speedups.parse_expr_parts(text)
         print("backends agree on the generated corpus")
 
-    run("tree parsing", trees, _sexpr.parse_node,
-        _speedups.parse_node if _speedups else None, args.repeats)
+    run("tree parsing", trees, _sexpr.parse_spans,
+        _speedups.parse_spans if _speedups else None, args.repeats)
     run("pointer parsing", pointers, _pointers.parse_expr_parts,
         _speedups.parse_expr_parts if _speedups else None, args.repeats)
 

@@ -14,11 +14,11 @@ if not os.environ.get("SRLKIT_PURE"):
 
 if _impl is not None:
     BACKEND = "compiled"
-    parse_node = _impl.parse_node
+    parse_spans = _impl.parse_spans
     parse_expr_parts = _impl.parse_expr_parts
 else:
     BACKEND = "pure"
-    parse_node = _sexpr.parse_node
+    parse_spans = _sexpr.parse_spans
     parse_expr_parts = _pointers.parse_expr_parts
 
 

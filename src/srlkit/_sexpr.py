@@ -1,8 +1,9 @@
-"""Pure-Python scanner for parenthesized tree text.
+"""Pure-Python parser for parenthesized tree text.
 
-Fallback for, and reference of, the hand-written C kernel in
-_speedups.c; both implement the same grammar and raise the same error
-types with the same messages:
+`parse_node` builds Internal/Preterminal objects, the tree API's form.
+`parse_spans` is the fallback for, and reference of, the hand-written C
+scanner in _speedups.c; both implement the same grammar and raise the
+same error types with the same messages:
 
     tree := "(" label (tree+ | token) ")"
 
@@ -13,7 +14,7 @@ wrapper ``( (S ...) )`` with exactly one child, which is unwrapped.
 
 import re
 
-from srlkit._nodes import Internal, Preterminal
+from srlkit._nodes import Internal, Preterminal, SpanTree, flatten
 from srlkit.errors import EmptyInput, TrailingGarbage, UnbalancedParens
 
 # ASCII whitespace only, matching the compiled kernel's byte scanner
@@ -80,3 +81,8 @@ def parse_node(text: str):
     if root is None:
         raise EmptyInput("no tree found in input")
     return root
+
+
+def parse_spans(text: str) -> SpanTree:
+    """Parse one tree into its SpanTree, as `parse_node` reads it."""
+    return flatten(parse_node(text))

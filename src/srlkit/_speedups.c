@@ -1,7 +1,10 @@
 /* Compiled scanners for tree text and pointer expressions.
 
-   Drop-in replacements for _sexpr.parse_node and the _pointers scanner,
-   selected at import time by _backend. Results, error types and error
+   parse_spans reads tree text straight into a flat SpanTree, the form the
+   extraction hot path resolves pointers on; its reference is
+   _sexpr.parse_spans, the pure object parser followed by _nodes.flatten.
+   parse_expr_parts and roundtrip_exhaustive replace the _pointers scanner.
+   _backend selects them at import time. Results, error types and error
    messages match the pure versions exactly; only the scanning runs in C.
 
    Text is read in place, code point by code point, whatever the width the
@@ -14,7 +17,7 @@
 #include <string.h>
 
 /* looked up once at import; read-only afterwards */
-static PyObject *Internal, *Preterminal;
+static PyObject *SpanTree;
 static PyObject *EmptyInput, *UnbalancedParens, *TrailingGarbage;
 static PyObject *MalformedPointer, *EmptyFragment;
 static PyObject *empty_str;     /* the label of a "( (S ...) )" wrapper */
@@ -54,95 +57,132 @@ text_of(PyObject *obj, Text *t)
 
    tree := "(" label (tree+ | token) ")"
 
-   Each open "(" is a frame; finished child nodes wait on one shared node
-   stack until their parent closes and takes them as a tuple. */
+   Nodes are numbered in preorder as their label is read, so the empty-
+   labeled "( (S ...) )" wrapper gets no number and its child is the root;
+   terminals are numbered left to right as their ")" closes. Labels and
+   tokens are kept as offsets into the text while scanning; only the
+   terminals' tokens and POS tags become str objects, once the whole tree
+   has scanned. */
 
 typedef struct {
-    PyObject *label;    /* NULL until read; "" once a child opens first */
-    PyObject *token;    /* NULL unless a preterminal */
-    Py_ssize_t base;    /* this frame's first child on the node stack */
+    Py_ssize_t node;                /* -1 until the label is read */
+    Py_ssize_t label, label_end;    /* label < 0 until read; "" if equal */
+    Py_ssize_t token, token_end;    /* token < 0 unless a preterminal */
+    Py_ssize_t nchildren;
 } Frame;
+
+/* The open frames and the node and terminal tables of one tree. Each node
+   stems from its own "(", so the count of "(" bounds every table. */
+enum { PARENT, START, END, LEAF, TOKEN, TOKEN_END, POS, POS_END, NTABLES };
 
 typedef struct {
     Frame *frames;
-    Py_ssize_t nframes;
-    PyObject **nodes;
-    Py_ssize_t nnodes;
-} TreeParser;
+    Py_ssize_t *table[NTABLES];
+    Py_ssize_t nframes, nnodes, nterms;
+} Scan;
 
-static void
-tree_parser_free(TreeParser *p)
+/* A tuple of text[from[k]:to[k]] for k in [0, n), or of the ints from[k]
+   when text is NULL. */
+static PyObject *
+tuple_of(PyObject *text, const Py_ssize_t *from, const Py_ssize_t *to, Py_ssize_t n)
 {
-    for (Py_ssize_t k = 0; k < p->nframes; k++) {
-        Py_XDECREF(p->frames[k].label);
-        Py_XDECREF(p->frames[k].token);
+    PyObject *tuple = PyTuple_New(n);
+    if (tuple == NULL)
+        return NULL;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        PyObject *v = text ? PyUnicode_Substring(text, from[k], to[k])
+                           : PyLong_FromSsize_t(from[k]);
+        if (v == NULL) {
+            Py_DECREF(tuple);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(tuple, k, v);
     }
-    for (Py_ssize_t k = 0; k < p->nnodes; k++)
-        Py_DECREF(p->nodes[k]);
-    PyMem_Free(p->frames);
-    PyMem_Free(p->nodes);
+    return tuple;
 }
 
-/* Build the node for a closed frame, taking its children off the node
-   stack; a new reference, or NULL with an exception set. */
 static PyObject *
-finish(TreeParser *p, const Frame *f, int has_parent)
+span_tree(PyObject *text, Scan *p)
 {
-    Py_ssize_t nchildren = p->nnodes - f->base;
-    if (f->token != NULL) {
-        PyObject *args[2] = {f->label, f->token};
-        return PyObject_Vectorcall(Preterminal, args, 2, NULL);
+    Py_ssize_t **t = p->table;
+    PyObject *args[6] = {
+        tuple_of(text, t[TOKEN], t[TOKEN_END], p->nterms),
+        tuple_of(text, t[POS], t[POS_END], p->nterms),
+        tuple_of(NULL, t[PARENT], NULL, p->nnodes),
+        tuple_of(NULL, t[START], NULL, p->nnodes),
+        tuple_of(NULL, t[END], NULL, p->nnodes),
+        tuple_of(NULL, t[LEAF], NULL, p->nterms),
+    };
+    PyObject *tree = NULL;
+    if (args[0] && args[1] && args[2] && args[3] && args[4] && args[5])
+        tree = PyObject_Vectorcall(SpanTree, args, 6, NULL);
+    for (int k = 0; k < 6; k++)
+        Py_XDECREF(args[k]);
+    return tree;
+}
+
+/* Close the top frame: record its terminal, or check it as an internal
+   node or the outer wrapper. 0, or -1 with an exception set. */
+static int
+close_frame(PyObject *text, Scan *p)
+{
+    Frame *f = &p->frames[--p->nframes];
+    Py_ssize_t **t = p->table;
+    if (f->token >= 0) {
+        Py_ssize_t k = p->nterms++;
+        t[LEAF][k] = f->node;
+        t[TOKEN][k] = f->token;
+        t[TOKEN_END][k] = f->token_end;
+        t[POS][k] = f->label;
+        t[POS_END][k] = f->label_end;
     }
-    if (nchildren == 0) {
-        PyErr_Format(UnbalancedParens, "node (%U) has no children or token",
-                     f->label ? f->label : empty_str);
-        return NULL;
+    else if (f->nchildren == 0) {
+        PyObject *label = f->label < 0 ? Py_NewRef(empty_str)
+                                       : PyUnicode_Substring(text, f->label, f->label_end);
+        if (label != NULL) {
+            PyErr_Format(UnbalancedParens, "node (%U) has no children or token", label);
+            Py_DECREF(label);
+        }
+        return -1;
     }
-    if (f->label == NULL || PyUnicode_GET_LENGTH(f->label) == 0) {
-        if (has_parent) {
+    else if (f->label == f->label_end) {
+        if (p->nframes > 0) {
             PyErr_SetString(UnbalancedParens, "empty node label below the root");
-            return NULL;
+            return -1;
         }
-        if (nchildren != 1) {
+        if (f->nchildren != 1) {
             PyErr_Format(UnbalancedParens,
-                         "outer wrapper must have exactly one child, got %zd",
-                         nchildren);
-            return NULL;
+                         "outer wrapper must have exactly one child, got %zd", f->nchildren);
+            return -1;
         }
-        return p->nodes[--p->nnodes];  /* the wrapper is unwrapped */
+        return 0;
     }
-    PyObject *children = PyTuple_New(nchildren);
-    if (children == NULL)
-        return NULL;
-    for (Py_ssize_t k = 0; k < nchildren; k++)
-        PyTuple_SET_ITEM(children, k, p->nodes[f->base + k]);
-    p->nnodes = f->base;
-    PyObject *args[2] = {f->label, children};
-    PyObject *node = PyObject_Vectorcall(Internal, args, 2, NULL);
-    Py_DECREF(children);
-    return node;
+    t[END][f->node] = p->nterms;
+    if (p->nframes > 0)
+        p->frames[p->nframes - 1].nchildren++;
+    return 0;
 }
 
 static PyObject *
-parse_node(PyObject *Py_UNUSED(module), PyObject *text)
+parse_spans(PyObject *Py_UNUSED(module), PyObject *text)
 {
     Text s;
     Py_ssize_t i = 0;
+    int done = 0;
     if (text_of(text, &s) < 0)
         return NULL;
-    /* each frame and each waiting node stems from its own "(" */
     Py_ssize_t nopen = 0;
     for (Py_ssize_t k = 0; k < s.n; k++)
         nopen += AT(s, k) == '(';
-    TreeParser p = {
-        .frames = PyMem_Malloc((size_t)nopen * sizeof(Frame) + 1),
-        .nodes = PyMem_Malloc((size_t)nopen * sizeof(PyObject *) + 1),
-    };
-    PyObject *root = NULL;
-    if (p.frames == NULL || p.nodes == NULL) {
+    Scan p = {.frames = PyMem_Malloc((size_t)nopen * sizeof(Frame) + 1)};
+    Py_ssize_t *tables = PyMem_Malloc((size_t)nopen * NTABLES * sizeof(Py_ssize_t) + 1);
+    PyObject *tree = NULL;
+    if (p.frames == NULL || tables == NULL) {
         PyErr_NoMemory();
-        goto error;
+        goto done;
     }
+    for (int k = 0; k < NTABLES; k++)
+        p.table[k] = tables + k * nopen;
 
     while (i < s.n) {
         Py_UCS4 c = AT(s, i);
@@ -150,80 +190,72 @@ parse_node(PyObject *Py_UNUSED(module), PyObject *text)
             i++;
         }
         else if (c == '(') {
-            if (root != NULL) {
+            if (done) {
                 PyErr_SetString(TrailingGarbage, "content after the root tree");
-                goto error;
+                goto done;
             }
             if (p.nframes > 0) {
                 Frame *top = &p.frames[p.nframes - 1];
-                if (top->label == NULL)
-                    top->label = Py_NewRef(empty_str);
-                if (top->token != NULL) {
+                if (top->label < 0)
+                    top->label = top->label_end = i;
+                if (top->token >= 0) {
                     PyErr_SetString(UnbalancedParens, "expected ')' after token");
-                    goto error;
+                    goto done;
                 }
             }
-            p.frames[p.nframes++] = (Frame){NULL, NULL, p.nnodes};
+            p.frames[p.nframes++] = (Frame){-1, -1, -1, -1, -1, 0};
             i++;
         }
         else if (c == ')') {
             if (p.nframes == 0) {
                 PyErr_SetString(UnbalancedParens, "unexpected ')'");
-                goto error;
+                goto done;
             }
-            Frame f = p.frames[--p.nframes];
-            PyObject *node = finish(&p, &f, p.nframes > 0);
-            Py_XDECREF(f.label);
-            Py_XDECREF(f.token);
-            if (node == NULL)
-                goto error;
-            if (p.nframes == 0)
-                root = node;
-            else
-                p.nodes[p.nnodes++] = node;
+            if (close_frame(text, &p) < 0)
+                goto done;
+            done = p.nframes == 0;
             i++;
         }
         else {
-            if (root != NULL) {
+            if (done) {
                 PyErr_SetString(TrailingGarbage, "content after the root tree");
-                goto error;
+                goto done;
             }
             if (p.nframes == 0) {
                 PyErr_SetString(UnbalancedParens, "expected '('");
-                goto error;
+                goto done;
             }
             Py_ssize_t start = i;
             while (i < s.n && !is_ws(c = AT(s, i)) && c != '(' && c != ')')
                 i++;
             Frame *top = &p.frames[p.nframes - 1];
-            PyObject **slot;
-            if (top->label == NULL)
-                slot = &top->label;
-            else if (top->token == NULL && p.nnodes == top->base)
-                slot = &top->token;
+            if (top->label < 0) {
+                top->label = start;
+                top->label_end = i;
+                top->node = p.nnodes++;
+                p.table[PARENT][top->node] = p.nframes > 1 ? top[-1].node : -1;
+                p.table[START][top->node] = p.nterms;
+            }
+            else if (top->token < 0 && top->nchildren == 0) {
+                top->token = start;
+                top->token_end = i;
+            }
             else {
                 PyErr_SetString(UnbalancedParens, "expected ')'");
-                goto error;
+                goto done;
             }
-            if ((*slot = PyUnicode_Substring(text, start, i)) == NULL)
-                goto error;
         }
     }
-    if (p.nframes > 0) {
+    if (p.nframes > 0)
         PyErr_SetString(UnbalancedParens, "unexpected end of input");
-        goto error;
-    }
-    if (root == NULL) {
+    else if (!done)
         PyErr_SetString(EmptyInput, "no tree found in input");
-        goto error;
-    }
-    tree_parser_free(&p);
-    return root;
-
-error:
-    Py_XDECREF(root);
-    tree_parser_free(&p);
-    return NULL;
+    else
+        tree = span_tree(text, &p);
+done:
+    PyMem_Free(p.frames);
+    PyMem_Free(tables);
+    return tree;
 }
 
 /* --- pointer expressions ---------------------------------------------- */
@@ -443,8 +475,9 @@ roundtrip_exhaustive(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwar
 /* --- module ----------------------------------------------------------- */
 
 static PyMethodDef methods[] = {
-    {"parse_node", parse_node, METH_O,
-     PyDoc_STR("Parse one tree, unwrapping a single empty-labeled outer wrapper.")},
+    {"parse_spans", parse_spans, METH_O,
+     PyDoc_STR("Parse one tree into a SpanTree, unwrapping a single empty-labeled\n"
+               "outer wrapper.")},
     {"parse_expr_parts", parse_expr_parts, METH_O,
      PyDoc_STR("Scan a pointer expression into ((terminal, height) pairs, "
                "connector chars).")},
@@ -469,8 +502,7 @@ static const struct {
     const char *module, *name;
     PyObject **slot;
 } imports[] = {
-    {"srlkit._nodes", "Internal", &Internal},
-    {"srlkit._nodes", "Preterminal", &Preterminal},
+    {"srlkit._nodes", "SpanTree", &SpanTree},
     {"srlkit.errors", "EmptyInput", &EmptyInput},
     {"srlkit.errors", "UnbalancedParens", &UnbalancedParens},
     {"srlkit.errors", "TrailingGarbage", &TrailingGarbage},

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 
 from srlkit.errors import TreeMismatch
-from srlkit.treebank import preterminals
+from srlkit.treebank import as_spans
 
 __all__ = [
     "TraceMode",
@@ -47,12 +47,12 @@ def is_trace_token(token: str) -> bool:
     return TRACE_PATTERN.match(token) is not None
 
 
-def join_untraced(pres, mode: TraceMode) -> str:
-    """Tokens of the preterminals, traces dropped as `mode` says, joined
-    with single spaces."""
+def join_untraced(tokens, pos, mode: TraceMode) -> str:
+    """The tokens, traces dropped as `mode` says (by their POS tags when
+    tree-guided), joined with single spaces."""
     if mode is TraceMode.TREE_GUIDED:
-        return " ".join([p.token for p in pres if p.pos != EMPTY_POS])
-    return " ".join([p.token for p in pres if not is_trace_token(p.token)])
+        return " ".join([t for t, p in zip(tokens, pos) if p != EMPTY_POS])
+    return " ".join([t for t in tokens if not is_trace_token(t)])
 
 
 def strip_traces(tokens, policy: TracePolicy | None = None, tree=None) -> str:
@@ -68,8 +68,8 @@ def strip_traces(tokens, policy: TracePolicy | None = None, tree=None) -> str:
     if policy.mode is TraceMode.TREE_GUIDED:
         if tree is None:
             raise TreeMismatch("tree-guided stripping requires a tree")
-        pres = preterminals(tree)
-        if [p.token for p in pres] != tokens:
+        spans = as_spans(tree)
+        if list(spans.tokens) != tokens:
             raise TreeMismatch("tree leaves do not match the given tokens")
-        return join_untraced(pres, policy.mode)
+        return join_untraced(spans.tokens, spans.pos, policy.mode)
     return " ".join([t for t in tokens if not is_trace_token(t)])

@@ -25,12 +25,14 @@ from srlkit.errors import (
     SrlKitError,
     UnknownFile,
 )
+from srlkit.onf import parse_trees_file
 from srlkit.pipeline import (
     CorpusLayout,
     check_aligned,
     discover_files,
     export_csv,
     extract_corpus,
+    open_replacing,
     read_file,
     resolve_role,
 )
@@ -116,10 +118,8 @@ def cmd_extract(config: RunConfig) -> int:
     summary = result.summary
     if summary.skip_log:
         skip_path = Path(str(config.out) + ".skiplog")
-        skip_path.write_text(
-            "".join(f"{fid}\t{reason}\n" for fid, reason in summary.skip_log),
-            encoding="utf-8",
-        )
+        with open_replacing(skip_path) as handle:
+            handle.write("".join(f"{fid}\t{reason}\n" for fid, reason in summary.skip_log))
         print(f"skip log: {skip_path} ({len(summary.skip_log)} entries)")
     print(f"files discovered:    {summary.files_discovered}")
     print(f"files processed:     {summary.files_processed}")
@@ -172,8 +172,7 @@ def cmd_validate(config: RunConfig) -> int:
                 )
                 continue
             tree = trees[prop.tree_index]
-            n_terminals = treebank.terminal_count(tree)
-            if prop.predicate_terminal >= n_terminals:
+            if prop.predicate_terminal >= len(tree.tokens):
                 violations.append(
                     (
                         triple.file_id,
@@ -186,7 +185,7 @@ def cmd_validate(config: RunConfig) -> int:
                 for expr in exprs:
                     for pointer in expr.parts:
                         try:
-                            treebank.select(tree, pointer.terminal, pointer.height)
+                            treebank.select_node(tree, pointer.terminal, pointer.height)
                         except SrlKitError as exc:
                             violations.append(
                                 (
@@ -215,13 +214,14 @@ def cmd_inspect(config: RunConfig, file_id: str, tree_index: int) -> int:
             f"tree index {tree_index} out of range ({len(trees)} trees in {file_id})"
         )
     tree = trees[tree_index]
+    tree_text = parse_trees_file(triple.parse_path.read_text(encoding="utf-8"))[tree_index]
     print(f"file: {file_id}  tree: {tree_index}")
     print()
-    print(treebank.pretty(tree))
+    print(treebank.pretty(treebank.parse_tree(tree_text)))
     print()
     print("terminals:")
-    for i, pre in enumerate(treebank.preterminals(tree)):
-        print(f"  {i:>3}  {pre.pos:<8} {pre.token}")
+    for i, (token, pos) in enumerate(zip(tree.tokens, tree.pos)):
+        print(f"  {i:>3}  {pos:<8} {token}")
     print()
     if tree_index < len(sentences):
         print(f"plain:      {sentences[tree_index].plain}")

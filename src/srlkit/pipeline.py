@@ -9,7 +9,9 @@ logged. Output rows are totally ordered by (file id, tree index,
 predicate terminal, source line), so runs are byte-reproducible.
 """
 
+import contextlib
 import csv
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from srlkit.errors import (
     ExtractionError,
     MissingRoot,
     SrlKitError,
+    TerminalOutOfRange,
 )
 from srlkit.onf import SentencePair, parse_onf, parse_trees_file
 from srlkit.propbank import (
@@ -50,6 +53,7 @@ __all__ = [
     "map_to_orl",
     "export_csv",
     "extract_corpus",
+    "open_replacing",
 ]
 
 SRL_HEADER = ["sentence", "treebanked_sentence", "predicate", "arg0", "arg1", "merged_arguments"]
@@ -158,18 +162,24 @@ def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[s
     return triples, skips
 
 
-def read_file(triple: FileTriple) -> tuple[list[Proposition], list[SentencePair], list]:
+def read_file(
+    triple: FileTriple,
+) -> tuple[list[Proposition], list[SentencePair], list[treebank.SpanTree]]:
     """Read and parse one file triple: its propositions, sentences and trees."""
     props = parse_prop_file(triple.prop_path.read_text(encoding="utf-8"))
     sentences = parse_onf(triple.onf_path.read_text(encoding="utf-8"))
     tree_texts = parse_trees_file(triple.parse_path.read_text(encoding="utf-8"))
-    return props, sentences, [treebank.parse_tree(t) for t in tree_texts]
+    return props, sentences, [treebank.parse_spans(t) for t in tree_texts]
 
 
-def check_aligned(sentences: list[SentencePair], trees: list) -> None:
-    """Raise AlignmentError unless the file has one tree per sentence."""
+def check_aligned(sentences: list[SentencePair], trees: list[treebank.SpanTree]) -> None:
+    """Raise AlignmentError unless the file has one tree per sentence and
+    each tree's tokens are its treebanked sentence's."""
     if len(trees) != len(sentences):
         raise AlignmentError(f"{len(sentences)} sentences but {len(trees)} trees")
+    for i, (pair, tree) in enumerate(zip(sentences, trees)):
+        if tree.tokens != tuple(pair.treebanked.split()):
+            raise AlignmentError(f"tree {i} leaves differ from its treebanked sentence")
 
 
 def resolve_role(expr_list: list[PointerExpr], tree, policy: TracePolicy | None = None) -> str:
@@ -178,14 +188,17 @@ def resolve_role(expr_list: list[PointerExpr], tree, policy: TracePolicy | None 
     Each pointer selects a subtree whose cleaned text becomes one part;
     parts that clean to "" are dropped and the survivors joined with
     single spaces, expressions in source order. With no policy, traces are
-    dropped tree-guided.
+    dropped tree-guided. An object tree is flattened first.
     """
+    tree = treebank.as_spans(tree)
     mode = TraceMode.TREE_GUIDED if policy is None else policy.mode
+    tokens, pos, _, start, end, _ = tree
     pieces = []
     for expr in expr_list:
         for pointer in expr.parts:
-            node = treebank.select(tree, pointer.terminal, pointer.height)
-            text = join_untraced(treebank.preterminals(node), mode)
+            node = treebank.select_node(tree, pointer.terminal, pointer.height)
+            lo, hi = start[node], end[node]
+            text = join_untraced(tokens[lo:hi], pos[lo:hi], mode)
             if text:
                 pieces.append(text)
     return " ".join(pieces)
@@ -203,6 +216,11 @@ def _build_record(
             f"tree index {prop.tree_index} out of range ({len(trees)} trees)"
         )
     tree = trees[prop.tree_index]
+    if prop.predicate_terminal >= len(tree.tokens):
+        raise TerminalOutOfRange(
+            f"predicate terminal {prop.predicate_terminal} out of range "
+            f"(tree has {len(tree.tokens)} terminals)"
+        )
     pair = sentences[prop.tree_index]
     predicate = resolve_role(prop.exprs(RoleLabel.REL), tree, policy)
     arg0 = resolve_role(prop.exprs(RoleLabel.ARG0), tree, policy).replace("|", "/")
@@ -226,6 +244,7 @@ def build_records(
     policy: TracePolicy | None = None,
 ) -> list[SrlRecord]:
     """One record per proposition; raises on the first bad proposition."""
+    trees = [treebank.as_spans(tree) for tree in trees]
     check_aligned(sentences, trees)
     return [_build_record(p, trees, sentences, file_id, policy) for p in props]
 
@@ -247,11 +266,27 @@ def map_to_orl(record: SrlRecord) -> OrlRecord:
     )
 
 
+@contextlib.contextmanager
+def open_replacing(path, newline=None):
+    """Open a temporary file beside `path` for writing UTF-8 text; it
+    replaces `path` once the block ends, and is removed if the block
+    raises, so `path` is never left half written."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def export_csv(records: list[SrlRecord], path, schema: str = "srl") -> None:
     """Write records as UTF-8 CSV with a header row and standard quoting."""
     if schema not in ("srl", "orl"):
         raise ValueError(f"unknown schema {schema!r}")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open_replacing(path, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         if schema == "srl":
             writer.writerow(SRL_HEADER)

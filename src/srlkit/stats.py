@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from srlkit.errors import BadThresholds, EmptyInput, HeaderMismatch, LexiconError
-from srlkit.pipeline import SRL_HEADER, SrlRecord
+from srlkit.pipeline import SRL_HEADER, SrlRecord, open_replacing
 
 __all__ = [
     "ALPHA",
@@ -312,10 +312,10 @@ def emit_report(stats: DatasetStats, out_dir) -> tuple[Path, Path]:
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "stats.json"
     txt_path = out / "stats.txt"
-    json_path.write_text(
-        json.dumps(_stats_dict(stats), indent=2) + "\n", encoding="utf-8"
-    )
-    txt_path.write_text(_stats_text(stats), encoding="utf-8")
+    with open_replacing(json_path) as handle:
+        handle.write(json.dumps(_stats_dict(stats), indent=2) + "\n")
+    with open_replacing(txt_path) as handle:
+        handle.write(_stats_text(stats))
     return json_path, txt_path
 
 

@@ -4,18 +4,30 @@ Trees come from `.parse` files as parenthesized text. Terminals are
 numbered left to right over ALL preterminals, including empty elements
 whose POS is "-NONE-"; a pointer (terminal, height) selects the node
 reached by climbing `height` parent links from that preterminal.
+
+A tree has two forms. Extraction and validation read each tree into a
+flat SpanTree (`parse_spans`, compiled when the extension is built) and
+select nodes by number (`select_node`). The object form (`parse_tree`,
+`select`, `render`, `pretty`) is pure Python and serves `inspect` and
+the tests; `flatten` turns it into a SpanTree.
 """
 
-from srlkit._backend import backend, parse_node
-from srlkit._nodes import Internal, Preterminal
+from srlkit._backend import backend, parse_spans
+from srlkit._nodes import Internal, Preterminal, SpanTree, flatten
+from srlkit._sexpr import parse_node
 from srlkit.errors import HeightOverflow, TerminalOutOfRange
 
 __all__ = [
     "Internal",
     "Preterminal",
     "ParseTree",
+    "SpanTree",
     "backend",
     "parse_tree",
+    "parse_spans",
+    "flatten",
+    "as_spans",
+    "select_node",
     "render",
     "pretty",
     "leaves",
@@ -122,3 +134,27 @@ def select(tree: ParseTree, terminal: int, height: int) -> ParseTree:
 def subtree_text(tree: ParseTree) -> str:
     """Leaves joined with single spaces; traces retained."""
     return " ".join(leaves(tree))
+
+
+def as_spans(tree) -> SpanTree:
+    """The tree as a SpanTree, flattening an object tree."""
+    return tree if isinstance(tree, SpanTree) else flatten(tree)
+
+
+def select_node(tree: SpanTree, terminal: int, height: int) -> int:
+    """Number of the node `select` would return, with the same errors."""
+    if height < 0:
+        raise HeightOverflow(f"negative height {height}")
+    if terminal < 0:
+        raise TerminalOutOfRange(f"negative terminal index {terminal}")
+    if terminal >= len(tree.leaf):
+        raise TerminalOutOfRange(
+            f"terminal {terminal} out of range (tree has {len(tree.leaf)} terminals)"
+        )
+    node = tree.leaf[terminal]
+    parent = tree.parent
+    for _ in range(height):
+        node = parent[node]
+        if node < 0:
+            raise HeightOverflow(f"height {height} from terminal {terminal} passes the root")
+    return node

@@ -136,8 +136,17 @@ def golden_records(golden_layout):
 
 @pytest.fixture(scope="session")
 def corpus_trees(golden_layout):
-    """Every parsed tree of the bundled fixture corpus, keyed by file id."""
-    from srlkit.pipeline import discover_files, read_file
+    """Every tree of the bundled fixture corpus as an object tree, keyed by
+    file id."""
+    from srlkit import treebank
+    from srlkit.onf import parse_trees_file
+    from srlkit.pipeline import discover_files
 
     triples, _ = discover_files(golden_layout)
-    return {triple.file_id: read_file(triple)[2] for triple in triples}
+    return {
+        triple.file_id: [
+            treebank.parse_tree(text)
+            for text in parse_trees_file(triple.parse_path.read_text(encoding="utf-8"))
+        ]
+        for triple in triples
+    }

@@ -192,7 +192,16 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "sentences but" in out
 
-    @pytest.mark.parametrize("name", ["badptr", "misaligned", "partial"])
+    def test_swapped_trees_reported(self, fixtures_dir, capsys):
+        rc = main(["validate", *flags(fixtures_dir, "swapped")])
+        assert rc == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "file_id\ttree\tdetail",
+            "00/wsj_0002\t-\ttree 1 leaves differ from its treebanked sentence",
+            "1 violations",
+        ]
+
+    @pytest.mark.parametrize("name", ["badptr", "misaligned", "partial", "swapped"])
     def test_reports_every_extract_skip(self, name, fixtures_dir, tmp_path, capsys):
         out = tmp_path / "dataset.csv"
         assert main(["extract", *flags(fixtures_dir, name), "--out", str(out)]) == 0

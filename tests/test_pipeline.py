@@ -1,3 +1,5 @@
+import shutil
+
 import pytest
 
 from srlkit import treebank
@@ -248,6 +250,14 @@ class TestExportCsv:
         with pytest.raises(ValueError):
             export_csv([], tmp_path / "x.csv", schema="conll")
 
+    def test_failed_write_keeps_previous_file(self, golden_records, tmp_path):
+        out = tmp_path / "dataset.csv"
+        out.write_text("previous run\n", encoding="utf-8")
+        with pytest.raises(AttributeError):
+            export_csv([*golden_records, object()], out)  # the last row cannot be written
+        assert out.read_text(encoding="utf-8") == "previous run\n"
+        assert list(tmp_path.iterdir()) == [out]
+
 
 class TestExtractCorpus:
     def test_summary_accounting(self, golden_layout):
@@ -303,6 +313,35 @@ class TestExtractCorpus:
     def test_misaligned_file_strict(self, fixtures_dir):
         with pytest.raises(ExtractionError):
             extract_corpus(layout_for(fixtures_dir, "misaligned"), strict=True)
+
+    def test_swapped_trees_skipped(self, fixtures_dir):
+        # two trees of 00/wsj_0002 swapped: the counts agree, the tokens do not
+        layout = layout_for(fixtures_dir, "swapped")
+        result = extract_corpus(layout)
+        assert result.records == []
+        assert result.summary.files_skipped == 1
+        assert result.summary.skip_log == [
+            ("00/wsj_0002", "tree 1 leaves differ from its treebanked sentence")
+        ]
+        with pytest.raises(ExtractionError, match="00/wsj_0002: tree 1 leaves differ"):
+            extract_corpus(layout, strict=True)
+
+    def test_predicate_terminal_out_of_range(self, fixtures_dir, tmp_path):
+        shutil.copytree(fixtures_dir / "corpus", tmp_path / "corpus")
+        prop = tmp_path / "corpus" / "prop" / "00" / "wsj_0001.prop"
+        lines = prop.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert " 0 2 " in lines[1]
+        lines[1] = lines[1].replace(" 0 2 ", " 0 99 ")
+        prop.write_text("".join(lines), encoding="utf-8")
+        layout = layout_for(tmp_path, "corpus")
+        result = extract_corpus(layout)
+        assert result.summary.skip_log == [
+            ("00/wsj_0001", "prop line 2: predicate terminal 99 out of range (tree has 6 terminals)")
+        ]
+        assert result.summary.propositions_failed == 1
+        assert not any(r.predicate == "approved" for r in result.records)
+        with pytest.raises(ExtractionError, match="00/wsj_0001 prop line 2: predicate terminal 99"):
+            extract_corpus(layout, strict=True)
 
     def test_exclusions_respected(self, golden_layout):
         layout = CorpusLayout(

@@ -56,7 +56,7 @@ def test_no_reference_leaks():
     from srlkit import _speedups
 
     calls = (
-        [(_speedups.parse_node, (text,)) for text in VALID_TREES + BAD_TREES]
+        [(_speedups.parse_spans, (text,)) for text in VALID_TREES + BAD_TREES]
         + [(_speedups.parse_expr_parts, (text,)) for text in VALID_POINTERS + BAD_POINTERS]
         + [(_speedups.roundtrip_exhaustive, args) for args in SWEEPS]
     )

@@ -16,10 +16,13 @@ from srlkit.errors import (
 from srlkit.treebank import (
     Internal,
     Preterminal,
+    flatten,
     leaves,
+    parse_spans,
     parse_tree,
     render,
     select,
+    select_node,
     subtree_text,
     terminal_count,
 )
@@ -181,46 +184,115 @@ def test_terminal_count_equals_leaf_count(seed):
     assert terminal_count(tree) == support.oracle_leaf_count(tree)
 
 
+def _leaf_range(order, parents, node):
+    """[start, end) of the preterminals under `node`, from the oracle's
+    parent map."""
+    under = []
+    for k, pre in enumerate(order):
+        up = pre
+        while up is not node and id(up) in parents:
+            up = parents[id(up)]
+        if up is node:
+            under.append(k)
+    assert under == list(range(under[0], under[-1] + 1))
+    return under[0], under[-1] + 1
+
+
+def _error(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(st.integers(0, 10**9))
+def test_select_node_matches_bruteforce_oracle(seed):
+    tree = support.random_tree(random.Random(seed))
+    order, parents = support.build_parent_map(tree)
+    spans = parse_spans(render(tree))
+    assert spans == flatten(tree)
+    for i in range(-1, len(order) + 1):
+        for h in range(-1, len(order) + 2):
+            try:
+                if h < 0:  # the oracle climbs no step for a negative height
+                    raise LookupError("negative height")
+                expected = support.oracle_select_prebuilt(order, parents, i, h)
+            except LookupError:
+                error = _error(select, tree, i, h)
+                assert error is not None
+                assert _error(select_node, spans, i, h) == error
+                continue
+            node = select_node(spans, i, h)
+            assert (spans.start[node], spans.end[node]) == _leaf_range(order, parents, expected)
+
+
+def _mutate(rng, text):
+    """The text with a few characters deleted, inserted or doubled."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(chars) + 1)
+        op = rng.random()
+        if op < 0.4 and k < len(chars):
+            del chars[k]
+        elif op < 0.8:
+            chars.insert(k, rng.choice("() a\n"))
+        elif k < len(chars):
+            chars.insert(k, chars[k])
+    return "".join(chars)
+
+
 @requires_build_tools
 class TestBackendParity:
-    """The compiled and pure scanners must be interchangeable."""
+    """The compiled tree scanner must give the pure reference's SpanTree,
+    or its error type and message."""
 
     @staticmethod
     def _both():
         from srlkit import _sexpr, _speedups
 
-        return _sexpr, _speedups
+        return _sexpr.parse_spans, _speedups.parse_spans
+
+    def _same(self, text):
+        pure, fast = self._both()
+        expected = _error(pure, text) or pure(text)
+        got = _error(fast, text) or fast(text)
+        assert got == expected
+        assert type(got) is type(expected)
 
     @given(st.integers(0, 10**9))
     def test_same_trees(self, seed):
-        _sexpr, _speedups = self._both()
+        pure, fast = self._both()
         text = render(support.random_tree(random.Random(seed)))
-        assert _sexpr.parse_node(text) == _speedups.parse_node(text)
+        assert fast(text) == pure(text)
+        assert fast("( " + text + " )") == pure(text)
+
+    @given(st.integers(0, 10**9))
+    def test_same_on_mutated_trees(self, seed):
+        rng = random.Random(seed)
+        self._same(_mutate(rng, render(support.random_tree(rng, max_terminals=8))))
 
     @pytest.mark.parametrize(
         "bad",
         ["((", "", "   ", "(X a))", "(X)", "(X a (Y b))", "foo", "(X a) x",
-         "( (S (X a)) (S (Y b)) )", "()", "( a)", "(X a b)"],
+         "( (S (X a)) (S (Y b)) )", "()", "( a)", "(X a b)",
+         "(X a) (Y b)", ")", "(S ((Y b)))", "(X (Y b) a)", "( ( (X a) ) )"],
     )
     def test_same_errors(self, bad):
-        _sexpr, _speedups = self._both()
-        with pytest.raises(Exception) as pure_exc:
-            _sexpr.parse_node(bad)
-        with pytest.raises(Exception) as fast_exc:
-            _speedups.parse_node(bad)
-        assert type(pure_exc.value) is type(fast_exc.value)
-        assert str(pure_exc.value) == str(fast_exc.value)
+        pure, fast = self._both()
+        assert _error(pure, bad) is not None
+        assert _error(fast, bad) == _error(pure, bad)
 
     # wider str storage, a non-ASCII space that is part of a token, and a
     # lone surrogate that has no UTF-8 form
     @pytest.mark.parametrize("text", ["(X é)", "(X \u3000a)", "(S (X \U0001F600) (Y \ud800))"])
     def test_same_trees_any_character(self, text):
-        _sexpr, _speedups = self._both()
-        assert _sexpr.parse_node(text) == _speedups.parse_node(text)
+        pure, fast = self._both()
+        assert fast(text) == pure(text)
 
     def test_fixture_corpus_trees(self, corpus_trees):
-        _sexpr, _speedups = self._both()
+        pure, fast = self._both()
         for trees in corpus_trees.values():
             for tree in trees:
                 text = render(tree)
-                assert _sexpr.parse_node(text) == _speedups.parse_node(text)
+                assert fast(text) == pure(text) == flatten(tree)
