@@ -5,8 +5,9 @@ Usage: python benchmarks/bench_kernels.py [--trees N] [--pointers N] [--repeats 
 
 Parses the same randomly generated corpus with both backends and reports
 throughput; also cross-checks that both produce identical results. Tree
-text is read into SpanTrees: compiled `parse_spans` against the pure
-reference, `_sexpr.parse_spans` (the object parser, then `flatten`).
+text is read into SpanTrees: compiled `parse_spans` against the pure flat
+scanner `_sexpr.parse_spans`. The trees are generated and rendered to
+text with the test suite's object-tree helpers (tests/support.py).
 """
 
 import argparse
@@ -20,7 +21,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 import support
 from srlkit import _pointers, _sexpr
-from srlkit.treebank import render
 
 try:
     from srlkit import _speedups
@@ -39,7 +39,7 @@ def best_of(repeats, fn):
 
 def make_corpus(n_trees, n_pointers, seed=20240601):
     rng = random.Random(seed)
-    trees = [render(support.random_tree(rng, max_depth=8, max_terminals=40)) for _ in range(n_trees)]
+    trees = [support.render(support.random_tree(rng, max_depth=8, max_terminals=40)) for _ in range(n_trees)]
     pointers = []
     for _ in range(n_pointers):
         parts = [f"{rng.randint(0, 80)}:{rng.randint(0, 6)}" for _ in range(rng.randint(1, 3))]

@@ -1,8 +1,9 @@
 /* Compiled scanners for tree text and pointer expressions.
 
-   parse_spans reads tree text straight into a flat SpanTree, the form the
-   extraction hot path resolves pointers on; its reference is
-   _sexpr.parse_spans, the pure object parser followed by _nodes.flatten.
+   parse_spans reads tree text straight into a flat SpanTree, the form
+   every caller of treebank.parse_tree gets; its reference is the pure
+   flat scanner _sexpr.parse_spans, and the tests check both against an
+   independent object-tree parser in tests/support.py.
    parse_expr_parts and roundtrip_exhaustive replace the _pointers scanner.
    _backend selects them at import time. Results, error types and error
    messages match the pure versions exactly; only the scanning runs in C.

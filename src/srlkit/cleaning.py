@@ -11,8 +11,8 @@ import enum
 import re
 from dataclasses import dataclass
 
+from srlkit._nodes import SpanTree
 from srlkit.errors import TreeMismatch
-from srlkit.treebank import as_spans
 
 __all__ = [
     "TraceMode",
@@ -55,7 +55,7 @@ def join_untraced(tokens, pos, mode: TraceMode) -> str:
     return " ".join([t for t in tokens if not is_trace_token(t)])
 
 
-def strip_traces(tokens, policy: TracePolicy | None = None, tree=None) -> str:
+def strip_traces(tokens, policy: TracePolicy | None = None, tree: SpanTree | None = None) -> str:
     """Drop trace tokens and join the survivors with single spaces.
 
     With no explicit policy, the mode is TreeGuided when a tree is given
@@ -68,8 +68,7 @@ def strip_traces(tokens, policy: TracePolicy | None = None, tree=None) -> str:
     if policy.mode is TraceMode.TREE_GUIDED:
         if tree is None:
             raise TreeMismatch("tree-guided stripping requires a tree")
-        spans = as_spans(tree)
-        if list(spans.tokens) != tokens:
+        if list(tree.tokens) != tokens:
             raise TreeMismatch("tree leaves do not match the given tokens")
-        return join_untraced(spans.tokens, spans.pos, policy.mode)
+        return join_untraced(tree.tokens, tree.pos, policy.mode)
     return " ".join([t for t in tokens if not is_trace_token(t)])

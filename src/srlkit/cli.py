@@ -217,7 +217,7 @@ def cmd_inspect(config: RunConfig, file_id: str, tree_index: int) -> int:
     tree_text = parse_trees_file(triple.parse_path.read_text(encoding="utf-8"))[tree_index]
     print(f"file: {file_id}  tree: {tree_index}")
     print()
-    print(treebank.pretty(treebank.parse_tree(tree_text)))
+    print(treebank.pretty(tree_text))
     print()
     print("terminals:")
     for i, (token, pos) in enumerate(zip(tree.tokens, tree.pos)):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from srlkit.cleaning import is_trace_token
 from srlkit.errors import MalformedOnf
 
-__all__ = ["SentencePair", "FileSentences", "parse_onf", "parse_trees_file"]
+__all__ = ["SentencePair", "parse_onf", "parse_trees_file"]
 
 PLAIN_HEADER = "Plain sentence:"
 TREEBANKED_HEADER = "Treebanked sentence:"
@@ -30,12 +30,6 @@ class SentencePair:
 
     plain: str
     treebanked: str
-
-
-@dataclass
-class FileSentences:
-    file_id: str
-    sentences: list[SentencePair]
 
 
 def _block_lines(block: str) -> list[str]:

@@ -169,7 +169,7 @@ def read_file(
     props = parse_prop_file(triple.prop_path.read_text(encoding="utf-8"))
     sentences = parse_onf(triple.onf_path.read_text(encoding="utf-8"))
     tree_texts = parse_trees_file(triple.parse_path.read_text(encoding="utf-8"))
-    return props, sentences, [treebank.parse_spans(t) for t in tree_texts]
+    return props, sentences, [treebank.parse_tree(t) for t in tree_texts]
 
 
 def check_aligned(sentences: list[SentencePair], trees: list[treebank.SpanTree]) -> None:
@@ -182,15 +182,16 @@ def check_aligned(sentences: list[SentencePair], trees: list[treebank.SpanTree])
             raise AlignmentError(f"tree {i} leaves differ from its treebanked sentence")
 
 
-def resolve_role(expr_list: list[PointerExpr], tree, policy: TracePolicy | None = None) -> str:
+def resolve_role(
+    expr_list: list[PointerExpr], tree: treebank.SpanTree, policy: TracePolicy | None = None
+) -> str:
     """Resolve pointer expressions to cleaned surface text.
 
     Each pointer selects a subtree whose cleaned text becomes one part;
     parts that clean to "" are dropped and the survivors joined with
     single spaces, expressions in source order. With no policy, traces are
-    dropped tree-guided. An object tree is flattened first.
+    dropped tree-guided.
     """
-    tree = treebank.as_spans(tree)
     mode = TraceMode.TREE_GUIDED if policy is None else policy.mode
     tokens, pos, _, start, end, _ = tree
     pieces = []
@@ -206,7 +207,7 @@ def resolve_role(expr_list: list[PointerExpr], tree, policy: TracePolicy | None 
 
 def _build_record(
     prop: Proposition,
-    trees: list,
+    trees: list[treebank.SpanTree],
     sentences: list[SentencePair],
     file_id: str,
     policy: TracePolicy | None,
@@ -238,13 +239,12 @@ def _build_record(
 
 def build_records(
     props: list[Proposition],
-    trees: list,
+    trees: list[treebank.SpanTree],
     sentences: list[SentencePair],
     file_id: str = "",
     policy: TracePolicy | None = None,
 ) -> list[SrlRecord]:
     """One record per proposition; raises on the first bad proposition."""
-    trees = [treebank.as_spans(tree) for tree in trees]
     check_aligned(sentences, trees)
     return [_build_record(p, trees, sentences, file_id, policy) for p in props]
 

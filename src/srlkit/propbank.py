@@ -8,6 +8,7 @@ as a pointer expression; every other field is ignored.
 """
 
 import enum
+import re
 from dataclasses import dataclass, field
 
 from srlkit._backend import parse_expr_parts
@@ -77,14 +78,27 @@ def parse_pointer_expr(text: str) -> PointerExpr:
     )
 
 
+# an index field: ASCII decimal digits, "-" admitted so that a negative
+# index is reported as one
+_INDEX = re.compile(r"-?[0-9]+")
+
+
+def _index(text: str) -> int:
+    """The value of an index field; ValueError unless ASCII decimal, where
+    bare int() would also take "+2", "1_0" or non-ASCII digits."""
+    if not _INDEX.fullmatch(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def parse_prop_line(line: str, line_no: int = 0) -> Proposition:
     """Parse one proposition line; unrecognized fields are ignored."""
     fields = line.split()
     if len(fields) < 3:
         raise MalformedLine(f"expected at least 3 fields, got {len(fields)}: {line!r}")
     try:
-        tree_index = int(fields[1])
-        predicate_terminal = int(fields[2])
+        tree_index = _index(fields[1])
+        predicate_terminal = _index(fields[2])
     except ValueError as exc:
         raise MalformedLine(f"non-integer index in {line!r}: {exc}") from None
     if tree_index < 0 or predicate_terminal < 0:

@@ -135,18 +135,25 @@ def golden_records(golden_layout):
 
 
 @pytest.fixture(scope="session")
-def corpus_trees(golden_layout):
-    """Every tree of the bundled fixture corpus as an object tree, keyed by
-    file id."""
-    from srlkit import treebank
+def corpus_tree_texts(golden_layout):
+    """The text of every tree of the bundled fixture corpus, keyed by file id."""
     from srlkit.onf import parse_trees_file
     from srlkit.pipeline import discover_files
 
     triples, _ = discover_files(golden_layout)
     return {
-        triple.file_id: [
-            treebank.parse_tree(text)
-            for text in parse_trees_file(triple.parse_path.read_text(encoding="utf-8"))
-        ]
+        triple.file_id: parse_trees_file(triple.parse_path.read_text(encoding="utf-8"))
         for triple in triples
+    }
+
+
+@pytest.fixture(scope="session")
+def corpus_trees(corpus_tree_texts):
+    """Every tree of the bundled fixture corpus as a SpanTree, keyed by
+    file id."""
+    from srlkit import treebank
+
+    return {
+        file_id: [treebank.parse_tree(text) for text in texts]
+        for file_id, texts in corpus_tree_texts.items()
     }

@@ -57,6 +57,8 @@ def test_pointer_selection_oracle():
     while trees < 1000:
         tree = support.random_tree(rng, max_depth=8, max_terminals=30)
         trees += 1
+        spans = treebank.parse_tree(support.render(tree))
+        number = {id(node): k for k, node in enumerate(support.preorder(tree))}
         order, parents = support.build_parent_map(tree)
         for i in range(len(order)):
             h = 0
@@ -65,9 +67,9 @@ def test_pointer_selection_oracle():
                     expected = support.oracle_select_prebuilt(order, parents, i, h)
                 except LookupError:
                     with pytest.raises(HeightOverflow):
-                        treebank.select(tree, i, h)
+                        treebank.select_node(spans, i, h)
                     break
-                assert treebank.select(tree, i, h) is expected
+                assert treebank.select_node(spans, i, h) == number[id(expected)]
                 checks += 1
                 h += 1
     elapsed = time.perf_counter() - started
@@ -142,7 +144,7 @@ def test_trace_stripping_equivalence(corpus_trees, golden_records):
     pattern_policy = TracePolicy(mode=TraceMode.PATTERN_ONLY)
     for trees in corpus_trees.values():
         for tree in trees:
-            tokens = treebank.leaves(tree)
+            tokens = tree.tokens
             assert strip_traces(tokens, tree_policy, tree=tree) == strip_traces(
                 tokens, pattern_policy
             )

@@ -36,11 +36,11 @@ class TestStripTraces:
 
     def test_tree_guided(self):
         tree = treebank.parse_tree("(S (NP-SBJ (-NONE- *PRO*-1)) (VP (VB eat) (NP (NN fish))))")
-        assert strip_traces(treebank.leaves(tree), TREE, tree=tree) == "eat fish"
+        assert strip_traces(tree.tokens, TREE, tree=tree) == "eat fish"
 
     def test_default_policy_follows_tree_presence(self):
         tree = treebank.parse_tree("(S (NP (-NONE- *)) (VP (VB go)))")
-        assert strip_traces(treebank.leaves(tree), tree=tree) == "go"
+        assert strip_traces(tree.tokens, tree=tree) == "go"
         assert strip_traces(["*", "go"]) == "go"
 
     def test_tree_mismatch(self):
@@ -58,10 +58,10 @@ class TestStripTraces:
         # "0" under -NONE- goes away tree-guided, but never by pattern:
         # a literal 0 is a legitimate numeral elsewhere.
         tree = treebank.parse_tree("(SBAR (-NONE- 0) (S (NP (NNS prices)) (VP (VBD fell))))")
-        assert strip_traces(treebank.leaves(tree), TREE, tree=tree) == "prices fell"
-        assert strip_traces(treebank.leaves(tree), PATTERN) == "0 prices fell"
+        assert strip_traces(tree.tokens, TREE, tree=tree) == "prices fell"
+        assert strip_traces(tree.tokens, PATTERN) == "0 prices fell"
         numeral = treebank.parse_tree("(NP (CD 0) (NNS cases))")
-        assert strip_traces(treebank.leaves(numeral), TREE, tree=numeral) == "0 cases"
+        assert strip_traces(numeral.tokens, TREE, tree=numeral) == "0 cases"
 
 
 WORDS = st.sampled_from(["The", "cat", "sat", ".", ",", "$", "5", "a-b", "don't"])
@@ -92,5 +92,5 @@ def test_no_surviving_trace_tokens(tokens):
 def test_modes_agree_on_all_fixture_trees(corpus_trees):
     for trees in corpus_trees.values():
         for tree in trees:
-            toks = treebank.leaves(tree)
+            toks = tree.tokens
             assert strip_traces(toks, TREE, tree=tree) == strip_traces(toks, PATTERN)

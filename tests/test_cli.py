@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,22 @@ class TestExtract:
         assert header.startswith("sentence,treebanked_sentence,predicate")
 
 
+    def test_pure_backend_golden_bytes(self, fixtures_dir, golden_srl_csv, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "SRLKIT_PURE": "1", "PYTHONPATH": str(src)}
+        out = tmp_path / "dataset.csv"
+        subprocess.run(
+            [sys.executable, "-m", "srlkit", "extract", *flags(fixtures_dir), "--out", str(out)],
+            env=env, capture_output=True, check=True,
+        )
+        assert out.read_bytes() == golden_srl_csv.read_bytes()
+        backend = subprocess.run(
+            [sys.executable, "-c", "import srlkit; print(srlkit.backend())"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert backend.stdout == "pure\n"
+
+
 class TestStats:
     def test_mini_breakdown_printed(self, fixtures_dir, tmp_path, capsys):
         rc = main([
@@ -239,6 +259,12 @@ class TestInspect:
         assert " 14  -NONE-   *-2" in out
         assert "'Smith Jones'" in out
         assert "plain:" in out and "treebanked:" in out
+
+    def test_full_output(self, fixtures_dir, capsys):
+        rc = main(["inspect", *flags(fixtures_dir), "--file", "00/wsj_0001", "--tree", "1"])
+        assert rc == 0
+        golden = fixtures_dir / "golden" / "inspect_wsj_0001_tree1.txt"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_unknown_file(self, fixtures_dir, capsys):
         rc = main(["inspect", *flags(fixtures_dir), "--file", "00/wsj_9999", "--tree", "0"])

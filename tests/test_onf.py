@@ -113,7 +113,7 @@ class TestFixtureAlignment:
         for triple in triples:
             pairs = parse_onf(triple.onf_path.read_text(encoding="utf-8"))
             for pair, tree in zip(pairs, corpus_trees[triple.file_id]):
-                recovered = strip_traces(treebank.leaves(tree), tree=tree)
+                recovered = strip_traces(tree.tokens, tree=tree)
                 assert recovered == pair.plain, triple.file_id
 
     def test_treebanked_matches_tree_leaves(self, golden_layout, corpus_trees):
@@ -121,4 +121,4 @@ class TestFixtureAlignment:
         for triple in triples:
             pairs = parse_onf(triple.onf_path.read_text(encoding="utf-8"))
             for pair, tree in zip(pairs, corpus_trees[triple.file_id]):
-                assert pair.treebanked == " ".join(treebank.leaves(tree))
+                assert pair.treebanked == " ".join(tree.tokens)

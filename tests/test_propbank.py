@@ -207,6 +207,20 @@ class TestParsePropLine:
         with pytest.raises(MalformedLine):
             parse_prop_line(bad)
 
+    # int() takes a sign, digit separators and non-ASCII digits; an index
+    # field takes ASCII decimal digits only
+    @pytest.mark.parametrize("field", ["+2", "1_0", "٣", "２"])
+    @pytest.mark.parametrize("position", [1, 2])
+    def test_index_not_ascii_decimal(self, field, position):
+        fields = ["f", "0", "2", "x", "2:0-rel"]
+        fields[position] = field
+        with pytest.raises(MalformedLine, match=r"^non-integer index in "):
+            parse_prop_line(" ".join(fields))
+
+    def test_negative_index_message(self):
+        with pytest.raises(MalformedLine, match=r"^negative index in 'f 0 -1 x 2:0-rel'$"):
+            parse_prop_line("f 0 -1 x 2:0-rel")
+
     def test_malformed_pointer_propagates_with_context(self):
         with pytest.raises(MalformedPointer) as exc:
             parse_prop_line("f 0 1 x 9:-ARG0")

@@ -1,6 +1,7 @@
 """Checks on the hand-written C kernel itself: it compiles without
-warnings and leaks no references. Its results are compared with the pure
-modules in test_treebank.py and test_propbank.py."""
+warnings, leaks no references, and its micro-benchmark script runs. Its
+results are compared with the pure modules in test_treebank.py and
+test_propbank.py."""
 
 import gc
 import subprocess
@@ -10,7 +11,8 @@ from pathlib import Path
 
 from native import c_compiler, requires_build_tools
 
-KERNEL = Path(__file__).resolve().parents[1] / "src" / "srlkit" / "_speedups.c"
+ROOT = Path(__file__).resolve().parents[1]
+KERNEL = ROOT / "src" / "srlkit" / "_speedups.c"
 
 VALID_TREES = ["(S (NP (DT The) (NN cat)) (VP (VBZ sits)))", "( (X a) )", "(S (X é) (Y \U0001F600))"]
 BAD_TREES = [
@@ -78,3 +80,17 @@ def test_no_reference_leaks():
     grown = sys.getallocatedblocks() - before
     # a leak of one object per call of any single case would add >= rounds
     assert grown < rounds // 4, f"{grown} blocks kept after {rounds * len(calls)} calls"
+
+
+@requires_build_tools
+def test_kernel_benchmark_runs():
+    from srlkit import _speedups  # noqa: F401  -- the build must have succeeded
+
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"),
+         "--trees", "50", "--pointers", "200", "--repeats", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "backends agree" in proc.stdout
