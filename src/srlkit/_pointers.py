@@ -1,15 +1,14 @@
-"""Pointer-expression types and the pure-Python pointer scanner.
+"""The pure-Python pointer scanner.
 
 A pointer is ``terminal:height`` in canonical decimal (no leading zeros).
 An expression is one or more pointers joined by ``*`` (chain) or ``,`` /
 ``;`` (split). The hand-written C kernel in _speedups.c implements the
 same ``parse_expr_parts`` / ``roundtrip_exhaustive`` contract, with the
-same results, error types and messages; this module is its reference.
+same results, error types and messages; this module is the fallback
+backend and the compiled scanner's reference.
 """
 
-import enum
 import re
-from dataclasses import dataclass
 
 from srlkit.errors import EmptyFragment, MalformedPointer
 
@@ -17,50 +16,6 @@ _POINTER = re.compile(r"(0|[1-9][0-9]*):(0|[1-9][0-9]*)\Z")
 _CONNECTOR = re.compile(r"([*,;])")
 
 CONNECTOR_CHARS = "*,;"
-
-
-class Connector(enum.Enum):
-    """Connector between pointer parts; the value is the source character."""
-
-    CHAIN = "*"
-    SPLIT_COMMA = ","
-    SPLIT_SEMICOLON = ";"
-
-    @property
-    def is_split(self) -> bool:
-        return self is not Connector.CHAIN
-
-
-@dataclass(frozen=True)
-class TreePointer:
-    """A (terminal ordinal, levels-up) reference into one tree."""
-
-    terminal: int
-    height: int
-
-    def format(self) -> str:
-        return f"{self.terminal}:{self.height}"
-
-    def __str__(self) -> str:
-        return self.format()
-
-
-@dataclass(frozen=True)
-class PointerExpr:
-    """Ordered pointer parts with the connectors that joined them."""
-
-    parts: tuple[TreePointer, ...]
-    connectors: tuple[Connector, ...] = ()
-
-    def format(self) -> str:
-        out = [self.parts[0].format()]
-        for conn, part in zip(self.connectors, self.parts[1:]):
-            out.append(conn.value)
-            out.append(part.format())
-        return "".join(out)
-
-    def __str__(self) -> str:
-        return self.format()
 
 
 def parse_expr_parts(text: str) -> tuple[list[tuple[int, int]], list[str]]:

@@ -25,8 +25,8 @@ from srlkit.errors import (
     SrlKitError,
     UnknownFile,
 )
-from srlkit.onf import parse_trees_file
 from srlkit.pipeline import (
+    SCHEMAS,
     CorpusLayout,
     check_aligned,
     discover_files,
@@ -39,6 +39,8 @@ from srlkit.pipeline import (
 from srlkit.propbank import RoleLabel, sort_propositions
 
 __all__ = ["main", "RunConfig"]
+
+TRACE_MODES = tuple(mode.value for mode in TraceMode)
 
 
 @dataclass
@@ -73,7 +75,10 @@ def _load_config(path) -> dict[str, str]:
     return values
 
 
-def _setting(args, config: dict[str, str], key: str, default, cast=str):
+def _setting(args, config: dict[str, str], key: str, default, cast=str, choices=None):
+    """A flag's value, else the config file's, else `default`. A config
+    value that `cast` rejects, or that is not among `choices`, is a
+    ConfigError; argparse checks the flags."""
     flag = getattr(args, key.replace("-", "_"), None)
     if flag is not None:
         return flag
@@ -82,7 +87,10 @@ def _setting(args, config: dict[str, str], key: str, default, cast=str):
         try:
             if cast is bool:
                 return raw.lower() in ("1", "true", "yes", "on")
-            return cast(raw)
+            value = cast(raw)
+            if choices is not None and value not in choices:
+                raise ValueError(raw)
+            return value
         except ValueError:
             raise ConfigError(f"bad value for {key}: {raw!r}") from None
     return default
@@ -116,11 +124,15 @@ def cmd_extract(config: RunConfig) -> int:
     )
     export_csv(result.records, config.out, schema=config.schema)
     summary = result.summary
+    # a skip log exists exactly when this run skipped something; one left
+    # by an earlier run would describe a different dataset
+    skip_path = Path(str(config.out) + ".skiplog")
     if summary.skip_log:
-        skip_path = Path(str(config.out) + ".skiplog")
         with open_replacing(skip_path) as handle:
             handle.write("".join(f"{fid}\t{reason}\n" for fid, reason in summary.skip_log))
         print(f"skip log: {skip_path} ({len(summary.skip_log)} entries)")
+    else:
+        skip_path.unlink(missing_ok=True)
     print(f"files discovered:    {summary.files_discovered}")
     print(f"files processed:     {summary.files_processed}")
     print(f"files skipped:       {summary.files_skipped}")
@@ -153,7 +165,7 @@ def cmd_validate(config: RunConfig) -> int:
     violations: list[tuple[str, str, str]] = [(file_id, "-", reason) for file_id, reason in skips]
     for triple in triples:
         try:
-            props, sentences, trees = read_file(triple)
+            props, sentences, trees, _ = read_file(triple)
         except SrlKitError as exc:
             violations.append((triple.file_id, "-", f"unparseable file: {exc}"))
             continue
@@ -183,16 +195,16 @@ def cmd_validate(config: RunConfig) -> int:
                 )
             for label, exprs in prop.roles.items():
                 for expr in exprs:
-                    for pointer in expr.parts:
+                    for t, h in expr.parts:
                         try:
-                            treebank.select_node(tree, pointer.terminal, pointer.height)
+                            treebank.select_node(tree, t, h)
                         except SrlKitError as exc:
                             violations.append(
                                 (
                                     triple.file_id,
                                     str(prop.tree_index),
                                     f"prop line {prop.line_no} {label.value} "
-                                    f"pointer {pointer}: {exc}",
+                                    f"pointer {t}:{h}: {exc}",
                                 )
                             )
     if violations:
@@ -208,16 +220,15 @@ def cmd_inspect(config: RunConfig, file_id: str, tree_index: int) -> int:
     for path in (triple.prop_path, triple.onf_path, triple.parse_path):
         if not path.is_file():
             raise UnknownFile(f"no such corpus file: {path}")
-    props, sentences, trees = read_file(triple)
+    props, sentences, trees, tree_texts = read_file(triple)
     if tree_index >= len(trees) or tree_index < 0:
         raise IndexOutOfRange(
             f"tree index {tree_index} out of range ({len(trees)} trees in {file_id})"
         )
     tree = trees[tree_index]
-    tree_text = parse_trees_file(triple.parse_path.read_text(encoding="utf-8"))[tree_index]
     print(f"file: {file_id}  tree: {tree_index}")
     print()
-    print(treebank.pretty(tree_text))
+    print(treebank.pretty(tree_texts[tree_index]))
     print()
     print("terminals:")
     for i, (token, pos) in enumerate(zip(tree.tokens, tree.pos)):
@@ -235,7 +246,7 @@ def cmd_inspect(config: RunConfig, file_id: str, tree_index: int) -> int:
             exprs = prop.exprs(label)
             if exprs:
                 spans = resolve_role(exprs, tree)
-                pointers = " ".join(str(e) for e in exprs)
+                pointers = " ".join(e.text for e in exprs)
                 print(f"    {label.value:<5} {pointers:<20} -> {spans!r}")
     return 0
 
@@ -255,8 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_extract = sub.add_parser("extract", help="run the extraction pipeline")
     add_layout_flags(p_extract, required=False)
     p_extract.add_argument("--exclude", help="file of corpus ids to skip, one per line")
-    p_extract.add_argument("--schema", choices=["srl", "orl"], default=None)
-    p_extract.add_argument("--trace-mode", choices=["tree", "pattern"], default=None)
+    p_extract.add_argument("--schema", choices=SCHEMAS, default=None)
+    p_extract.add_argument("--trace-mode", choices=TRACE_MODES, default=None)
     p_extract.add_argument("--strict", action="store_true", default=None)
     p_extract.add_argument("--out", default=None, help="output CSV path (default dataset.csv)")
     p_extract.add_argument(
@@ -297,8 +308,8 @@ def _config_from_args(args) -> RunConfig:
         onf=Path(onf) if onf else Path("."),
         parse=Path(parse) if parse else Path("."),
         out=Path(_setting(args, file_values, "out", "dataset.csv")),
-        schema=_setting(args, file_values, "schema", "srl"),
-        trace_mode=_setting(args, file_values, "trace-mode", "tree"),
+        schema=_setting(args, file_values, "schema", "srl", choices=SCHEMAS),
+        trace_mode=_setting(args, file_values, "trace-mode", "tree", choices=TRACE_MODES),
         strict=bool(_setting(args, file_values, "strict", False, cast=bool)),
         exclude=_setting(args, file_values, "exclude", None),
         lexicon=_setting(args, file_values, "lexicon", None),

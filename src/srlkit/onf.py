@@ -4,6 +4,9 @@ An `.onf` file is a sequence of blank-line-separated blocks. A sentence
 section starts with a long hyphen delimiter and carries a "Plain
 sentence:" block followed by a "Treebanked sentence:" block; everything
 else (Tree, Leaves, Speaker information, coreference, names) is skipped.
+Those sections hold most of a file's text, so a block whose text contains
+neither header is dropped before it is split into lines; every block that
+may hold a header still gets the full line checks.
 A `.parse` file is just trees separated by blank lines.
 """
 
@@ -47,6 +50,9 @@ def parse_onf(text: str) -> list[SentencePair]:
     pairs: list[SentencePair] = []
     pending_plain: str | None = None
     for block in _BLOCK_SPLIT.split(text):
+        # a block holding neither header text cannot be a sentence block
+        if PLAIN_HEADER not in block and TREEBANKED_HEADER not in block:
+            continue
         lines = _block_lines(block)
         if not lines or not any(_DELIMITER.match(l) for l in lines):
             continue

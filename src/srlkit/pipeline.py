@@ -27,8 +27,8 @@ from srlkit.errors import (
 )
 from srlkit.onf import SentencePair, parse_onf, parse_trees_file
 from srlkit.propbank import (
-    PointerExpr,
     Proposition,
+    RoleExpr,
     RoleLabel,
     parse_prop_file,
     sort_propositions,
@@ -44,6 +44,7 @@ __all__ = [
     "ExtractResult",
     "SRL_HEADER",
     "ORL_HEADER",
+    "SCHEMAS",
     "discover_files",
     "read_file",
     "check_aligned",
@@ -58,6 +59,7 @@ __all__ = [
 
 SRL_HEADER = ["sentence", "treebanked_sentence", "predicate", "arg0", "arg1", "merged_arguments"]
 ORL_HEADER = ["sentence", "treebanked_sentence", "holder", "expression", "target"]
+SCHEMAS = ("srl", "orl")
 
 
 @dataclass(frozen=True)
@@ -164,12 +166,13 @@ def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[s
 
 def read_file(
     triple: FileTriple,
-) -> tuple[list[Proposition], list[SentencePair], list[treebank.SpanTree]]:
-    """Read and parse one file triple: its propositions, sentences and trees."""
+) -> tuple[list[Proposition], list[SentencePair], list[treebank.SpanTree], list[str]]:
+    """Read and parse one file triple: its propositions, sentences and
+    trees, and the text of each tree."""
     props = parse_prop_file(triple.prop_path.read_text(encoding="utf-8"))
     sentences = parse_onf(triple.onf_path.read_text(encoding="utf-8"))
     tree_texts = parse_trees_file(triple.parse_path.read_text(encoding="utf-8"))
-    return props, sentences, [treebank.parse_tree(t) for t in tree_texts]
+    return props, sentences, [treebank.parse_tree(t) for t in tree_texts], tree_texts
 
 
 def check_aligned(sentences: list[SentencePair], trees: list[treebank.SpanTree]) -> None:
@@ -183,7 +186,7 @@ def check_aligned(sentences: list[SentencePair], trees: list[treebank.SpanTree])
 
 
 def resolve_role(
-    expr_list: list[PointerExpr], tree: treebank.SpanTree, policy: TracePolicy | None = None
+    expr_list: list[RoleExpr], tree: treebank.SpanTree, policy: TracePolicy | None = None
 ) -> str:
     """Resolve pointer expressions to cleaned surface text.
 
@@ -196,8 +199,8 @@ def resolve_role(
     tokens, pos, _, start, end, _ = tree
     pieces = []
     for expr in expr_list:
-        for pointer in expr.parts:
-            node = treebank.select_node(tree, pointer.terminal, pointer.height)
+        for t, h in expr.parts:
+            node = treebank.select_node(tree, t, h)
             lo, hi = start[node], end[node]
             text = join_untraced(tokens[lo:hi], pos[lo:hi], mode)
             if text:
@@ -284,7 +287,7 @@ def open_replacing(path, newline=None):
 
 def export_csv(records: list[SrlRecord], path, schema: str = "srl") -> None:
     """Write records as UTF-8 CSV with a header row and standard quoting."""
-    if schema not in ("srl", "orl"):
+    if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}")
     with open_replacing(path, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -325,7 +328,7 @@ def extract_corpus(
     records: list[SrlRecord] = []
     for triple in triples:
         try:
-            props, sentences, trees = read_file(triple)
+            props, sentences, trees, _ = read_file(triple)
             check_aligned(sentences, trees)
         except SrlKitError as exc:
             if strict:

@@ -5,24 +5,26 @@ predicate's terminal ordinal, then metadata and role annotations. Role
 fields are recognized purely by suffix: anything ending in -ARG0, -ARG1,
 or -rel (case-insensitive, split at the last dash) contributes its prefix
 as a pointer expression; every other field is ignored.
+
+A role holds its expressions as plain `RoleExpr` records: the
+`(terminal, height)` pairs the pointer scanner returns, in source order,
+and the expression's source text. Chain (`*`) and split (`,` / `;`)
+parts resolve alike, so connectors are not kept. Pointers are canonical
+decimal, so the source text is also the expression's one spelling.
 """
 
 import enum
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from srlkit._backend import parse_expr_parts
-from srlkit._pointers import Connector, PointerExpr, TreePointer
 from srlkit.errors import MalformedLine, MalformedPointer
 
 __all__ = [
-    "Connector",
-    "PointerExpr",
-    "TreePointer",
     "RoleLabel",
+    "RoleExpr",
     "Proposition",
-    "parse_pointer",
-    "parse_pointer_expr",
     "parse_prop_line",
     "parse_prop_file",
     "sort_propositions",
@@ -34,13 +36,16 @@ class RoleLabel(enum.Enum):
     ARG1 = "ARG1"
     REL = "REL"
 
-    @classmethod
-    def from_suffix(cls, suffix: str):
-        """Match an annotation-field suffix, case-insensitively; None if other."""
-        up = suffix.upper()
-        if up in ("ARG0", "ARG1", "REL"):
-            return cls(up)
-        return None
+
+# an annotation field's suffix, upper-cased, to its role
+_LABEL_BY_SUFFIX = {label.value: label for label in RoleLabel}
+
+
+class RoleExpr(NamedTuple):
+    """One pointer expression of a role field."""
+
+    parts: list[tuple[int, int]]  # (terminal, height) pairs in source order
+    text: str  # the expression as written, e.g. "14:1*16:1*17:1"
 
 
 @dataclass
@@ -50,32 +55,12 @@ class Proposition:
     file_id: str
     tree_index: int
     predicate_terminal: int
-    roles: dict[RoleLabel, list[PointerExpr]] = field(default_factory=dict)
+    roles: dict[RoleLabel, list[RoleExpr]] = field(default_factory=dict)
     raw_line: str = ""
     line_no: int = 0
 
-    def exprs(self, label: RoleLabel) -> list[PointerExpr]:
+    def exprs(self, label: RoleLabel) -> list[RoleExpr]:
         return self.roles.get(label, [])
-
-
-def parse_pointer(text: str) -> TreePointer:
-    """Parse a single `terminal:height` pointer."""
-    parts, connectors = parse_expr_parts(text)
-    if connectors:
-        raise MalformedPointer(f"connector in plain pointer {text!r}")
-    return TreePointer(*parts[0])
-
-
-_CONNECTOR_BY_CHAR = {c.value: c for c in Connector}
-
-
-def parse_pointer_expr(text: str) -> PointerExpr:
-    """Parse a chain/split pointer expression, preserving connector kinds."""
-    parts, connectors = parse_expr_parts(text)
-    return PointerExpr(
-        tuple(TreePointer(t, h) for t, h in parts),
-        tuple(_CONNECTOR_BY_CHAR[c] for c in connectors),
-    )
 
 
 # an index field: ASCII decimal digits, "-" admitted so that a negative
@@ -103,19 +88,19 @@ def parse_prop_line(line: str, line_no: int = 0) -> Proposition:
         raise MalformedLine(f"non-integer index in {line!r}: {exc}") from None
     if tree_index < 0 or predicate_terminal < 0:
         raise MalformedLine(f"negative index in {line!r}")
-    roles: dict[RoleLabel, list[PointerExpr]] = {}
+    roles: dict[RoleLabel, list[RoleExpr]] = {}
     for f in fields[3:]:
         prefix, dash, suffix = f.rpartition("-")
         if not dash:
             continue
-        label = RoleLabel.from_suffix(suffix)
+        label = _LABEL_BY_SUFFIX.get(suffix.upper())
         if label is None:
             continue
         try:
-            expr = parse_pointer_expr(prefix)
+            parts = parse_expr_parts(prefix)[0]
         except MalformedPointer as exc:
             raise MalformedPointer(f"field {f!r}: {exc}") from None
-        roles.setdefault(label, []).append(expr)
+        roles.setdefault(label, []).append(RoleExpr(parts, prefix))
     return Proposition(
         file_id=fields[0],
         tree_index=tree_index,

@@ -1,18 +1,37 @@
 """Test helpers: a seeded random-tree generator and independent oracles.
 
-The oracles are object trees (`Preterminal`/`Internal`) with their own
-parser (`parse_node`), rendering (`render`, `pretty`) and conversion to
-the package's SpanTree (`flatten`), plus a brute-force selection oracle
-(explicit parent map, recursive traversal). They are deliberately a
-different mechanism from srlkit's flat scanners and `select_node`, which
-the tests compare against them.
+The tree oracles are object trees (`Preterminal`/`Internal`) with their
+own parser (`parse_node`), rendering (`render`, `pretty`) and conversion
+to the package's SpanTree (`flatten`), plus a brute-force selection
+oracle (explicit parent map, recursive traversal). They are deliberately
+a different mechanism from srlkit's flat scanners and `select_node`,
+which the tests compare against them.
+
+The reader oracles are the object-building `.prop` line parser
+(`parse_prop_line`, with `PointerExpr`/`TreePointer`/`Connector`, on
+the active backend's pointer scanner) and the `.onf` reader that splits
+every block into lines (`parse_onf_unfiltered`); srlkit's
+`propbank.parse_prop_line` and `onf.parse_onf` must match them.
 """
 
+import enum
 import random
 import re
+from dataclasses import dataclass
 
+from srlkit import onf
 from srlkit._nodes import SpanTree
-from srlkit.errors import EmptyInput, TrailingGarbage, UnbalancedParens
+from srlkit._backend import parse_expr_parts
+from srlkit.cleaning import is_trace_token
+from srlkit.errors import (
+    EmptyInput,
+    MalformedLine,
+    MalformedOnf,
+    MalformedPointer,
+    TrailingGarbage,
+    UnbalancedParens,
+)
+from srlkit.propbank import Proposition, RoleLabel
 
 LABELS = ["S", "NP", "VP", "PP", "SBAR", "ADJP", "ADVP", "PRN", "WHNP-1", "NP-SBJ"]
 POS_TAGS = ["DT", "NN", "NNS", "VBD", "VBZ", "IN", "JJ", "RB", "CC", "PRP", "NNP", "CD"]
@@ -265,3 +284,152 @@ def oracle_leaf_count(tree) -> int:
     if isinstance(tree, Preterminal):
         return 1
     return sum(oracle_leaf_count(child) for child in tree.children)
+
+
+# --- the object .prop parser -------------------------------------------------
+
+class Connector(enum.Enum):
+    """Connector between pointer parts; the value is the source character."""
+
+    CHAIN = "*"
+    SPLIT_COMMA = ","
+    SPLIT_SEMICOLON = ";"
+
+    @property
+    def is_split(self) -> bool:
+        return self is not Connector.CHAIN
+
+
+@dataclass(frozen=True)
+class TreePointer:
+    """A (terminal ordinal, levels-up) reference into one tree."""
+
+    terminal: int
+    height: int
+
+    def format(self) -> str:
+        return f"{self.terminal}:{self.height}"
+
+    def __str__(self) -> str:
+        return self.format()
+
+
+@dataclass(frozen=True)
+class PointerExpr:
+    """Ordered pointer parts with the connectors that joined them."""
+
+    parts: tuple[TreePointer, ...]
+    connectors: tuple[Connector, ...] = ()
+
+    def format(self) -> str:
+        out = [self.parts[0].format()]
+        for conn, part in zip(self.connectors, self.parts[1:]):
+            out.append(conn.value)
+            out.append(part.format())
+        return "".join(out)
+
+    def __str__(self) -> str:
+        return self.format()
+
+
+def parse_pointer(text: str) -> TreePointer:
+    """Parse a single `terminal:height` pointer."""
+    parts, connectors = parse_expr_parts(text)
+    if connectors:
+        raise MalformedPointer(f"connector in plain pointer {text!r}")
+    return TreePointer(*parts[0])
+
+
+_CONNECTOR_BY_CHAR = {c.value: c for c in Connector}
+
+
+def parse_pointer_expr(text: str) -> PointerExpr:
+    """Parse a chain/split pointer expression, preserving connector kinds."""
+    parts, connectors = parse_expr_parts(text)
+    return PointerExpr(
+        tuple(TreePointer(t, h) for t, h in parts),
+        tuple(_CONNECTOR_BY_CHAR[c] for c in connectors),
+    )
+
+
+def from_suffix(suffix: str):
+    """Match an annotation-field suffix, case-insensitively; None if other."""
+    up = suffix.upper()
+    if up in ("ARG0", "ARG1", "REL"):
+        return RoleLabel(up)
+    return None
+
+
+def _index(text: str) -> int:
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def parse_prop_line(line: str, line_no: int = 0) -> Proposition:
+    """Parse one proposition line into a Proposition whose roles hold
+    `PointerExpr` objects; the same errors and messages as
+    srlkit.propbank.parse_prop_line."""
+    fields = line.split()
+    if len(fields) < 3:
+        raise MalformedLine(f"expected at least 3 fields, got {len(fields)}: {line!r}")
+    try:
+        tree_index = _index(fields[1])
+        predicate_terminal = _index(fields[2])
+    except ValueError as exc:
+        raise MalformedLine(f"non-integer index in {line!r}: {exc}") from None
+    if tree_index < 0 or predicate_terminal < 0:
+        raise MalformedLine(f"negative index in {line!r}")
+    roles: dict[RoleLabel, list[PointerExpr]] = {}
+    for f in fields[3:]:
+        prefix, dash, suffix = f.rpartition("-")
+        if not dash:
+            continue
+        label = from_suffix(suffix)
+        if label is None:
+            continue
+        try:
+            expr = parse_pointer_expr(prefix)
+        except MalformedPointer as exc:
+            raise MalformedPointer(f"field {f!r}: {exc}") from None
+        roles.setdefault(label, []).append(expr)
+    return Proposition(
+        file_id=fields[0],
+        tree_index=tree_index,
+        predicate_terminal=predicate_terminal,
+        roles=roles,
+        raw_line=line,
+        line_no=line_no,
+    )
+
+
+# --- the .onf reader without its prefilter ---------------------------------
+
+def parse_onf_unfiltered(text: str) -> list[onf.SentencePair]:
+    """`onf.parse_onf` as it reads every block's lines, header or not."""
+    pairs = []
+    pending_plain = None
+    for block in onf._BLOCK_SPLIT.split(text):
+        lines = onf._block_lines(block)
+        if not lines or not any(onf._DELIMITER.match(l) for l in lines):
+            continue
+        if onf.PLAIN_HEADER in lines:
+            if pending_plain is not None:
+                raise MalformedOnf("plain sentence without a treebanked sentence")
+            plain = onf._text_after_header(lines, onf.PLAIN_HEADER)
+            if not plain:
+                raise MalformedOnf("sentence delimiter with no sentence text")
+            if any(is_trace_token(tok) for tok in plain.split()):
+                raise MalformedOnf(f"trace token in plain sentence: {plain!r}")
+            pending_plain = plain
+        elif onf.TREEBANKED_HEADER in lines:
+            if pending_plain is None:
+                raise MalformedOnf("treebanked sentence without a plain sentence")
+            treebanked = onf._text_after_header(lines, onf.TREEBANKED_HEADER)
+            if not treebanked:
+                raise MalformedOnf("sentence delimiter with no sentence text")
+            pairs.append(onf.SentencePair(plain=pending_plain, treebanked=treebanked))
+            pending_plain = None
+    if pending_plain is not None:
+        raise MalformedOnf("plain sentence without a treebanked sentence")
+    return pairs

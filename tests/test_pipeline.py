@@ -25,7 +25,13 @@ from srlkit.pipeline import (
     read_file,
     resolve_role,
 )
-from srlkit.propbank import parse_prop_line, parse_pointer_expr
+from srlkit.propbank import RoleLabel, parse_prop_line
+
+
+def role_expr(text):
+    """The expression parse_prop_line reads from a role field `<text>-ARG0`."""
+    (expr,) = parse_prop_line(f"f 0 0 {text}-ARG0").exprs(RoleLabel.ARG0)
+    return expr
 
 
 def layout_for(fixtures_dir, name) -> CorpusLayout:
@@ -103,28 +109,28 @@ class TestDiscoverFiles:
 class TestResolveRole:
     def test_chain_with_trace_part(self, corpus_trees):
         tree = corpus_trees["00/wsj_0001"][1]
-        text = resolve_role([parse_pointer_expr("14:1*16:1*17:1")], tree)
+        text = resolve_role([role_expr("14:1*16:1*17:1")], tree)
         assert text == "Smith Jones"
 
     def test_single_pointer(self):
         tree = treebank.parse_tree("(S (NP (DT The) (NN cat)) (VP (VBZ sits)))")
-        assert resolve_role([parse_pointer_expr("0:1")], tree) == "The cat"
+        assert resolve_role([role_expr("0:1")], tree) == "The cat"
 
     def test_all_trace_expr_resolves_empty(self):
         tree = treebank.parse_tree("(S (NP-SBJ (-NONE- *T*-1)) (VP (VBD fell)))")
-        assert resolve_role([parse_pointer_expr("0:1")], tree) == ""
+        assert resolve_role([role_expr("0:1")], tree) == ""
 
     def test_multiple_exprs_concatenated_in_order(self):
         tree = treebank.parse_tree(
             "(S (NP (NP (NNS profits)) (CC and) (NP (NNS losses))) (VP (VBD fell)))"
         )
-        out = resolve_role([parse_pointer_expr("0:1"), parse_pointer_expr("2:1")], tree)
+        out = resolve_role([role_expr("0:1"), role_expr("2:1")], tree)
         assert out == "profits losses"
 
     def test_pattern_policy(self, corpus_trees):
         tree = corpus_trees["00/wsj_0001"][1]
         policy = TracePolicy(mode=TraceMode.PATTERN_ONLY)
-        assert resolve_role([parse_pointer_expr("14:1*16:1*17:1")], tree, policy) == "Smith Jones"
+        assert resolve_role([role_expr("14:1*16:1*17:1")], tree, policy) == "Smith Jones"
 
 
 def _mini_setup():
@@ -177,7 +183,8 @@ class TestReadFile:
     def test_misaligned_file_reads_but_fails_check(self, fixtures_dir):
         # validate goes on to check the propositions of a misaligned file
         layout = layout_for(fixtures_dir, "misaligned")
-        _, sentences, trees = read_file(layout.triple("00/wsj_0001"))
+        _, sentences, trees, tree_texts = read_file(layout.triple("00/wsj_0001"))
+        assert [treebank.parse_tree(t) for t in tree_texts] == trees
         with pytest.raises(AlignmentError, match="2 sentences but 1 trees"):
             check_aligned(sentences, trees)
 

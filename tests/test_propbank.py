@@ -3,20 +3,22 @@ import importlib
 import pytest
 from hypothesis import given, strategies as st
 
+import support
 from native import requires_build_tools
 from srlkit.errors import EmptyFragment, MalformedLine, MalformedPointer
 from srlkit.propbank import (
-    Connector,
-    PointerExpr,
     Proposition,
+    RoleExpr,
     RoleLabel,
-    TreePointer,
-    parse_pointer,
-    parse_pointer_expr,
     parse_prop_file,
     parse_prop_line,
     sort_propositions,
 )
+from support import Connector, PointerExpr, TreePointer, parse_pointer, parse_pointer_expr
+
+
+# TestParsePointer and TestParsePointerExpr pin the object parser of
+# tests/support.py, the oracle that parse_prop_line is compared with
 
 
 class TestParsePointer:
@@ -168,9 +170,9 @@ class TestParsePropLine:
         assert prop.file_id == "wsj/00/wsj_0001"
         assert prop.tree_index == 0
         assert prop.predicate_terminal == 8
-        assert prop.exprs(RoleLabel.ARG1) == [parse_pointer_expr("0:2")]
-        assert prop.exprs(RoleLabel.REL) == [parse_pointer_expr("8:0")]
-        assert prop.exprs(RoleLabel.ARG0) == [parse_pointer_expr("9:1")]
+        assert prop.exprs(RoleLabel.ARG1) == [RoleExpr([(0, 2)], "0:2")]
+        assert prop.exprs(RoleLabel.REL) == [RoleExpr([(8, 0)], "8:0")]
+        assert prop.exprs(RoleLabel.ARG0) == [RoleExpr([(9, 1)], "9:1")]
         assert prop.raw_line == PROP_LINE
 
     def test_no_recognized_suffixes(self):
@@ -182,24 +184,25 @@ class TestParsePropLine:
         exprs = prop.exprs(RoleLabel.ARG0)
         assert len(exprs) == 1
         assert len(exprs[0].parts) == 3
+        assert exprs == [RoleExpr([(14, 1), (16, 1), (17, 1)], "14:1*16:1*17:1")]
 
     def test_other_suffixes_ignored(self):
         prop = parse_prop_line("f 0 2 gold say-v say.01 ----- 0:1-ARGM-TMP 2:0-rel 3:1-ARG2")
-        assert prop.exprs(RoleLabel.REL) == [parse_pointer_expr("2:0")]
+        assert prop.exprs(RoleLabel.REL) == [RoleExpr([(2, 0)], "2:0")]
         assert prop.exprs(RoleLabel.ARG0) == []
         assert prop.exprs(RoleLabel.ARG1) == []
 
     def test_case_insensitive_suffix(self):
         prop = parse_prop_line("f 0 2 x 2:0-REL 0:1-arg0 3:1-Arg1")
-        assert prop.exprs(RoleLabel.REL) == [parse_pointer_expr("2:0")]
-        assert prop.exprs(RoleLabel.ARG0) == [parse_pointer_expr("0:1")]
-        assert prop.exprs(RoleLabel.ARG1) == [parse_pointer_expr("3:1")]
+        assert prop.exprs(RoleLabel.REL) == [RoleExpr([(2, 0)], "2:0")]
+        assert prop.exprs(RoleLabel.ARG0) == [RoleExpr([(0, 1)], "0:1")]
+        assert prop.exprs(RoleLabel.ARG1) == [RoleExpr([(3, 1)], "3:1")]
 
     def test_multiple_exprs_under_one_label(self):
         prop = parse_prop_line("f 0 1 x 1:0-rel 2:1-ARG1 4:1-ARG1")
         assert prop.exprs(RoleLabel.ARG1) == [
-            parse_pointer_expr("2:1"),
-            parse_pointer_expr("4:1"),
+            RoleExpr([(2, 1)], "2:1"),
+            RoleExpr([(4, 1)], "4:1"),
         ]
 
     @pytest.mark.parametrize("bad", ["", "f", "f 0", "f x 0 a", "f 0 y a", "f -1 0 a"])
@@ -258,3 +261,65 @@ def test_parse_prop_file_line_numbers():
     text = "f 0 1 x 1:0-rel\n\nf 1 2 x 2:0-rel\n"
     props = parse_prop_file(text)
     assert [p.line_no for p in props] == [1, 3]
+
+
+# --- parity with the object parser of tests/support.py ----------------------
+
+_SUFFIXES = ["ARG0", "ARG1", "rel", "REL", "arg0", "Arg1", "ARGM-TMP", "ARG2", "ARG1-PRD", "rEl", ""]
+_METADATA = ["gold", "say.01", "v--a", "-----", "say-v", "ARG0", "rel", "-rel", "-ARG1", "x-"]
+_EDIT_CHARS = "0123456789:*,;-xArgEL \t٣"
+
+
+@st.composite
+def _pointer_text(draw):
+    parts = draw(
+        st.lists(st.tuples(st.integers(0, 60), st.integers(0, 6)), min_size=1, max_size=3)
+    )
+    text = f"{parts[0][0]}:{parts[0][1]}"
+    for t, h in parts[1:]:
+        text += draw(st.sampled_from("*,;")) + f"{t}:{h}"
+    return text
+
+
+@st.composite
+def _prop_lines(draw):
+    """A `.prop` line, well formed or not, with a few character edits."""
+    good = st.integers(0, 50).map(str)
+    index = st.one_of(good, good, good, st.sampled_from(["-1", "+2", "1_0", "x", "٣", "07", ""]))
+    role = st.builds(lambda e, s: f"{e}-{s}", _pointer_text(), st.sampled_from(_SUFFIXES))
+    fields = [draw(st.sampled_from(["wsj/00/wsj_0001", "f", "nw/x"])), draw(index), draw(index)]
+    fields += draw(st.lists(st.one_of(role, st.sampled_from(_METADATA)), max_size=8))
+    chars = list(" ".join(fields))
+    for kind, at, char in draw(
+        st.lists(st.tuples(st.sampled_from("idr"), st.integers(0, 500), st.sampled_from(_EDIT_CHARS)),
+                 max_size=3)
+    ):
+        at %= len(chars) + 1
+        if kind == "i":
+            chars.insert(at, char)
+        elif at < len(chars):
+            if kind == "d":
+                del chars[at]
+            else:
+                chars[at] = char
+    return "".join(chars)
+
+
+def _prop_outcome(parse, line, expr_view):
+    try:
+        p = parse(line, line_no=7)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    roles = [(label, [expr_view(e) for e in exprs]) for label, exprs in p.roles.items()]
+    return "returned", p.file_id, p.tree_index, p.predicate_terminal, p.line_no, p.raw_line, roles
+
+
+@given(_prop_lines())
+def test_parse_prop_line_matches_object_oracle(line):
+    got = _prop_outcome(parse_prop_line, line, lambda e: (e.parts, e.text))
+    expected = _prop_outcome(
+        support.parse_prop_line,
+        line,
+        lambda e: ([(p.terminal, p.height) for p in e.parts], str(e)),
+    )
+    assert got == expected
