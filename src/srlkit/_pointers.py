@@ -13,22 +13,17 @@ import re
 from srlkit.errors import EmptyFragment, MalformedPointer
 
 _POINTER = re.compile(r"(0|[1-9][0-9]*):(0|[1-9][0-9]*)\Z")
-_CONNECTOR = re.compile(r"([*,;])")
+_CONNECTOR = re.compile(r"[*,;]")
 
 CONNECTOR_CHARS = "*,;"
 
 
-def parse_expr_parts(text: str) -> tuple[list[tuple[int, int]], list[str]]:
-    """Scan a pointer expression into ((terminal, height) pairs, connector chars)."""
+def parse_expr_parts(text: str) -> list[tuple[int, int]]:
+    """Scan a pointer expression into its (terminal, height) pairs."""
     if text == "":
         raise MalformedPointer("empty pointer expression")
-    fragments = _CONNECTOR.split(text)
     parts = []
-    connectors = []
-    for i, frag in enumerate(fragments):
-        if i % 2:  # connector slot
-            connectors.append(frag)
-            continue
+    for frag in _CONNECTOR.split(text):
         if frag == "":
             raise EmptyFragment(f"empty pointer fragment in {text!r}")
         m = _POINTER.match(frag)
@@ -36,7 +31,7 @@ def parse_expr_parts(text: str) -> tuple[list[tuple[int, int]], list[str]]:
         if m is None or len(m.group(1)) > 18 or len(m.group(2)) > 18:
             raise MalformedPointer(f"bad pointer {frag!r} in {text!r}")
         parts.append((int(m.group(1)), int(m.group(2))))
-    return parts, connectors
+    return parts
 
 
 def format_parts(parts, connectors) -> str:
@@ -69,8 +64,8 @@ def roundtrip_exhaustive(max_terminal: int, max_height: int, max_parts: int):
     def check(s: str):
         nonlocal checked, mismatches, first_bad
         checked += 1
-        parts, conns = parse_expr_parts(s)
-        if format_parts(parts, conns) != s:
+        # the connectors come from the text, as in the compiled sweep
+        if format_parts(parse_expr_parts(s), _CONNECTOR.findall(s)) != s:
             mismatches += 1
             if first_bad is None:
                 first_bad = s

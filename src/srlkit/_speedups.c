@@ -313,14 +313,14 @@ parse_expr_parts(PyObject *Py_UNUSED(module), PyObject *text)
         PyErr_SetString(MalformedPointer, "empty pointer expression");
         return NULL;
     }
-    PyObject *result = NULL, *parts = PyList_New(0), *connectors = PyList_New(0);
-    if (parts == NULL || connectors == NULL)
-        goto done;
+    PyObject *parts = PyList_New(0);
+    if (parts == NULL)
+        return NULL;
     for (;;) {
         int rc = scan_fragment(s, i, &t, &h, &end);
         if (rc == FRAG_EMPTY) {
             PyErr_Format(EmptyFragment, "empty pointer fragment in %R", text);
-            goto done;
+            goto fail;
         }
         if (rc == FRAG_BAD) {
             PyObject *frag = PyUnicode_Substring(text, i, end);
@@ -328,7 +328,7 @@ parse_expr_parts(PyObject *Py_UNUSED(module), PyObject *text)
                 PyErr_Format(MalformedPointer, "bad pointer %R in %R", frag, text);
                 Py_DECREF(frag);
             }
-            goto done;
+            goto fail;
         }
         PyObject *pt = PyLong_FromLongLong(t), *ph = PyLong_FromLongLong(h);
         PyObject *pair = (pt && ph) ? PyTuple_Pack(2, pt, ph) : NULL;
@@ -336,24 +336,16 @@ parse_expr_parts(PyObject *Py_UNUSED(module), PyObject *text)
         Py_XDECREF(ph);
         if (pair == NULL || PyList_Append(parts, pair) < 0) {
             Py_XDECREF(pair);
-            goto done;
+            goto fail;
         }
         Py_DECREF(pair);
         if (end == s.n)
-            break;
-        PyObject *conn = PyUnicode_FromOrdinal(AT(s, end));
-        if (conn == NULL || PyList_Append(connectors, conn) < 0) {
-            Py_XDECREF(conn);
-            goto done;
-        }
-        Py_DECREF(conn);
+            return parts;
         i = end + 1;
     }
-    result = PyTuple_Pack(2, parts, connectors);
-done:
-    Py_XDECREF(parts);
-    Py_XDECREF(connectors);
-    return result;
+fail:
+    Py_DECREF(parts);
+    return NULL;
 }
 
 /* --- exhaustive round-trip sweep -------------------------------------- */
@@ -480,8 +472,7 @@ static PyMethodDef methods[] = {
      PyDoc_STR("Parse one tree into a SpanTree, unwrapping a single empty-labeled\n"
                "outer wrapper.")},
     {"parse_expr_parts", parse_expr_parts, METH_O,
-     PyDoc_STR("Scan a pointer expression into ((terminal, height) pairs, "
-               "connector chars).")},
+     PyDoc_STR("Scan a pointer expression into its (terminal, height) pairs.")},
     {"roundtrip_exhaustive", (PyCFunction)(void (*)(void))roundtrip_exhaustive,
      METH_VARARGS | METH_KEYWORDS,
      PyDoc_STR("Check parse->format identity over every expression whose parts range\n"

@@ -26,6 +26,7 @@ from srlkit.errors import (
     UnknownFile,
 )
 from srlkit.pipeline import (
+    ROLE_ORDER,
     SCHEMAS,
     CorpusLayout,
     check_aligned,
@@ -33,14 +34,18 @@ from srlkit.pipeline import (
     export_csv,
     extract_corpus,
     open_replacing,
+    proposition_faults,
     read_file,
     resolve_role,
 )
-from srlkit.propbank import RoleLabel, sort_propositions
+from srlkit.propbank import sort_propositions
 
 __all__ = ["main", "RunConfig"]
 
 TRACE_MODES = tuple(mode.value for mode in TraceMode)
+# a config file's boolean spellings, matched in any case
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 @dataclass
@@ -85,13 +90,11 @@ def _setting(args, config: dict[str, str], key: str, default, cast=str, choices=
     if key in config:
         raw = config[key]
         try:
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
-            value = cast(raw)
+            value = _BOOLEANS[raw.lower()] if cast is bool else cast(raw)
             if choices is not None and value not in choices:
                 raise ValueError(raw)
             return value
-        except ValueError:
+        except (KeyError, ValueError):
             raise ConfigError(f"bad value for {key}: {raw!r}") from None
     return default
 
@@ -174,39 +177,9 @@ def cmd_validate(config: RunConfig) -> int:
         except AlignmentError as exc:
             violations.append((triple.file_id, "-", str(exc)))
         for prop in props:
-            if prop.tree_index >= len(trees):
-                violations.append(
-                    (
-                        triple.file_id,
-                        str(prop.tree_index),
-                        f"prop line {prop.line_no}: tree index out of range",
-                    )
-                )
-                continue
-            tree = trees[prop.tree_index]
-            if prop.predicate_terminal >= len(tree.tokens):
-                violations.append(
-                    (
-                        triple.file_id,
-                        str(prop.tree_index),
-                        f"prop line {prop.line_no}: predicate terminal "
-                        f"{prop.predicate_terminal} out of range",
-                    )
-                )
-            for label, exprs in prop.roles.items():
-                for expr in exprs:
-                    for t, h in expr.parts:
-                        try:
-                            treebank.select_node(tree, t, h)
-                        except SrlKitError as exc:
-                            violations.append(
-                                (
-                                    triple.file_id,
-                                    str(prop.tree_index),
-                                    f"prop line {prop.line_no} {label.value} "
-                                    f"pointer {t}:{h}: {exc}",
-                                )
-                            )
+            for where, exc in proposition_faults(prop, trees):
+                at = f"prop line {prop.line_no} {where}".rstrip()
+                violations.append((triple.file_id, str(prop.tree_index), f"{at}: {exc}"))
     if violations:
         print("file_id\ttree\tdetail")
         for file_id, tree_no, detail in violations:
@@ -242,12 +215,15 @@ def cmd_inspect(config: RunConfig, file_id: str, tree_index: int) -> int:
     print(f"propositions for tree {tree_index}: {len(selected)}")
     for prop in selected:
         print(f"  line {prop.line_no}: {prop.raw_line}")
-        for label in (RoleLabel.REL, RoleLabel.ARG0, RoleLabel.ARG1):
+        for label in ROLE_ORDER:
             exprs = prop.exprs(label)
             if exprs:
-                spans = resolve_role(exprs, tree)
+                try:
+                    spans = repr(resolve_role(exprs, tree))
+                except SrlKitError as exc:  # shown in place; the rest still lists
+                    spans = f"error: {type(exc).__name__}: {exc}"
                 pointers = " ".join(e.text for e in exprs)
-                print(f"    {label.value:<5} {pointers:<20} -> {spans!r}")
+                print(f"    {label.value:<5} {pointers:<20} -> {spans}")
     return 0
 
 

@@ -2,11 +2,13 @@
 building and filtering, ORL mapping, and CSV export.
 
 A corpus is three parallel directory trees of `.prop`, `.onf`, and
-`.parse` files laid out as `<root>/<NN>/<stem>.<ext>` with NN in the
-configured folder range. A file id is `<NN>/<stem>`. Discovery is driven
-by the `.prop` files; ids missing either companion file are skipped and
-logged. Output rows are totally ordered by (file id, tree index,
-predicate terminal, source line), so runs are byte-reproducible.
+`.parse` files laid out as `<root>/<NN>/<stem>.<ext>` with NN from 00
+to 24. A file id is `<NN>/<stem>`. Discovery is driven by the `.prop`
+files; ids missing either companion file are skipped and logged. Output
+rows are totally ordered by (file id, tree index, predicate terminal,
+source line), so runs are byte-reproducible. A proposition gives no row
+for the faults `proposition_faults` lists: `extract` skips it on the
+first, `validate` reports them all.
 """
 
 import contextlib
@@ -45,11 +47,14 @@ __all__ = [
     "SRL_HEADER",
     "ORL_HEADER",
     "SCHEMAS",
+    "FOLDERS",
+    "ROLE_ORDER",
     "discover_files",
     "read_file",
     "check_aligned",
     "resolve_role",
-    "build_records",
+    "proposition_faults",
+    "build_record",
     "filter_records",
     "map_to_orl",
     "export_csv",
@@ -60,6 +65,8 @@ __all__ = [
 SRL_HEADER = ["sentence", "treebanked_sentence", "predicate", "arg0", "arg1", "merged_arguments"]
 ORL_HEADER = ["sentence", "treebanked_sentence", "holder", "expression", "target"]
 SCHEMAS = ("srl", "orl")
+FOLDERS = tuple(f"{n:02d}" for n in range(25))  # the corpus sections searched
+ROLE_ORDER = (RoleLabel.REL, RoleLabel.ARG0, RoleLabel.ARG1)  # as a record is built
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,6 @@ class CorpusLayout:
     prop_root: Path
     onf_root: Path
     parse_root: Path
-    folder_range: tuple[int, int] = (0, 24)
     exclusions: frozenset[str] = frozenset()
 
     def triple(self, file_id: str) -> FileTriple:
@@ -140,11 +146,9 @@ def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[s
     for root in (layout.prop_root, layout.onf_root, layout.parse_root):
         if not Path(root).is_dir():
             raise MissingRoot(f"corpus root does not exist: {root}")
-    lo, hi = layout.folder_range
     triples: list[FileTriple] = []
     skips: list[tuple[str, str]] = []
-    for num in range(lo, hi + 1):
-        folder = f"{num:02d}"
+    for folder in FOLDERS:
         prop_dir = Path(layout.prop_root) / folder
         if not prop_dir.is_dir():
             continue
@@ -208,23 +212,59 @@ def resolve_role(
     return " ".join(pieces)
 
 
-def _build_record(
-    prop: Proposition,
-    trees: list[treebank.SpanTree],
-    sentences: list[SentencePair],
-    file_id: str,
-    policy: TracePolicy | None,
-) -> SrlRecord:
+def _locate(
+    prop: Proposition, trees: list[treebank.SpanTree]
+) -> tuple[treebank.SpanTree | None, SrlKitError | None]:
+    """The proposition's tree (None if its index is out of range) and the
+    fault of its tree index or predicate terminal, or None."""
     if prop.tree_index >= len(trees):
-        raise AlignmentError(
+        return None, AlignmentError(
             f"tree index {prop.tree_index} out of range ({len(trees)} trees)"
         )
     tree = trees[prop.tree_index]
     if prop.predicate_terminal >= len(tree.tokens):
-        raise TerminalOutOfRange(
+        return tree, TerminalOutOfRange(
             f"predicate terminal {prop.predicate_terminal} out of range "
             f"(tree has {len(tree.tokens)} terminals)"
         )
+    return tree, None
+
+
+def proposition_faults(
+    prop: Proposition, trees: list[treebank.SpanTree]
+) -> list[tuple[str, SrlKitError]]:
+    """Every reason the proposition gives no row, as (where, error) pairs
+    in the order `build_record` meets them: a tree index out of range
+    (alone, since nothing else can be checked), a predicate terminal out
+    of range, then each REL, ARG0 and ARG1 pointer that selects no node,
+    in source order within a role. `where` names the pointer, e.g.
+    "ARG0 pointer 9:1", and is "" for the two index faults."""
+    tree, fault = _locate(prop, trees)
+    faults = [] if fault is None else [("", fault)]
+    if tree is None:
+        return faults
+    for label in ROLE_ORDER:
+        for expr in prop.exprs(label):
+            for t, h in expr.parts:
+                try:
+                    treebank.select_node(tree, t, h)
+                except SrlKitError as exc:
+                    faults.append((f"{label.value} pointer {t}:{h}", exc))
+    return faults
+
+
+def build_record(
+    prop: Proposition,
+    trees: list[treebank.SpanTree],
+    sentences: list[SentencePair],
+    file_id: str = "",
+    policy: TracePolicy | None = None,
+) -> SrlRecord:
+    """The proposition's row, before filtering. Raises the first of its
+    `proposition_faults`, resolving as it goes rather than checking first."""
+    tree, fault = _locate(prop, trees)
+    if fault is not None:
+        raise fault
     pair = sentences[prop.tree_index]
     predicate = resolve_role(prop.exprs(RoleLabel.REL), tree, policy)
     arg0 = resolve_role(prop.exprs(RoleLabel.ARG0), tree, policy).replace("|", "/")
@@ -238,18 +278,6 @@ def _build_record(
         merged_arguments=f"{arg0}|{arg1}",
         provenance=Provenance(file_id, prop.tree_index, prop.predicate_terminal),
     )
-
-
-def build_records(
-    props: list[Proposition],
-    trees: list[treebank.SpanTree],
-    sentences: list[SentencePair],
-    file_id: str = "",
-    policy: TracePolicy | None = None,
-) -> list[SrlRecord]:
-    """One record per proposition; raises on the first bad proposition."""
-    check_aligned(sentences, trees)
-    return [_build_record(p, trees, sentences, file_id, policy) for p in props]
 
 
 def filter_records(records: list[SrlRecord]) -> list[SrlRecord]:
@@ -340,7 +368,7 @@ def extract_corpus(
         summary.propositions += len(props)
         for prop in sort_propositions(props):
             try:
-                records.append(_build_record(prop, trees, sentences, triple.file_id, policy))
+                records.append(build_record(prop, trees, sentences, triple.file_id, policy))
             except SrlKitError as exc:
                 if strict:
                     raise ExtractionError(

@@ -97,7 +97,7 @@ def parse_prop_line(line: str, line_no: int = 0) -> Proposition:
         if label is None:
             continue
         try:
-            parts = parse_expr_parts(prefix)[0]
+            parts = parse_expr_parts(prefix)
         except MalformedPointer as exc:
             raise MalformedPointer(f"field {f!r}: {exc}") from None
         roles.setdefault(label, []).append(RoleExpr(parts, prefix))

@@ -41,6 +41,7 @@ DEFAULT_T1 = 0.05
 DEFAULT_T2 = 0.5
 SENTIMENT_CLASSES = (-2, -1, 0, 1, 2)
 SCORE_BINS = 20  # fixed-width bins over [-1, 1]
+TOP_K = 10  # predicates listed in the report
 
 
 @dataclass(frozen=True)
@@ -196,12 +197,11 @@ def compute_stats(
     lexicon: SentimentLexicon | None = None,
     t1: float = DEFAULT_T1,
     t2: float = DEFAULT_T2,
-    top_k: int = 10,
 ) -> DatasetStats:
     """Fold the full statistics bundle over post-filter records."""
     records = list(records)
     breakdown = arg_breakdown(records)
-    top = predicate_frequencies(records, top_k)
+    top = predicate_frequencies(records, TOP_K)
     spans = span_length_stats(records)
     lexicon = lexicon or SentimentLexicon({})
     type_counts = Counter(r.predicate for r in records)

@@ -334,8 +334,8 @@ class PointerExpr:
 
 def parse_pointer(text: str) -> TreePointer:
     """Parse a single `terminal:height` pointer."""
-    parts, connectors = parse_expr_parts(text)
-    if connectors:
+    parts = parse_expr_parts(text)
+    if len(parts) > 1:
         raise MalformedPointer(f"connector in plain pointer {text!r}")
     return TreePointer(*parts[0])
 
@@ -345,10 +345,12 @@ _CONNECTOR_BY_CHAR = {c.value: c for c in Connector}
 
 def parse_pointer_expr(text: str) -> PointerExpr:
     """Parse a chain/split pointer expression, preserving connector kinds."""
-    parts, connectors = parse_expr_parts(text)
+    parts = parse_expr_parts(text)
+    # the scanner returns only the pairs; a well-formed expression has a
+    # connector between each two, so the connectors are read off the text
     return PointerExpr(
         tuple(TreePointer(t, h) for t, h in parts),
-        tuple(_CONNECTOR_BY_CHAR[c] for c in connectors),
+        tuple(_CONNECTOR_BY_CHAR[c] for c in text if c in _CONNECTOR_BY_CHAR),
     )
 
 

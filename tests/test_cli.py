@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -141,7 +142,9 @@ class TestExtract:
 
     # flags are checked by argparse; a config value must fail the same
     # way as any other bad setting, before anything is extracted
-    @pytest.mark.parametrize("key, value", [("schema", "xml"), ("trace-mode", "foo")])
+    @pytest.mark.parametrize(
+        "key, value", [("schema", "xml"), ("trace-mode", "foo"), ("strict", "ture")]
+    )
     def test_config_file_bad_choice(self, key, value, fixtures_dir, tmp_path, capsys):
         config = tmp_path / "run.conf"
         config.write_text(f"{key} = {value}\n", encoding="utf-8")
@@ -152,6 +155,15 @@ class TestExtract:
         assert captured.err == f"error: ConfigError: bad value for {key}: {value!r}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("value, rc", [("YES", 1), ("On", 1), ("0", 0), ("Off", 0)])
+    def test_config_file_boolean(self, value, rc, fixtures_dir, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text(f"strict = {value}\n", encoding="utf-8")
+        out = tmp_path / "d.csv"
+        args = [*flags(fixtures_dir, "badptr"), "--config", str(config), "--out", str(out)]
+        assert main(["extract", *args]) == rc
+        assert capsys.readouterr().err.startswith("error: ExtractionError:") == bool(rc)
 
     def test_pure_backend_golden_bytes(self, fixtures_dir, golden_srl_csv, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -210,6 +222,19 @@ class TestStats:
         assert rc != 0
         assert "error: HeaderMismatch:" in capsys.readouterr().err
 
+    def test_empty_dataset(self, fixtures_dir, tmp_path, capsys):
+        # extract skips every proposition of badptr and writes a header-only CSV
+        csv_path = tmp_path / "d.csv"
+        assert main(["extract", *flags(fixtures_dir, "badptr"), "--out", str(csv_path)]) == 0
+        capsys.readouterr()
+        reports = tmp_path / "reports"
+        rc = main(["stats", "--csv", str(csv_path), "--out", str(reports)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: EmptyInput: no records to break down\n"
+        assert captured.out == ""
+        assert not reports.exists()
+
     def test_missing_csv(self, tmp_path, capsys):
         rc = main(["stats", "--csv", str(tmp_path / "none.csv"), "--out", str(tmp_path)])
         assert rc != 0
@@ -243,6 +268,38 @@ class TestValidate:
             "file_id\ttree\tdetail",
             "00/wsj_0002\t-\ttree 1 leaves differ from its treebanked sentence",
             "1 violations",
+        ]
+
+    def test_faults_listed_in_extract_order(self, fixtures_dir, tmp_path, capsys):
+        shutil.copytree(fixtures_dir / "corpus", tmp_path / "corpus")
+        (tmp_path / "corpus" / "prop" / "00" / "wsj_0001.prop").write_text(
+            "f 1 18 x 19:9-ARG1 14:1*99:1*17:1-ARG0 18:0-rel\n"  # faults in ARG1 and ARG0
+            "f 5 2 x 0:1-ARG0 2:0-rel\n"  # tree index out of range
+            "f 1 99 x 8:1-ARG1 50:0-rel\n",  # predicate terminal and REL out of range
+            encoding="utf-8",
+        )
+        assert main(["validate", *flags(tmp_path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "file_id\ttree\tdetail",
+            "00/wsj_0001\t1\tprop line 1 ARG0 pointer 99:1: "
+            "terminal 99 out of range (tree has 22 terminals)",
+            "00/wsj_0001\t1\tprop line 1 ARG1 pointer 19:9: "
+            "height 9 from terminal 19 passes the root",
+            "00/wsj_0001\t5\tprop line 2: tree index 5 out of range (2 trees)",
+            "00/wsj_0001\t1\tprop line 3: predicate terminal 99 out of range "
+            "(tree has 22 terminals)",
+            "00/wsj_0001\t1\tprop line 3 REL pointer 50:0: "
+            "terminal 50 out of range (tree has 22 terminals)",
+            "5 violations",
+        ]
+        # extract skips each proposition on its first fault, in the same
+        # words, in its own (tree, predicate terminal) order
+        out = tmp_path / "d.csv"
+        assert main(["extract", *flags(tmp_path), "--out", str(out)]) == 0
+        assert (tmp_path / "d.csv.skiplog").read_text(encoding="utf-8").splitlines() == [
+            "00/wsj_0001\tprop line 1: terminal 99 out of range (tree has 22 terminals)",
+            "00/wsj_0001\tprop line 3: predicate terminal 99 out of range (tree has 22 terminals)",
+            "00/wsj_0001\tprop line 2: tree index 5 out of range (2 trees)",
         ]
 
     @pytest.mark.parametrize("name", ["badptr", "misaligned", "partial", "swapped"])
@@ -289,6 +346,35 @@ class TestInspect:
         assert rc == 0
         golden = fixtures_dir / "golden" / "inspect_wsj_0001_tree1.txt"
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_bad_pointer_shown_in_place(self, fixtures_dir, capsys):
+        rc = main(["inspect", *flags(fixtures_dir, "badptr"), "--file", "00/wsj_0001", "--tree", "0"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "file: 00/wsj_0001  tree: 0\n"
+            "\n"
+            "(TOP\n"
+            "  (S\n"
+            "    (NP-SBJ\n"
+            "      (NNS Prices))\n"
+            "    (VP\n"
+            "      (VBD rose))\n"
+            "    (. .)))\n"
+            "\n"
+            "terminals:\n"
+            "    0  NNS      Prices\n"
+            "    1  VBD      rose\n"
+            "    2  .        .\n"
+            "\n"
+            "plain:      Prices rose .\n"
+            "treebanked: Prices rose .\n"
+            "\n"
+            "propositions for tree 0: 1\n"
+            "  line 1: nw/wsj/00/wsj_0001 0 1 gold rise-v rise.01 ----- 9:1-ARG0 1:0-rel\n"
+            "    REL   1:0                  -> 'rose'\n"
+            "    ARG0  9:1                  -> error: TerminalOutOfRange: "
+            "terminal 9 out of range (tree has 3 terminals)\n"
+        )
 
     def test_unknown_file(self, fixtures_dir, capsys):
         rc = main(["inspect", *flags(fixtures_dir), "--file", "00/wsj_9999", "--tree", "0"])

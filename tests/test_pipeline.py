@@ -1,7 +1,12 @@
+import importlib
+import random
 import shutil
 
 import pytest
+from hypothesis import given, strategies as st
 
+import support
+from native import requires_build_tools
 from srlkit import treebank
 from srlkit.cleaning import TraceMode, TracePolicy
 from srlkit.errors import (
@@ -9,23 +14,25 @@ from srlkit.errors import (
     EmptyCorpus,
     ExtractionError,
     MissingRoot,
+    SrlKitError,
 )
 from srlkit.onf import SentencePair
 from srlkit.pipeline import (
     CorpusLayout,
     SRL_HEADER,
     SrlRecord,
-    build_records,
+    build_record,
     check_aligned,
     discover_files,
     export_csv,
     extract_corpus,
     filter_records,
     map_to_orl,
+    proposition_faults,
     read_file,
     resolve_role,
 )
-from srlkit.propbank import RoleLabel, parse_prop_line
+from srlkit.propbank import Proposition, RoleExpr, RoleLabel, parse_prop_line
 
 
 def role_expr(text):
@@ -90,20 +97,19 @@ class TestDiscoverFiles:
         with pytest.raises(MissingRoot):
             discover_files(layout)
 
-    def test_folder_range_filters(self, golden_layout):
-        layout = CorpusLayout(
-            prop_root=golden_layout.prop_root,
-            onf_root=golden_layout.onf_root,
-            parse_root=golden_layout.parse_root,
-            folder_range=(0, 1),
-        )
-        triples, _ = discover_files(layout)
+    def test_folder_25_not_discovered(self, golden_layout, fixtures_dir, tmp_path):
+        # sections run 00 to 24; a complete triple in 25/ is not looked at
+        shutil.copytree(fixtures_dir / "corpus", tmp_path / "corpus")
+        for ext in ("prop", "onf", "parse"):
+            folder = tmp_path / "corpus" / ext / "25"
+            folder.mkdir()
+            shutil.copy(folder.parent / "24" / f"wsj_2401.{ext}", folder / f"wsj_2501.{ext}")
+        triples, skips = discover_files(layout_for(tmp_path, "corpus"))
         assert [t.file_id for t in triples] == [
-            "00/wsj_0001",
-            "00/wsj_0002",
-            "01/wsj_0101",
-            "01/wsj_0102",
+            t.file_id for t in discover_files(golden_layout)[0]
         ]
+        assert triples[-1].file_id == "24/wsj_2401"
+        assert skips == []
 
 
 class TestResolveRole:
@@ -143,7 +149,7 @@ class TestBuildRecords:
     def test_full_record(self):
         tree, sentences = _mini_setup()
         prop = parse_prop_line("f 0 2 x 0:1-ARG0 2:0-rel")
-        (record,) = build_records([prop], [tree], sentences, file_id="00/x")
+        record = build_record(prop, [tree], sentences, file_id="00/x")
         assert record.sentence == "The cat sat ."
         assert record.predicate == "sat"
         assert record.arg0 == "The cat"
@@ -156,27 +162,94 @@ class TestBuildRecords:
     def test_both_empty_record_kept_until_filter(self):
         tree, sentences = _mini_setup()
         prop = parse_prop_line("f 0 2 x 2:0-rel")
-        (record,) = build_records([prop], [tree], sentences)
+        record = build_record(prop, [tree], sentences)
         assert record.merged_arguments == "|"
 
     def test_tree_index_out_of_range(self):
         tree, sentences = _mini_setup()
         prop = parse_prop_line("f 5 2 x 2:0-rel")
-        with pytest.raises(AlignmentError):
-            build_records([prop], [tree], sentences)
+        with pytest.raises(AlignmentError, match=r"^tree index 5 out of range \(1 trees\)$"):
+            build_record(prop, [tree], sentences)
 
     def test_sentence_tree_count_mismatch(self):
         tree, sentences = _mini_setup()
-        with pytest.raises(AlignmentError):
-            build_records([], [tree, tree], sentences)
+        with pytest.raises(AlignmentError, match="^1 sentences but 2 trees$"):
+            check_aligned(sentences, [tree, tree])
 
     def test_pipe_in_span_replaced(self):
         tree = treebank.parse_tree("(S (NP-SBJ (NN a|b)) (VP (VBD ran)) (. .))")
         sentences = [SentencePair("a|b ran .", "a|b ran .")]
         prop = parse_prop_line("f 0 1 x 0:1-ARG0 1:0-rel")
-        (record,) = build_records([prop], [tree], sentences)
+        record = build_record(prop, [tree], sentences)
         assert record.arg0 == "a/b"
         assert record.merged_arguments.count("|") == 1
+
+
+def _random_proposition(rng, trees, parse_expr_parts):
+    """A proposition over `trees` whose tree index, predicate terminal and
+    pointers are each in range, or out of range, or climb past the root."""
+    def index(n):  # mostly in range(n), else out of it
+        return rng.randrange(n) if rng.random() < 0.9 else n + rng.randrange(3)
+
+    tree_index = index(len(trees))
+    terminals = len(trees[tree_index].tokens) if tree_index < len(trees) else 5
+    fields = []
+    for label in [*RoleLabel] * 2:
+        if rng.random() < 0.5:
+            continue
+        parts = [f"{index(terminals)}:{rng.randint(0, 3)}" for _ in range(rng.randint(1, 3))]
+        text = parts[0] + "".join(rng.choice("*,;") + part for part in parts[1:])
+        fields.append((label, text))
+    rng.shuffle(fields)
+    roles = {}
+    for label, text in fields:
+        roles.setdefault(label, []).append(RoleExpr(parse_expr_parts(text), text))
+    return Proposition("f", tree_index, index(terminals), roles)
+
+
+def _oracle_faults(prop, tree_objects):
+    """The `where` of each fault, found on the object trees of tests/support.py."""
+    if prop.tree_index >= len(tree_objects):
+        return [""]
+    order, parents = support.build_parent_map(tree_objects[prop.tree_index])
+    wheres = [""] if prop.predicate_terminal >= len(order) else []
+    for label in (RoleLabel.REL, RoleLabel.ARG0, RoleLabel.ARG1):
+        for expr in prop.exprs(label):
+            for t, h in expr.parts:
+                try:
+                    support.oracle_select_prebuilt(order, parents, t, h)
+                except LookupError:
+                    wheres.append(f"{label.value} pointer {t}:{h}")
+    return wheres
+
+
+@pytest.mark.parametrize(
+    "kernels",
+    [
+        pytest.param(("_sexpr", "_pointers"), id="pure"),
+        pytest.param(("_speedups", "_speedups"), id="compiled", marks=requires_build_tools),
+    ],
+)
+@given(st.integers(0, 10**9))
+def test_build_record_raises_first_fault(kernels, seed):
+    """extract's builder raises exactly when proposition_faults (what
+    validate lists) is non-empty, and raises its first fault."""
+    tree_kernel, pointer_kernel = (importlib.import_module(f"srlkit.{k}") for k in kernels)
+    rng = random.Random(seed)
+    objects = [support.random_tree(rng, max_terminals=10) for _ in range(rng.randint(1, 3))]
+    trees = [tree_kernel.parse_spans(support.render(t)) for t in objects]
+    sentences = [SentencePair(" ".join(t.tokens), " ".join(t.tokens)) for t in trees]
+    prop = _random_proposition(rng, trees, pointer_kernel.parse_expr_parts)
+    faults = proposition_faults(prop, trees)
+    assert [where for where, _ in faults] == _oracle_faults(prop, objects)
+    try:
+        build_record(prop, trees, sentences)
+    except SrlKitError as exc:
+        assert faults
+        first = faults[0][1]
+        assert (type(exc), str(exc)) == (type(first), str(first))
+    else:
+        assert faults == []
 
 
 class TestReadFile:
