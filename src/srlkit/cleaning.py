@@ -4,15 +4,13 @@ Two policies produce surface-true text from treebanked tokens: TreeGuided
 drops exactly the tokens sitting under a "-NONE-" preterminal (exact by
 construction), PatternOnly drops tokens matching the trace pattern. The
 null complementizer "0" is only removed tree-guided, since "0" is a
-legitimate numeral elsewhere.
+legitimate numeral elsewhere. `join_untraced` applies either policy; it
+is what `pipeline.resolve_role` runs on each selected span.
 """
 
 import enum
 import re
 from dataclasses import dataclass
-
-from srlkit._nodes import SpanTree
-from srlkit.errors import TreeMismatch
 
 __all__ = [
     "TraceMode",
@@ -21,7 +19,6 @@ __all__ = [
     "EMPTY_POS",
     "is_trace_token",
     "join_untraced",
-    "strip_traces",
 ]
 
 EMPTY_POS = "-NONE-"
@@ -52,23 +49,4 @@ def join_untraced(tokens, pos, mode: TraceMode) -> str:
     tree-guided), joined with single spaces."""
     if mode is TraceMode.TREE_GUIDED:
         return " ".join([t for t, p in zip(tokens, pos) if p != EMPTY_POS])
-    return " ".join([t for t in tokens if not is_trace_token(t)])
-
-
-def strip_traces(tokens, policy: TracePolicy | None = None, tree: SpanTree | None = None) -> str:
-    """Drop trace tokens and join the survivors with single spaces.
-
-    With no explicit policy, the mode is TreeGuided when a tree is given
-    and PatternOnly otherwise.
-    """
-    if policy is None:
-        mode = TraceMode.TREE_GUIDED if tree is not None else TraceMode.PATTERN_ONLY
-        policy = TracePolicy(mode=mode)
-    tokens = list(tokens)
-    if policy.mode is TraceMode.TREE_GUIDED:
-        if tree is None:
-            raise TreeMismatch("tree-guided stripping requires a tree")
-        if list(tree.tokens) != tokens:
-            raise TreeMismatch("tree leaves do not match the given tokens")
-        return join_untraced(tree.tokens, tree.pos, policy.mode)
     return " ".join([t for t in tokens if not is_trace_token(t)])

@@ -53,14 +53,18 @@ class RunConfig:
     prop: Path
     onf: Path
     parse: Path
-    out: Path = Path("dataset.csv")
-    schema: str = "srl"
-    trace_mode: str = "tree"
-    strict: bool = False
-    exclude: Path | None = None
-    lexicon: Path | None = None
-    t1: float = statsmod.DEFAULT_T1
-    t2: float = statsmod.DEFAULT_T2
+    out: Path
+    schema: str
+    trace_mode: str
+    strict: bool
+    exclude: Path | None
+    lexicon: Path | None
+    t1: float
+    t2: float
+
+
+def _error_line(exc: SrlKitError) -> str:
+    return f"error: {type(exc).__name__}: {exc}"
 
 
 def _load_config(path) -> dict[str, str]:
@@ -147,11 +151,11 @@ def cmd_extract(config: RunConfig) -> int:
     return 0
 
 
-def cmd_stats(config: RunConfig, csv_path, out_dir) -> int:
+def cmd_stats(config: RunConfig, csv_path) -> int:
     records = statsmod.read_dataset_csv(csv_path)
     lexicon = statsmod.SentimentLexicon.load(config.lexicon) if config.lexicon else None
     bundle = statsmod.compute_stats(records, lexicon=lexicon, t1=config.t1, t2=config.t2)
-    json_path, txt_path = statsmod.emit_report(bundle, out_dir)
+    json_path, txt_path = statsmod.emit_report(bundle, config.out)
     b = bundle.breakdown
     print(
         f"breakdown: {b.both_pct}/{b.only_arg1_pct}/{b.only_arg0_pct} "
@@ -210,18 +214,27 @@ def cmd_inspect(config: RunConfig, file_id: str, tree_index: int) -> int:
     if tree_index < len(sentences):
         print(f"plain:      {sentences[tree_index].plain}")
         print(f"treebanked: {sentences[tree_index].treebanked}")
+    # what extract skips is shown where it applies: this file, a
+    # proposition's indices, a pointer
+    try:
+        check_aligned(sentences, trees)
+    except AlignmentError as exc:
+        print(_error_line(exc))
     print()
     selected = [p for p in sort_propositions(props) if p.tree_index == tree_index]
     print(f"propositions for tree {tree_index}: {len(selected)}")
     for prop in selected:
         print(f"  line {prop.line_no}: {prop.raw_line}")
+        for where, exc in proposition_faults(prop, trees):
+            if not where:
+                print(f"    {_error_line(exc)}")
         for label in ROLE_ORDER:
             exprs = prop.exprs(label)
             if exprs:
                 try:
                     spans = repr(resolve_role(exprs, tree))
                 except SrlKitError as exc:  # shown in place; the rest still lists
-                    spans = f"error: {type(exc).__name__}: {exc}"
+                    spans = _error_line(exc)
                 pointers = " ".join(e.text for e in exprs)
                 print(f"    {label.value:<5} {pointers:<20} -> {spans}")
     return 0
@@ -279,11 +292,12 @@ def _config_from_args(args) -> RunConfig:
         missing = [name for name, val in (("--prop", prop), ("--onf", onf), ("--parse", parse)) if not val]
         if missing:
             raise ConfigError(f"missing required corpus roots: {' '.join(missing)}")
+    out_default = "." if args.command == "stats" else "dataset.csv"  # report directory, CSV path
     return RunConfig(
         prop=Path(prop) if prop else Path("."),
         onf=Path(onf) if onf else Path("."),
         parse=Path(parse) if parse else Path("."),
-        out=Path(_setting(args, file_values, "out", "dataset.csv")),
+        out=Path(_setting(args, file_values, "out", out_default)),
         schema=_setting(args, file_values, "schema", "srl", choices=SCHEMAS),
         trace_mode=_setting(args, file_values, "trace-mode", "tree", choices=TRACE_MODES),
         strict=bool(_setting(args, file_values, "strict", False, cast=bool)),
@@ -301,13 +315,13 @@ def main(argv=None) -> int:
         if args.command == "extract":
             return cmd_extract(config)
         if args.command == "stats":
-            return cmd_stats(config, args.csv, args.out or ".")
+            return cmd_stats(config, args.csv)
         if args.command == "validate":
             return cmd_validate(config)
         if args.command == "inspect":
             return cmd_inspect(config, args.file, args.tree)
     except SrlKitError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(_error_line(exc), file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: IoError: {exc}", file=sys.stderr)

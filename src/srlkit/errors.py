@@ -53,12 +53,6 @@ class MalformedOnf(SrlKitError):
     """Sentence section delimiter found but no usable sentence text."""
 
 
-# --- trace cleaning ---
-
-class TreeMismatch(SrlKitError):
-    """Tree-guided stripping got a tree whose leaves differ from the tokens."""
-
-
 # --- corpus discovery / pipeline ---
 
 class MissingRoot(SrlKitError):

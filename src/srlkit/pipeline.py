@@ -13,8 +13,9 @@ first, `validate` reports them all.
 
 import contextlib
 import csv
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from srlkit import treebank
@@ -62,8 +63,6 @@ __all__ = [
     "open_replacing",
 ]
 
-SRL_HEADER = ["sentence", "treebanked_sentence", "predicate", "arg0", "arg1", "merged_arguments"]
-ORL_HEADER = ["sentence", "treebanked_sentence", "holder", "expression", "target"]
 SCHEMAS = ("srl", "orl")
 FOLDERS = tuple(f"{n:02d}" for n in range(25))  # the corpus sections searched
 ROLE_ORDER = (RoleLabel.REL, RoleLabel.ARG0, RoleLabel.ARG1)  # as a record is built
@@ -121,6 +120,11 @@ class OrlRecord:
     expression: str
     target: str
     provenance: Provenance | None = None
+
+
+# a CSV row is a record's fields in order, its provenance left out
+SRL_HEADER = [f.name for f in fields(SrlRecord) if f.name != "provenance"]
+ORL_HEADER = [f.name for f in fields(OrlRecord) if f.name != "provenance"]
 
 
 @dataclass
@@ -314,24 +318,16 @@ def open_replacing(path, newline=None):
 
 
 def export_csv(records: list[SrlRecord], path, schema: str = "srl") -> None:
-    """Write records as UTF-8 CSV with a header row and standard quoting."""
+    """Write records as UTF-8 CSV with a header row and standard quoting;
+    the ORL schema writes each record's `map_to_orl`."""
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}")
+    header = SRL_HEADER if schema == "srl" else ORL_HEADER
+    rows = records if schema == "srl" else map(map_to_orl, records)
     with open_replacing(path, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        if schema == "srl":
-            writer.writerow(SRL_HEADER)
-            for r in records:
-                writer.writerow(
-                    [r.sentence, r.treebanked_sentence, r.predicate, r.arg0, r.arg1, r.merged_arguments]
-                )
-        else:
-            writer.writerow(ORL_HEADER)
-            for r in records:
-                o = map_to_orl(r)
-                writer.writerow(
-                    [o.sentence, o.treebanked_sentence, o.holder, o.expression, o.target]
-                )
+        writer.writerow(header)
+        writer.writerows(map(operator.attrgetter(*header), rows))
 
 
 def extract_corpus(

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from srlkit.errors import BadThresholds, EmptyInput, HeaderMismatch, LexiconError
@@ -237,23 +237,11 @@ def _bar(count: int, peak: int, width: int = 40) -> str:
 def _stats_dict(stats: DatasetStats) -> dict:
     return {
         "total_records": stats.total_records,
-        "argument_presence": {
-            "both": stats.breakdown.both,
-            "only_arg1": stats.breakdown.only_arg1,
-            "only_arg0": stats.breakdown.only_arg0,
-            "both_pct": stats.breakdown.both_pct,
-            "only_arg1_pct": stats.breakdown.only_arg1_pct,
-            "only_arg0_pct": stats.breakdown.only_arg0_pct,
-        },
+        "argument_presence": asdict(stats.breakdown),
         "top_predicates": [
             {"predicate": pred, "count": count} for pred, count in stats.top_predicates
         ],
-        "span_lengths": {
-            "mean_arg0": stats.span_lengths.mean_arg0,
-            "mean_arg1": stats.span_lengths.mean_arg1,
-            "arg0_undefined": stats.span_lengths.arg0_undefined,
-            "arg1_undefined": stats.span_lengths.arg1_undefined,
-        },
+        "span_lengths": asdict(stats.span_lengths),
         "sentiment": {
             "t1": stats.t1,
             "t2": stats.t2,
@@ -332,14 +320,5 @@ def read_dataset_csv(path) -> list[SrlRecord]:
         for row in reader:
             if len(row) != len(SRL_HEADER):
                 raise HeaderMismatch(f"row with {len(row)} fields: {row!r}")
-            records.append(
-                SrlRecord(
-                    sentence=row[0],
-                    treebanked_sentence=row[1],
-                    predicate=row[2],
-                    arg0=row[3],
-                    arg1=row[4],
-                    merged_arguments=row[5],
-                )
-            )
+            records.append(SrlRecord(*row))
     return records

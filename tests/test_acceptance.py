@@ -13,7 +13,7 @@ import pytest
 import support
 from native import requires_build_tools
 from srlkit import treebank
-from srlkit.cleaning import TraceMode, TracePolicy, is_trace_token, strip_traces
+from srlkit.cleaning import TraceMode, is_trace_token, join_untraced
 from srlkit.cli import main
 from srlkit.errors import HeightOverflow
 from srlkit.pipeline import map_to_orl
@@ -139,13 +139,11 @@ def test_golden_end_to_end(fixtures_dir, golden_srl_csv, tmp_path):
 
 @criterion(4, "trace stripping: modes agree, no trace survives")
 def test_trace_stripping_equivalence(corpus_trees, golden_records):
-    tree_policy = TracePolicy(mode=TraceMode.TREE_GUIDED)
-    pattern_policy = TracePolicy(mode=TraceMode.PATTERN_ONLY)
+    # join_untraced is what resolve_role runs on each selected span
     for trees in corpus_trees.values():
         for tree in trees:
-            tokens = tree.tokens
-            assert strip_traces(tokens, tree_policy, tree=tree) == strip_traces(
-                tokens, pattern_policy
+            assert join_untraced(tree.tokens, tree.pos, TraceMode.TREE_GUIDED) == join_untraced(
+                tree.tokens, tree.pos, TraceMode.PATTERN_ONLY
             )
     for record in golden_records:
         for text in (record.sentence, record.predicate, record.arg0, record.arg1):

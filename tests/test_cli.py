@@ -205,6 +205,29 @@ class TestStats:
             "-2": 0, "-1": 4, "0": 11, "1": 1, "2": 0,
         }
 
+    def test_golden_report_bytes(self, fixtures_dir, golden_srl_csv, tmp_path, capsys):
+        rc = main([
+            "stats", "--csv", str(golden_srl_csv),
+            "--lexicon", str(fixtures_dir / "lexicon.tsv"),
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        for name in ("stats.json", "stats.txt"):
+            golden = fixtures_dir / "golden" / name
+            assert (tmp_path / name).read_bytes() == golden.read_bytes(), name
+
+    def test_out_from_config(self, fixtures_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text("out = reports\n", encoding="utf-8")
+        rc = main([
+            "stats", "--csv", str(fixtures_dir / "stats_mini.csv"), "--config", "c.cfg",
+        ])
+        assert rc == 0
+        assert (tmp_path / "reports" / "stats.json").is_file()
+        assert (tmp_path / "reports" / "stats.txt").is_file()
+        assert not (tmp_path / "stats.json").exists()
+        assert "wrote reports/stats.json and reports/stats.txt" in capsys.readouterr().out
+
     def test_thresholds_echoed(self, fixtures_dir, tmp_path):
         rc = main([
             "stats", "--csv", str(fixtures_dir / "stats_mini.csv"),
@@ -374,6 +397,63 @@ class TestInspect:
             "    REL   1:0                  -> 'rose'\n"
             "    ARG0  9:1                  -> error: TerminalOutOfRange: "
             "terminal 9 out of range (tree has 3 terminals)\n"
+        )
+
+    def test_predicate_terminal_fault_shown(self, fixtures_dir, tmp_path, capsys):
+        # extract skips the proposition, so inspect says why under its line;
+        # with terminal 99 it also sorts last
+        shutil.copytree(fixtures_dir / "corpus", tmp_path / "corpus")
+        prop_path = tmp_path / "corpus" / "prop" / "00" / "wsj_0001.prop"
+        lines = prop_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[2].startswith("nw/wsj/00/wsj_0001 1 11 ")
+        lines[2] = lines[2].replace(" 1 11 ", " 1 99 ", 1)
+        prop_path.write_text("".join(lines), encoding="utf-8")
+        rc = main(["inspect", *flags(tmp_path), "--file", "00/wsj_0001", "--tree", "1"])
+        assert rc == 0
+        good = (fixtures_dir / "golden" / "inspect_wsj_0001_tree1.txt").read_text(encoding="utf-8")
+        block = (
+            "  line 3: nw/wsj/00/wsj_0001 1 11 gold fail-v fail.01 ----- 8:1-ARG1 11:0-rel\n"
+            "    REL   11:0                 -> 'fail'\n"
+            "    ARG1  8:1                  -> 'the plan'\n"
+        )
+        assert block in good
+        assert capsys.readouterr().out == good.replace(block, "") + (
+            "  line 3: nw/wsj/00/wsj_0001 1 99 gold fail-v fail.01 ----- 8:1-ARG1 11:0-rel\n"
+            "    error: TerminalOutOfRange: predicate terminal 99 out of range "
+            "(tree has 22 terminals)\n"
+            "    REL   11:0                 -> 'fail'\n"
+            "    ARG1  8:1                  -> 'the plan'\n"
+        )
+
+    def test_misaligned_file_shown(self, fixtures_dir, capsys):
+        # extract skips the whole file: tree 1 is not its sentence's tree
+        rc = main(["inspect", *flags(fixtures_dir, "swapped"), "--file", "00/wsj_0002", "--tree", "1"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "file: 00/wsj_0002  tree: 1\n"
+            "\n"
+            "(TOP\n"
+            "  (S\n"
+            "    (NP-SBJ\n"
+            "      (PRP It))\n"
+            "    (VP\n"
+            "      (VBD rained))\n"
+            "    (. .)))\n"
+            "\n"
+            "terminals:\n"
+            "    0  PRP      It\n"
+            "    1  VBD      rained\n"
+            "    2  .        .\n"
+            "\n"
+            "plain:      The chairman spoke yesterday .\n"
+            "treebanked: The chairman spoke yesterday .\n"
+            "error: AlignmentError: tree 1 leaves differ from its treebanked sentence\n"
+            "\n"
+            "propositions for tree 1: 1\n"
+            "  line 3: nw/wsj/00/wsj_0002 1 2 gold speak-v speak.01 ----- "
+            "0:1-ARG0 2:0-rel 3:1-ARGM-TMP\n"
+            "    REL   2:0                  -> '.'\n"
+            "    ARG0  0:1                  -> 'It'\n"
         )
 
     def test_unknown_file(self, fixtures_dir, capsys):

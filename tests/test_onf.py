@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 import support
 from srlkit import treebank
-from srlkit.cleaning import strip_traces
+from srlkit.cleaning import TraceMode, join_untraced
 from srlkit.errors import MalformedOnf
 from srlkit.onf import SentencePair, parse_onf, parse_trees_file
 from srlkit.pipeline import discover_files
@@ -115,7 +115,7 @@ class TestFixtureAlignment:
         for triple in triples:
             pairs = parse_onf(triple.onf_path.read_text(encoding="utf-8"))
             for pair, tree in zip(pairs, corpus_trees[triple.file_id]):
-                recovered = strip_traces(tree.tokens, tree=tree)
+                recovered = join_untraced(tree.tokens, tree.pos, TraceMode.TREE_GUIDED)
                 assert recovered == pair.plain, triple.file_id
 
     def test_treebanked_matches_tree_leaves(self, golden_layout, corpus_trees):
