@@ -7,7 +7,10 @@ Parses the same randomly generated corpus with both backends and reports
 throughput; also cross-checks that both produce identical results. Tree
 text is read into SpanTrees: compiled `parse_spans` against the pure flat
 scanner `_sexpr.parse_spans`. The trees are generated and rendered to
-text with the test suite's object-tree helpers (tests/support.py).
+text with the test suite's object-tree helpers (tests/support.py). The
+same trees make `.onf` documents of SENTENCES_PER_DOC sentence sections,
+each with its Tree and Leaves blocks, read by compiled `parse_onf` and
+the pure `_onf.parse_onf`.
 """
 
 import argparse
@@ -20,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 import support
-from srlkit import _pointers, _sexpr
+from srlkit import _onf, _pointers, _sexpr
 
 try:
     from srlkit import _speedups
@@ -37,9 +40,29 @@ def best_of(repeats, fn):
     return best
 
 
+SENTENCES_PER_DOC = 8
+DELIMITER = "-" * 120
+
+
+def onf_section(tree) -> str:
+    """One sentence section as an .onf file lays it out."""
+    leaves = [node for node in support.preorder(tree) if isinstance(node, support.Preterminal)]
+    plain = " ".join(leaf.token for leaf in leaves if leaf.pos != "-NONE-") or "."
+    listing = "\n".join(f"    {i:>3}  {leaf.token}" for i, leaf in enumerate(leaves))
+    return (
+        f"{DELIMITER}\nPlain sentence:\n---------------\n{plain}\n\n"
+        f"Treebanked sentence:\n--------------------\n{' '.join(support.leaves(tree))}\n\n"
+        f"Tree:\n-----\n{support.pretty(tree)}\n\nLeaves:\n-------\n{listing}\n\n"
+    )
+
+
 def make_corpus(n_trees, n_pointers, seed=20240601):
     rng = random.Random(seed)
-    trees = [support.render(support.random_tree(rng, max_depth=8, max_terminals=40)) for _ in range(n_trees)]
+    objects = [support.random_tree(rng, max_depth=8, max_terminals=40) for _ in range(n_trees)]
+    trees = [support.render(tree) for tree in objects]
+    sections = [onf_section(tree) for tree in objects]
+    documents = ["".join(sections[i : i + SENTENCES_PER_DOC])
+                 for i in range(0, len(sections), SENTENCES_PER_DOC)]
     pointers = []
     for _ in range(n_pointers):
         parts = [f"{rng.randint(0, 80)}:{rng.randint(0, 6)}" for _ in range(rng.randint(1, 3))]
@@ -47,7 +70,7 @@ def make_corpus(n_trees, n_pointers, seed=20240601):
         for part in parts[1:]:
             text += rng.choice("*,;") + part
         pointers.append(text)
-    return trees, pointers
+    return trees, pointers, documents
 
 
 def run(name, corpus, pure_fn, fast_fn, repeats):
@@ -66,7 +89,7 @@ def main():
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
 
-    trees, pointers = make_corpus(args.trees, args.pointers)
+    trees, pointers, documents = make_corpus(args.trees, args.pointers)
     if _speedups is None:
         print("compiled extension not built; timing the pure backend only")
     else:
@@ -74,12 +97,16 @@ def main():
             assert _sexpr.parse_spans(text) == _speedups.parse_spans(text)
         for text in pointers[:5000]:
             assert _pointers.parse_expr_parts(text) == _speedups.parse_expr_parts(text)
+        for text in documents[:500]:
+            assert _onf.parse_onf(text) == _speedups.parse_onf(text)
         print("backends agree on the generated corpus")
 
     run("tree parsing", trees, _sexpr.parse_spans,
         _speedups.parse_spans if _speedups else None, args.repeats)
     run("pointer parsing", pointers, _pointers.parse_expr_parts,
         _speedups.parse_expr_parts if _speedups else None, args.repeats)
+    run(".onf reading", documents, _onf.parse_onf,
+        _speedups.parse_onf if _speedups else None, args.repeats)
 
 
 if __name__ == "__main__":

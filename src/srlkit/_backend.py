@@ -3,7 +3,7 @@ Python otherwise. Set SRLKIT_PURE=1 to force the pure path."""
 
 import os
 
-from srlkit import _pointers, _sexpr
+from srlkit import _onf, _pointers, _sexpr
 
 _impl = None
 if not os.environ.get("SRLKIT_PURE"):
@@ -16,10 +16,12 @@ if _impl is not None:
     BACKEND = "compiled"
     parse_spans = _impl.parse_spans
     parse_expr_parts = _impl.parse_expr_parts
+    parse_onf = _impl.parse_onf
 else:
     BACKEND = "pure"
     parse_spans = _sexpr.parse_spans
     parse_expr_parts = _pointers.parse_expr_parts
+    parse_onf = _onf.parse_onf
 
 
 def backend() -> str:

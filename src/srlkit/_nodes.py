@@ -1,9 +1,10 @@
-"""The tree type, SpanTree.
+"""The tree type, SpanTree, and the sentence type, SentencePair.
 
-Kept in a leaf module so both the pure-Python and the compiled scanner can
-build the same objects.
+Kept in a leaf module so both the pure-Python and the compiled readers
+can build the same objects.
 """
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -21,3 +22,11 @@ class SpanTree(NamedTuple):
     start: tuple    # node -> its first terminal
     end: tuple      # node -> one past its last terminal
     leaf: tuple     # terminal -> its preterminal node
+
+
+@dataclass(frozen=True)
+class SentencePair:
+    """Plain and trace-bearing (treebanked) variants of one sentence."""
+
+    plain: str
+    treebanked: str

@@ -1,10 +1,14 @@
-/* Compiled scanners for tree text and pointer expressions.
+/* Compiled scanners for tree text, pointer expressions and .onf text.
 
    parse_spans reads tree text straight into a flat SpanTree, the form
    every caller of treebank.parse_tree gets; its reference is the pure
    flat scanner _sexpr.parse_spans, and the tests check both against an
    independent object-tree parser in tests/support.py.
    parse_expr_parts and roundtrip_exhaustive replace the _pointers scanner.
+   parse_onf reads the SentencePairs of an .onf file, visiting only the
+   blocks that hold a header's text; its reference is _onf.parse_onf, and
+   the tests check both against the reader in tests/support.py that
+   splits every block into lines.
    _backend selects them at import time. Results, error types and error
    messages match the pure versions exactly; only the scanning runs in C.
 
@@ -18,12 +22,14 @@
 #include <string.h>
 
 /* looked up once at import; read-only afterwards */
-static PyObject *SpanTree;
+static PyObject *SpanTree, *SentencePair;
 static PyObject *EmptyInput, *UnbalancedParens, *TrailingGarbage;
-static PyObject *MalformedPointer, *EmptyFragment;
+static PyObject *MalformedPointer, *EmptyFragment, *MalformedOnf;
 static PyObject *empty_str;     /* the label of a "( (S ...) )" wrapper */
+static PyObject *header_end;    /* "sentence:", the end of both .onf headers */
 
-/* the ASCII whitespace of the pure tokenizer's re.ASCII "\s" */
+/* the ASCII whitespace of the pure tokenizer's re.ASCII "\s"; the .onf
+   reader uses str.isspace's instead */
 static inline int
 is_ws(Py_UCS4 c)
 {
@@ -465,6 +471,243 @@ roundtrip_exhaustive(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwar
                          w.first_bad, w.first_bad_len);
 }
 
+/* --- .onf sentence blocks ----------------------------------------------
+
+   The text splits into blocks at every maximal whitespace run that holds
+   at least two "\n" (the pure reader's re.split on "\n\s*\n"), so a block's
+   bounds are found by scanning out from any point inside it. Spaces at a
+   block's ends may be left out, which no stripped line notices. A sentence
+   block has a line that is exactly a header, and every header ends in
+   "sentence:"; the reader searches for that text and reads only the
+   blocks it falls in. Lines break where str.splitlines breaks them and
+   are stripped of str.isspace whitespace, as the pure reader's are. */
+
+static const char PLAIN[] = "Plain sentence:", TREEBANKED[] = "Treebanked sentence:";
+
+/* Where the block holding s[i], a non-space, begins: after the last run
+   of spaces with two "\n" before i. Nothing before lo, where the previous
+   block read ended, is looked at; lo is the first "\n" of a run. */
+static Py_ssize_t
+block_start(Text s, Py_ssize_t lo, Py_ssize_t i)
+{
+    while (i > lo) {
+        if (!Py_UNICODE_ISSPACE(AT(s, i - 1))) {
+            i--;
+            continue;
+        }
+        Py_ssize_t j = i, newlines = 0;
+        while (j > lo && Py_UNICODE_ISSPACE(AT(s, j - 1)))
+            newlines += AT(s, --j) == '\n';
+        if (newlines >= 2)
+            break;
+        i = j;
+    }
+    return i;
+}
+
+/* The first "\n" at or after i, or s.n. */
+static Py_ssize_t
+find_newline(Text s, Py_ssize_t i)
+{
+    if (s.kind == PyUnicode_1BYTE_KIND) {
+        const char *at = memchr((const char *)s.data + i, '\n', (size_t)(s.n - i));
+        return at ? at - (const char *)s.data : s.n;
+    }
+    while (i < s.n && AT(s, i) != '\n')
+        i++;
+    return i;
+}
+
+/* Where the block holding s[i] ends: at the first "\n" that only spaces
+   part from the next "\n", the first of a run with two; else at s.n. */
+static Py_ssize_t
+block_end(Text s, Py_ssize_t i)
+{
+    for (i = find_newline(s, i); i < s.n; i = find_newline(s, i)) {
+        Py_ssize_t j = i + 1;
+        Py_UCS4 c = 0;
+        while (j < s.n && (c = AT(s, j)) != '\n' && Py_UNICODE_ISSPACE(c))
+            j++;
+        if (j < s.n && c == '\n')
+            return i;
+        i = j;
+    }
+    return s.n;
+}
+
+/* The next non-blank line of s[*i:end], stripped, as [*from, *to); 0 when
+   there is none. Every line break is a space, so leading spaces, blank
+   lines among them, are skipped in one run. */
+static int
+next_line(Text s, Py_ssize_t *i, Py_ssize_t end, Py_ssize_t *from, Py_ssize_t *to)
+{
+    Py_ssize_t k = *i;
+    while (k < end && Py_UNICODE_ISSPACE(AT(s, k)))
+        k++;
+    if (k == end)
+        return 0;
+    *from = k;
+    *to = k + 1;
+    for (k++; k < end; k++) {
+        Py_UCS4 c = AT(s, k);
+        if (!Py_UNICODE_ISSPACE(c))
+            *to = k + 1;
+        else if (Py_UNICODE_ISLINEBREAK(c))
+            break;
+    }
+    *i = k;
+    return 1;
+}
+
+static int
+is_delimiter(Text s, Py_ssize_t from, Py_ssize_t to)
+{
+    if (to - from < 10)
+        return 0;
+    for (Py_ssize_t k = from; k < to; k++)
+        if (AT(s, k) != '-')
+            return 0;
+    return 1;
+}
+
+static int
+line_is(Text s, Py_ssize_t from, Py_ssize_t to, const char *ascii, Py_ssize_t len)
+{
+    if (to - from != len)
+        return 0;
+    for (Py_ssize_t k = 0; k < len; k++)
+        if (AT(s, from + k) != (Py_UCS4)(unsigned char)ascii[k])
+            return 0;
+    return 1;
+}
+
+/* cleaning.TRACE_PATTERN on the token s[from:to]: "*", then either a
+   closing "*" at the end, or "-" and decimal digits at the end after a
+   prefix that starts and ends with "*" (a bare "*" is both). */
+static int
+is_trace(Text s, Py_ssize_t from, Py_ssize_t to)
+{
+    if (AT(s, from) != '*')
+        return 0;
+    if (AT(s, to - 1) == '*')
+        return 1;
+    Py_ssize_t d = to;
+    while (d > from && Py_UNICODE_ISDECIMAL(AT(s, d - 1)))
+        d--;
+    return d < to && d - 1 > from && AT(s, d - 1) == '-' && AT(s, d - 2) == '*';
+}
+
+/* The whitespace-split tokens of the non-delimiter lines of s[i:end],
+   joined with single spaces into a str of the narrowest width; *trace is
+   set when one of them is a trace. */
+static PyObject *
+joined_tokens(Text s, Py_ssize_t i, Py_ssize_t end, int *trace)
+{
+    /* the joined text is no longer than s[i:end] and no wider than s */
+    char *buf = PyMem_Malloc((size_t)(end - i) * (size_t)s.kind + 1);
+    if (buf == NULL)
+        return PyErr_NoMemory();
+    Py_ssize_t len = 0, from, to;
+    while (next_line(s, &i, end, &from, &to)) {
+        if (is_delimiter(s, from, to))
+            continue;
+        for (Py_ssize_t k = from; k < to;) {
+            while (Py_UNICODE_ISSPACE(AT(s, k)))
+                k++;
+            Py_ssize_t tok = k;
+            while (k < to && !Py_UNICODE_ISSPACE(AT(s, k)))
+                k++;
+            if (len > 0)
+                PyUnicode_WRITE(s.kind, buf, len++, ' ');
+            memcpy(buf + len * s.kind, (const char *)s.data + tok * s.kind,
+                   (size_t)(k - tok) * (size_t)s.kind);
+            len += k - tok;
+            if (!*trace)
+                *trace = is_trace(s, tok, k);
+        }
+    }
+    PyObject *out = PyUnicode_FromKindAndData(s.kind, buf, len);
+    PyMem_Free(buf);
+    return out;
+}
+
+/* What the pure reader does with one block s[i:end]: nothing when it
+   holds no delimiter or no header line; else the plain sentence becomes
+   *pending, or the treebanked one completes a pair with it. 0, or -1 with
+   an exception set. */
+static int
+read_block(Text s, Py_ssize_t i, Py_ssize_t end, PyObject **pending, PyObject *pairs)
+{
+    Py_ssize_t from, to, plain = -1, treebanked = -1;
+    int delimited = 0, trace = 0;
+    while ((plain < 0 || !delimited) && next_line(s, &i, end, &from, &to)) {
+        if (!delimited)
+            delimited = is_delimiter(s, from, to);
+        if (plain < 0 && line_is(s, from, to, PLAIN, sizeof PLAIN - 1))
+            plain = i;
+        else if (treebanked < 0 && line_is(s, from, to, TREEBANKED, sizeof TREEBANKED - 1))
+            treebanked = i;
+    }
+    if (!delimited || (plain < 0 && treebanked < 0))
+        return 0;
+    if ((plain >= 0) == (*pending != NULL)) {
+        PyErr_SetString(MalformedOnf, plain >= 0
+                        ? "plain sentence without a treebanked sentence"
+                        : "treebanked sentence without a plain sentence");
+        return -1;
+    }
+    PyObject *text = joined_tokens(s, plain >= 0 ? plain : treebanked, end, &trace);
+    if (text == NULL)
+        return -1;
+    int rc = -1;
+    if (PyUnicode_GET_LENGTH(text) == 0)
+        PyErr_SetString(MalformedOnf, "sentence delimiter with no sentence text");
+    else if (plain >= 0 && trace)
+        PyErr_Format(MalformedOnf, "trace token in plain sentence: %R", text);
+    else if (plain >= 0) {
+        *pending = text;
+        return 0;
+    }
+    else {
+        PyObject *args[2] = {*pending, text};
+        PyObject *pair = PyObject_Vectorcall(SentencePair, args, 2, NULL);
+        Py_CLEAR(*pending);
+        rc = pair == NULL ? -1 : PyList_Append(pairs, pair);
+        Py_XDECREF(pair);
+    }
+    Py_DECREF(text);
+    return rc;
+}
+
+static PyObject *
+parse_onf(PyObject *Py_UNUSED(module), PyObject *text)
+{
+    Text s;
+    if (text_of(text, &s) < 0)
+        return NULL;
+    PyObject *pairs = PyList_New(0), *pending = NULL;
+    if (pairs == NULL)
+        return NULL;
+    for (Py_ssize_t lo = 0;;) {
+        Py_ssize_t hit = PyUnicode_Find(text, header_end, lo, s.n, 1);
+        if (hit == -2)
+            goto fail;
+        if (hit < 0)
+            break;
+        Py_ssize_t end = block_end(s, hit);
+        if (read_block(s, block_start(s, lo, hit), end, &pending, pairs) < 0)
+            goto fail;
+        lo = end;
+    }
+    if (pending == NULL)
+        return pairs;
+    PyErr_SetString(MalformedOnf, "plain sentence without a treebanked sentence");
+fail:
+    Py_XDECREF(pending);
+    Py_DECREF(pairs);
+    return NULL;
+}
+
 /* --- module ----------------------------------------------------------- */
 
 static PyMethodDef methods[] = {
@@ -473,6 +716,9 @@ static PyMethodDef methods[] = {
                "outer wrapper.")},
     {"parse_expr_parts", parse_expr_parts, METH_O,
      PyDoc_STR("Scan a pointer expression into its (terminal, height) pairs.")},
+    {"parse_onf", parse_onf, METH_O,
+     PyDoc_STR("Extract (plain, treebanked) SentencePairs from .onf text in\n"
+               "document order.")},
     {"roundtrip_exhaustive", (PyCFunction)(void (*)(void))roundtrip_exhaustive,
      METH_VARARGS | METH_KEYWORDS,
      PyDoc_STR("Check parse->format identity over every expression whose parts range\n"
@@ -485,7 +731,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT,
     .m_name = "srlkit._speedups",
-    .m_doc = "Compiled scanners for tree text and pointer expressions.",
+    .m_doc = "Compiled scanners for tree text, pointer expressions and .onf text.",
     .m_size = -1,
     .m_methods = methods,
 };
@@ -495,11 +741,13 @@ static const struct {
     PyObject **slot;
 } imports[] = {
     {"srlkit._nodes", "SpanTree", &SpanTree},
+    {"srlkit._nodes", "SentencePair", &SentencePair},
     {"srlkit.errors", "EmptyInput", &EmptyInput},
     {"srlkit.errors", "UnbalancedParens", &UnbalancedParens},
     {"srlkit.errors", "TrailingGarbage", &TrailingGarbage},
     {"srlkit.errors", "MalformedPointer", &MalformedPointer},
     {"srlkit.errors", "EmptyFragment", &EmptyFragment},
+    {"srlkit.errors", "MalformedOnf", &MalformedOnf},
 };
 
 PyMODINIT_FUNC
@@ -515,6 +763,8 @@ PyInit__speedups(void)
             return NULL;
     }
     if (empty_str == NULL && (empty_str = PyUnicode_FromStringAndSize("", 0)) == NULL)
+        return NULL;
+    if (header_end == NULL && (header_end = PyUnicode_FromString("sentence:")) == NULL)
         return NULL;
     return PyModule_Create(&module_def);
 }

@@ -221,7 +221,8 @@ def cmd_inspect(config: RunConfig, file_id: str, tree_index: int) -> int:
     except AlignmentError as exc:
         print(_error_line(exc))
     print()
-    selected = [p for p in sort_propositions(props) if p.tree_index == tree_index]
+    ordered = sort_propositions(props)
+    selected = [p for p in ordered if p.tree_index == tree_index]
     print(f"propositions for tree {tree_index}: {len(selected)}")
     for prop in selected:
         print(f"  line {prop.line_no}: {prop.raw_line}")
@@ -237,6 +238,15 @@ def cmd_inspect(config: RunConfig, file_id: str, tree_index: int) -> int:
                     spans = _error_line(exc)
                 pointers = " ".join(e.text for e in exprs)
                 print(f"    {label.value:<5} {pointers:<20} -> {spans}")
+    # no tree shows these, so every tree's listing ends with them
+    unplaced = [p for p in ordered if p.tree_index >= len(trees)]
+    if unplaced:
+        print()
+        print(f"propositions with no tree: {len(unplaced)}")
+        for prop in unplaced:
+            print(f"  line {prop.line_no}: {prop.raw_line}")
+            for _, exc in proposition_faults(prop, trees):
+                print(f"    {_error_line(exc)}")
     return 0
 
 

@@ -4,81 +4,21 @@ An `.onf` file is a sequence of blank-line-separated blocks. A sentence
 section starts with a long hyphen delimiter and carries a "Plain
 sentence:" block followed by a "Treebanked sentence:" block; everything
 else (Tree, Leaves, Speaker information, coreference, names) is skipped.
-Those sections hold most of a file's text, so a block whose text contains
-neither header is dropped before it is split into lines; every block that
-may hold a header still gets the full line checks.
+Those sections hold most of a file's text, so `parse_onf` reads only the
+blocks that contain a header's text: the compiled reader finds them with
+a substring search and the pure one (`_onf.parse_onf`) drops the others
+before splitting them into lines. Every block that may hold a header
+still gets the full line checks.
 A `.parse` file is just trees separated by blank lines.
 """
 
-import re
-from dataclasses import dataclass
-
-from srlkit.cleaning import is_trace_token
-from srlkit.errors import MalformedOnf
+from srlkit._backend import parse_onf
+from srlkit._nodes import SentencePair
+from srlkit._onf import BLOCK_SPLIT
 
 __all__ = ["SentencePair", "parse_onf", "parse_trees_file"]
-
-PLAIN_HEADER = "Plain sentence:"
-TREEBANKED_HEADER = "Treebanked sentence:"
-
-# "long sequence of hyphens"; 10+ excludes in-text dashes and the short
-# underlines of Tree:/Leaves: sections
-_DELIMITER = re.compile(r"-{10,}\s*$")
-_BLOCK_SPLIT = re.compile(r"\n\s*\n")
-
-
-@dataclass(frozen=True)
-class SentencePair:
-    """Plain and trace-bearing (treebanked) variants of one sentence."""
-
-    plain: str
-    treebanked: str
-
-
-def _block_lines(block: str) -> list[str]:
-    return [line.strip() for line in block.splitlines() if line.strip()]
-
-
-def _text_after_header(lines: list[str], header: str) -> str:
-    idx = lines.index(header)
-    content = [l for l in lines[idx + 1 :] if not _DELIMITER.match(l)]
-    return " ".join(" ".join(content).split())
-
-
-def parse_onf(text: str) -> list[SentencePair]:
-    """Extract (plain, treebanked) sentence pairs in document order."""
-    pairs: list[SentencePair] = []
-    pending_plain: str | None = None
-    for block in _BLOCK_SPLIT.split(text):
-        # a block holding neither header text cannot be a sentence block
-        if PLAIN_HEADER not in block and TREEBANKED_HEADER not in block:
-            continue
-        lines = _block_lines(block)
-        if not lines or not any(_DELIMITER.match(l) for l in lines):
-            continue
-        if PLAIN_HEADER in lines:
-            if pending_plain is not None:
-                raise MalformedOnf("plain sentence without a treebanked sentence")
-            plain = _text_after_header(lines, PLAIN_HEADER)
-            if not plain:
-                raise MalformedOnf("sentence delimiter with no sentence text")
-            if any(is_trace_token(tok) for tok in plain.split()):
-                raise MalformedOnf(f"trace token in plain sentence: {plain!r}")
-            pending_plain = plain
-        elif TREEBANKED_HEADER in lines:
-            if pending_plain is None:
-                raise MalformedOnf("treebanked sentence without a plain sentence")
-            treebanked = _text_after_header(lines, TREEBANKED_HEADER)
-            if not treebanked:
-                raise MalformedOnf("sentence delimiter with no sentence text")
-            pairs.append(SentencePair(plain=pending_plain, treebanked=treebanked))
-            pending_plain = None
-        # other underlined sections (Speaker information, names, ...) are skipped
-    if pending_plain is not None:
-        raise MalformedOnf("plain sentence without a treebanked sentence")
-    return pairs
 
 
 def parse_trees_file(text: str) -> list[str]:
     """Blank-line-separated tree strings, trimmed, empty chunks dropped."""
-    return [chunk.strip() for chunk in _BLOCK_SPLIT.split(text) if chunk.strip()]
+    return [chunk.strip() for chunk in BLOCK_SPLIT.split(text) if chunk.strip()]

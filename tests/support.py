@@ -10,8 +10,10 @@ which the tests compare against them.
 The reader oracles are the object-building `.prop` line parser
 (`parse_prop_line`, with `PointerExpr`/`TreePointer`/`Connector`, on
 the active backend's pointer scanner) and the `.onf` reader that splits
-every block into lines (`parse_onf_unfiltered`); srlkit's
-`propbank.parse_prop_line` and `onf.parse_onf` must match them.
+every block into lines (`parse_onf_unfiltered`), with block, line,
+delimiter and header rules of its own; srlkit's
+`propbank.parse_prop_line` and both `.onf` readers (`_onf.parse_onf`
+and the compiled `parse_onf`) must match them.
 """
 
 import enum
@@ -19,8 +21,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from srlkit import onf
-from srlkit._nodes import SpanTree
+from srlkit._nodes import SentencePair, SpanTree
 from srlkit._backend import parse_expr_parts
 from srlkit.cleaning import is_trace_token
 from srlkit.errors import (
@@ -407,30 +408,47 @@ def parse_prop_line(line: str, line_no: int = 0) -> Proposition:
 
 # --- the .onf reader without its prefilter ---------------------------------
 
-def parse_onf_unfiltered(text: str) -> list[onf.SentencePair]:
-    """`onf.parse_onf` as it reads every block's lines, header or not."""
+_PLAIN_HEADER = "Plain sentence:"
+_TREEBANKED_HEADER = "Treebanked sentence:"
+_BLOCK_SEPARATOR = re.compile(r"\n\s*\n")  # blank lines, spaces on them allowed
+
+
+def _is_delimiter(line: str) -> bool:
+    """A stripped line of ten or more hyphens and nothing else."""
+    return len(line) >= 10 and set(line) == {"-"}
+
+
+def _text_after(lines: list[str], header: str) -> str:
+    """The words of the lines after the header's first line, delimiters
+    left out, joined with single spaces."""
+    after = lines[lines.index(header) + 1 :]
+    return " ".join(word for line in after if not _is_delimiter(line) for word in line.split())
+
+
+def parse_onf_unfiltered(text: str) -> list[SentencePair]:
+    """`onf.parse_onf` as it would read every block's lines, header or not."""
     pairs = []
     pending_plain = None
-    for block in onf._BLOCK_SPLIT.split(text):
-        lines = onf._block_lines(block)
-        if not lines or not any(onf._DELIMITER.match(l) for l in lines):
+    for block in _BLOCK_SEPARATOR.split(text):
+        lines = [stripped for line in block.splitlines() if (stripped := line.strip())]
+        if not any(_is_delimiter(line) for line in lines):
             continue
-        if onf.PLAIN_HEADER in lines:
+        if _PLAIN_HEADER in lines:
             if pending_plain is not None:
                 raise MalformedOnf("plain sentence without a treebanked sentence")
-            plain = onf._text_after_header(lines, onf.PLAIN_HEADER)
+            plain = _text_after(lines, _PLAIN_HEADER)
             if not plain:
                 raise MalformedOnf("sentence delimiter with no sentence text")
-            if any(is_trace_token(tok) for tok in plain.split()):
+            if any(is_trace_token(word) for word in plain.split()):
                 raise MalformedOnf(f"trace token in plain sentence: {plain!r}")
             pending_plain = plain
-        elif onf.TREEBANKED_HEADER in lines:
+        elif _TREEBANKED_HEADER in lines:
             if pending_plain is None:
                 raise MalformedOnf("treebanked sentence without a plain sentence")
-            treebanked = onf._text_after_header(lines, onf.TREEBANKED_HEADER)
+            treebanked = _text_after(lines, _TREEBANKED_HEADER)
             if not treebanked:
                 raise MalformedOnf("sentence delimiter with no sentence text")
-            pairs.append(onf.SentencePair(plain=pending_plain, treebanked=treebanked))
+            pairs.append(SentencePair(plain=pending_plain, treebanked=treebanked))
             pending_plain = None
     if pending_plain is not None:
         raise MalformedOnf("plain sentence without a treebanked sentence")

@@ -425,6 +425,27 @@ class TestInspect:
             "    ARG1  8:1                  -> 'the plan'\n"
         )
 
+    def test_out_of_range_tree_index_listed(self, fixtures_dir, tmp_path, capsys):
+        # extract skips a proposition whose tree does not exist and validate
+        # reports it; no tree shows it, so each tree's listing ends with it
+        shutil.copytree(fixtures_dir / "corpus", tmp_path / "corpus")
+        prop_path = tmp_path / "corpus" / "prop" / "00" / "wsj_0001.prop"
+        with prop_path.open("a", encoding="utf-8") as f:
+            f.write("f 5 2 x 0:1-ARG0 2:0-rel\n")
+        unplaced = (
+            "\n"
+            "propositions with no tree: 1\n"
+            "  line 5: f 5 2 x 0:1-ARG0 2:0-rel\n"
+            "    error: AlignmentError: tree index 5 out of range (2 trees)\n"
+        )
+        good = (fixtures_dir / "golden" / "inspect_wsj_0001_tree1.txt").read_text(encoding="utf-8")
+        assert main(["inspect", *flags(tmp_path), "--file", "00/wsj_0001", "--tree", "1"]) == 0
+        assert capsys.readouterr().out == good + unplaced
+        assert main(["inspect", *flags(tmp_path), "--file", "00/wsj_0001", "--tree", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("-> 'the merger'\n" + unplaced)
+        assert out.count("f 5 2 x") == 1
+
     def test_misaligned_file_shown(self, fixtures_dir, capsys):
         # extract skips the whole file: tree 1 is not its sentence's tree
         rc = main(["inspect", *flags(fixtures_dir, "swapped"), "--file", "00/wsj_0002", "--tree", "1"])

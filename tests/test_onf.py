@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import support
-from srlkit import treebank
+from native import requires_build_tools
+from srlkit import _onf, treebank
 from srlkit.cleaning import TraceMode, join_untraced
 from srlkit.errors import MalformedOnf
 from srlkit.onf import SentencePair, parse_onf, parse_trees_file
@@ -178,6 +179,91 @@ def _onf_outcome(reader, text):
         return "raised", type(exc), str(exc)
 
 
-@given(_onf_documents())
+# every str.splitlines break that is not "\n", spaces that break no line,
+# and words stored two and four bytes a code point, traces among them
+_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_INSERTS = _BREAKS + [
+    "\xa0", "\u3000", "\n", " ", "\n \n", " Ωμέγα ", " — ", " \U0001F600 ", " *T*-٣ ",
+    " *-\U0001D7D8 ",
+]
+
+
+@st.composite
+def _unicode_onf_documents(draw):
+    """An `_onf_documents` text with some "\n" replaced by other line
+    breaks and the `_INSERTS` put in anywhere, most often beside a "\n"."""
+    text = draw(_onf_documents())
+    if draw(st.booleans()):
+        text = text.replace("\n", draw(st.sampled_from(["\r\n", "\n\x85", "\u2028\n"])))
+    for kind, insert, at in draw(
+        st.lists(
+            st.tuples(st.sampled_from("rbi"), st.sampled_from(_INSERTS), st.integers(0, 10_000)),
+            max_size=8,
+        )
+    ):
+        breaks = [i for i, c in enumerate(text) if c == "\n"]
+        if kind == "i" or not breaks:
+            i = at % (len(text) + 1)
+            text = text[:i] + insert + text[i:]
+        elif kind == "b":
+            i = breaks[at % len(breaks)] + at % 2
+            text = text[:i] + insert + text[i:]
+        else:
+            i = breaks[at % len(breaks)]
+            text = text[:i] + _BREAKS[at % len(_BREAKS)] + text[i + 1 :]
+    return text
+
+
+_DOCUMENTS = st.one_of(_onf_documents(), _unicode_onf_documents())
+
+
+@settings(max_examples=300)
+@given(_DOCUMENTS)
 def test_prefiltered_reader_matches_unfiltered(text):
-    assert _onf_outcome(parse_onf, text) == _onf_outcome(support.parse_onf_unfiltered, text)
+    assert _onf_outcome(_onf.parse_onf, text) == _onf_outcome(support.parse_onf_unfiltered, text)
+
+
+def _compiled_parse_onf(text):
+    from srlkit import _speedups
+
+    return _speedups.parse_onf(text)
+
+
+@requires_build_tools
+@settings(max_examples=300)
+@given(_DOCUMENTS)
+def test_compiled_reader_matches_unfiltered(text):
+    assert _onf_outcome(_compiled_parse_onf, text) == _onf_outcome(
+        support.parse_onf_unfiltered, text
+    )
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        pytest.param(_onf.parse_onf, id="pure"),
+        pytest.param(_compiled_parse_onf, id="compiled", marks=requires_build_tools),
+        pytest.param(support.parse_onf_unfiltered, id="oracle"),
+    ],
+)
+@pytest.mark.parametrize(
+    "token, trace",
+    [
+        ("*-٣", True),              # ARABIC-INDIC DIGIT THREE is a decimal digit
+        ("*T*-1٣", True),
+        ("*PRO*-\U0001D7D8", True),  # so is MATHEMATICAL DOUBLE-STRUCK DIGIT ZERO
+        ("*-²", False),             # SUPERSCRIPT TWO is a digit but not a decimal
+        ("*-①", False),
+        ("*T*-²", False),
+        ("*Ω*", True),
+        ("*-", False),
+        ("x*-1", False),
+    ],
+)
+def test_trace_tokens_with_non_ascii_digits(reader, token, trace):
+    text = section(f"A {token} b .", f"A {token} b .")
+    if trace:
+        with pytest.raises(MalformedOnf, match="trace token in plain sentence"):
+            reader(text)
+    else:
+        assert reader(text) == [SentencePair(f"A {token} b .", f"A {token} b .")]

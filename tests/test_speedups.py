@@ -39,6 +39,24 @@ BAD_POINTERS = [
     b"1:2", None,
 ]
 SWEEPS = [(2, 1, 2), (2, 1, 0), (2, 1, 4), ("a", 1, 1), (1, 1)]
+_DELIM = "-" * 20
+
+
+def _onf(plain, treebanked="A b ."):
+    return (f"{_DELIM}\nPlain sentence:\n{_DELIM}\n{plain}\n\n"
+            f"Treebanked sentence:\n{_DELIM}\n{treebanked}\n\nTree:\n-----\n(X a)\n")
+
+
+VALID_ONF = [_onf("A b ."), _onf("A é ."), _onf("A Ω\u2028b ."), _onf("A \U0001F600 .") * 3, "", "x"]
+BAD_ONF = [
+    _onf("A b .").split("\n\nTreebanked")[0],   # plain without treebanked
+    _onf("A b .").replace("Treebanked", "Plain"),  # the same, before another plain
+    _onf("A b .").split("\n\n", 1)[1],          # treebanked without plain
+    _onf(_DELIM),                                # no sentence text
+    _onf("A *T*-1 \u3000b ."),                   # trace in plain
+    b"Plain sentence:",                          # not a str
+    None,
+]
 
 
 @requires_build_tools
@@ -61,6 +79,7 @@ def test_no_reference_leaks():
         [(_speedups.parse_spans, (text,)) for text in VALID_TREES + BAD_TREES]
         + [(_speedups.parse_expr_parts, (text,)) for text in VALID_POINTERS + BAD_POINTERS]
         + [(_speedups.roundtrip_exhaustive, args) for args in SWEEPS]
+        + [(_speedups.parse_onf, (text,)) for text in VALID_ONF + BAD_ONF]
     )
 
     def run_all():
