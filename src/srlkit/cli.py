@@ -12,14 +12,13 @@ after writing one `error: <Type>: <detail>` line to stderr.
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from srlkit import stats as statsmod
 from srlkit import treebank
 from srlkit.cleaning import TraceMode
 from srlkit.errors import (
-    AlignmentError,
     ConfigError,
     IndexOutOfRange,
     SrlKitError,
@@ -29,12 +28,13 @@ from srlkit.pipeline import (
     ROLE_ORDER,
     SCHEMAS,
     CorpusLayout,
-    check_aligned,
+    alignment_fault,
     discover_files,
     export_csv,
     extract_corpus,
     open_replacing,
     proposition_faults,
+    read_corpus,
     read_file,
     resolve_role,
 )
@@ -140,13 +140,9 @@ def cmd_extract(config: RunConfig) -> int:
         print(f"skip log: {skip_path} ({len(summary.skip_log)} entries)")
     else:
         skip_path.unlink(missing_ok=True)
-    print(f"files discovered:    {summary.files_discovered}")
-    print(f"files processed:     {summary.files_processed}")
-    print(f"files skipped:       {summary.files_skipped}")
-    print(f"propositions:        {summary.propositions}")
-    print(f"propositions failed: {summary.propositions_failed}")
-    print(f"rows filtered:       {summary.rows_filtered}")
-    print(f"rows emitted:        {summary.rows_emitted}")
+    for f in fields(summary):
+        if f.name != "skip_log":
+            print(f"{f.name.replace('_', ' ') + ':':<21}{getattr(summary, f.name)}")
     print(f"wrote {config.out} ({config.schema} schema)")
     return 0
 
@@ -170,16 +166,13 @@ def cmd_validate(config: RunConfig) -> int:
     layout = _layout(config)
     triples, skips = discover_files(layout)
     violations: list[tuple[str, str, str]] = [(file_id, "-", reason) for file_id, reason in skips]
-    for triple in triples:
-        try:
-            props, sentences, trees, _ = read_file(triple)
-        except SrlKitError as exc:
-            violations.append((triple.file_id, "-", f"unparseable file: {exc}"))
+    for triple, parts, fault in read_corpus(triples):
+        if parts is None:
+            violations.append((triple.file_id, "-", f"unparseable file: {fault}"))
             continue
-        try:
-            check_aligned(sentences, trees)
-        except AlignmentError as exc:
-            violations.append((triple.file_id, "-", str(exc)))
+        if fault is not None:
+            violations.append((triple.file_id, "-", str(fault)))
+        props, _, trees, _ = parts
         for prop in props:
             for where, exc in proposition_faults(prop, trees):
                 at = f"prop line {prop.line_no} {where}".rstrip()
@@ -216,10 +209,9 @@ def cmd_inspect(config: RunConfig, file_id: str, tree_index: int) -> int:
         print(f"treebanked: {sentences[tree_index].treebanked}")
     # what extract skips is shown where it applies: this file, a
     # proposition's indices, a pointer
-    try:
-        check_aligned(sentences, trees)
-    except AlignmentError as exc:
-        print(_error_line(exc))
+    fault = alignment_fault(sentences, trees)
+    if fault is not None:
+        print(_error_line(fault))
     print()
     ordered = sort_propositions(props)
     selected = [p for p in ordered if p.tree_index == tree_index]

@@ -21,4 +21,4 @@ __all__ = ["SentencePair", "parse_onf", "parse_trees_file"]
 
 def parse_trees_file(text: str) -> list[str]:
     """Blank-line-separated tree strings, trimmed, empty chunks dropped."""
-    return [chunk.strip() for chunk in BLOCK_SPLIT.split(text) if chunk.strip()]
+    return [chunk for chunk in map(str.strip, BLOCK_SPLIT.split(text)) if chunk]

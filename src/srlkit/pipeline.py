@@ -6,9 +6,11 @@ A corpus is three parallel directory trees of `.prop`, `.onf`, and
 to 24. A file id is `<NN>/<stem>`. Discovery is driven by the `.prop`
 files; ids missing either companion file are skipped and logged. Output
 rows are totally ordered by (file id, tree index, predicate terminal,
-source line), so runs are byte-reproducible. A proposition gives no row
-for the faults `proposition_faults` lists: `extract` skips it on the
-first, `validate` reports them all.
+source line), so runs are byte-reproducible. `extract` and `validate`
+read and check each file through one walk, `read_corpus`, which yields a
+file's fault as a value. A proposition gives no row for the faults
+`proposition_faults` lists: `extract` skips it on the first, `validate`
+reports them all.
 """
 
 import contextlib
@@ -52,7 +54,8 @@ __all__ = [
     "ROLE_ORDER",
     "discover_files",
     "read_file",
-    "check_aligned",
+    "alignment_fault",
+    "read_corpus",
     "resolve_role",
     "proposition_faults",
     "build_record",
@@ -183,14 +186,29 @@ def read_file(
     return props, sentences, [treebank.parse_tree(t) for t in tree_texts], tree_texts
 
 
-def check_aligned(sentences: list[SentencePair], trees: list[treebank.SpanTree]) -> None:
-    """Raise AlignmentError unless the file has one tree per sentence and
-    each tree's tokens are its treebanked sentence's."""
+def alignment_fault(sentences: list[SentencePair], trees: list[treebank.SpanTree]) -> AlignmentError | None:
+    """The file's AlignmentError, or None when it has one tree per sentence
+    and each tree's tokens are its treebanked sentence's."""
     if len(trees) != len(sentences):
-        raise AlignmentError(f"{len(sentences)} sentences but {len(trees)} trees")
+        return AlignmentError(f"{len(sentences)} sentences but {len(trees)} trees")
     for i, (pair, tree) in enumerate(zip(sentences, trees)):
         if tree.tokens != tuple(pair.treebanked.split()):
-            raise AlignmentError(f"tree {i} leaves differ from its treebanked sentence")
+            return AlignmentError(f"tree {i} leaves differ from its treebanked sentence")
+    return None
+
+
+def read_corpus(triples: list[FileTriple]):
+    """Read and check each triple in order, yielding (triple, parts, fault):
+    `parts` is `read_file`'s result, or None when the file could not be
+    read or parsed; `fault` is that read error, else the file's
+    `alignment_fault`, else None."""
+    for triple in triples:
+        try:
+            parts = read_file(triple)
+        except SrlKitError as exc:
+            yield triple, None, exc
+        else:
+            yield triple, parts, alignment_fault(parts[1], parts[2])
 
 
 def resolve_role(
@@ -350,16 +368,14 @@ def extract_corpus(
         skip_log=list(discovery_skips),
     )
     records: list[SrlRecord] = []
-    for triple in triples:
-        try:
-            props, sentences, trees, _ = read_file(triple)
-            check_aligned(sentences, trees)
-        except SrlKitError as exc:
+    for triple, parts, fault in read_corpus(triples):
+        if fault is not None:
             if strict:
-                raise ExtractionError(f"{triple.file_id}: {exc}") from exc
-            summary.skip_log.append((triple.file_id, str(exc)))
+                raise ExtractionError(f"{triple.file_id}: {fault}") from fault
+            summary.skip_log.append((triple.file_id, str(fault)))
             summary.files_skipped += 1
             continue
+        props, sentences, trees, _ = parts
         summary.files_processed += 1
         summary.propositions += len(props)
         for prop in sort_propositions(props):

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -125,6 +126,26 @@ def golden_srl_csv() -> Path:
 @pytest.fixture(scope="session")
 def golden_orl_csv() -> Path:
     return FIXTURES / "golden" / "dataset_orl.csv"
+
+
+@pytest.fixture
+def read_fault_dir(tmp_path) -> Path:
+    """A directory holding `readfault`, a copy of the fixture corpus in
+    which three files cannot be read: a `.prop` field `1::2-ARG1`, a
+    `.parse` tree not set off by a blank line, and an `.onf` sentence
+    whose treebanked header reads `Plain sentence:`."""
+    root = tmp_path / "corpora"
+    corpus = root / "readfault"
+    shutil.copytree(FIXTURES / "corpus", corpus)
+    for path, old, new in (
+        ("prop/00/wsj_0001.prop", "19:1-ARG1", "1::2-ARG1"),
+        ("parse/01/wsj_0101.parse", "(. .)))\n", "(. .)))\n(TOP (S (NN x)))\n"),
+        ("onf/02/wsj_0201.onf", "Treebanked sentence:", "Plain sentence:"),
+    ):
+        text = (corpus / path).read_text(encoding="utf-8")
+        assert old in text
+        (corpus / path).write_text(text.replace(old, new, 1), encoding="utf-8")
+    return root
 
 
 @pytest.fixture(scope="session")

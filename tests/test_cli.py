@@ -26,11 +26,53 @@ class TestExtract:
         rc = main(["extract", *flags(fixtures_dir), "--out", str(out)])
         assert rc == 0
         assert out.read_bytes() == golden_srl_csv.read_bytes()
-        stdout = capsys.readouterr().out
-        assert "files processed:     6" in stdout
-        assert "rows emitted:        20" in stdout
-        assert "rows filtered:       1" in stdout
-        assert "propositions:        21" in stdout
+        assert capsys.readouterr().out == (
+            "files discovered:    6\n"
+            "files processed:     6\n"
+            "files skipped:       0\n"
+            "propositions:        21\n"
+            "propositions failed: 0\n"
+            "rows filtered:       1\n"
+            "rows emitted:        20\n"
+            f"wrote {out} (srl schema)\n"
+        )
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_partial_corpus_output(self, strict, fixtures_dir, tmp_path, capsys):
+        # a missing companion file is a logged skip, never fatal, so
+        # --strict changes nothing here
+        out = tmp_path / "d.csv"
+        argv = ["extract", *flags(fixtures_dir, "partial"), "--out", str(out)]
+        assert main(argv + ["--strict"] * strict) == 0
+        skiplog = tmp_path / "d.csv.skiplog"
+        assert capsys.readouterr().out == (
+            f"skip log: {skiplog} (1 entries)\n"
+            "files discovered:    4\n"
+            "files processed:     3\n"
+            "files skipped:       1\n"
+            "propositions:        3\n"
+            "propositions failed: 0\n"
+            "rows filtered:       0\n"
+            "rows emitted:        3\n"
+            f"wrote {out} (srl schema)\n"
+        )
+        assert skiplog.read_text(encoding="utf-8") == (
+            "00/wsj_0011\tmissing companion file(s): .onf\n"
+        )
+
+    def test_strict_logs_excluded_files(self, fixtures_dir, tmp_path, capsys):
+        exclude = tmp_path / "exclude.txt"
+        exclude.write_text("00/wsj_0001\n", encoding="utf-8")
+        out = tmp_path / "d.csv"
+        rc = main([
+            "extract", *flags(fixtures_dir), "--exclude", str(exclude), "--strict",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        assert "files skipped:       1\n" in capsys.readouterr().out
+        assert (tmp_path / "d.csv.skiplog").read_text(encoding="utf-8") == (
+            "00/wsj_0001\texcluded by configuration\n"
+        )
 
     def test_orl_schema(self, fixtures_dir, golden_orl_csv, tmp_path):
         out = tmp_path / "dataset.csv"
@@ -325,16 +367,42 @@ class TestValidate:
             "00/wsj_0001\tprop line 2: tree index 5 out of range (2 trees)",
         ]
 
-    @pytest.mark.parametrize("name", ["badptr", "misaligned", "partial", "swapped"])
-    def test_reports_every_extract_skip(self, name, fixtures_dir, tmp_path, capsys):
+    def test_unparseable_files(self, read_fault_dir, tmp_path, capsys):
+        assert main(["validate", *flags(read_fault_dir, "readfault")]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "file_id\ttree\tdetail",
+            "00/wsj_0001\t-\tunparseable file: field '1::2-ARG1': bad pointer '1::2' in '1::2'",
+            "01/wsj_0101\t-\tunparseable file: content after the root tree",
+            "02/wsj_0201\t-\tunparseable file: plain sentence without a treebanked sentence",
+            "3 violations",
+        ]
+        # extract skips each of them in the same words, or stops on the
+        # first under --strict
+        out = tmp_path / "d.csv"
+        assert main(["extract", *flags(read_fault_dir, "readfault"), "--out", str(out)]) == 0
+        assert (tmp_path / "d.csv.skiplog").read_text(encoding="utf-8").splitlines() == [
+            "00/wsj_0001\tfield '1::2-ARG1': bad pointer '1::2' in '1::2'",
+            "01/wsj_0101\tcontent after the root tree",
+            "02/wsj_0201\tplain sentence without a treebanked sentence",
+        ]
+        capsys.readouterr()
+        argv = ["extract", *flags(read_fault_dir, "readfault"), "--strict", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: ExtractionError: 00/wsj_0001: field '1::2-ARG1': bad pointer '1::2' in '1::2'\n"
+        )
+
+    @pytest.mark.parametrize("name", ["badptr", "misaligned", "partial", "swapped", "readfault"])
+    def test_reports_every_extract_skip(self, name, fixtures_dir, tmp_path, request, capsys):
+        corpora = request.getfixturevalue("read_fault_dir") if name == "readfault" else fixtures_dir
         out = tmp_path / "dataset.csv"
-        assert main(["extract", *flags(fixtures_dir, name), "--out", str(out)]) == 0
+        assert main(["extract", *flags(corpora, name), "--out", str(out)]) == 0
         skipped = {
             skip_key(*line.split("\t"))
             for line in (tmp_path / "dataset.csv.skiplog").read_text().splitlines()
         }
         capsys.readouterr()
-        assert main(["validate", *flags(fixtures_dir, name)]) == 1
+        assert main(["validate", *flags(corpora, name)]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "file_id\ttree\tdetail"
         reported = set()

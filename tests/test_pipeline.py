@@ -21,14 +21,15 @@ from srlkit.pipeline import (
     CorpusLayout,
     SRL_HEADER,
     SrlRecord,
+    alignment_fault,
     build_record,
-    check_aligned,
     discover_files,
     export_csv,
     extract_corpus,
     filter_records,
     map_to_orl,
     proposition_faults,
+    read_corpus,
     read_file,
     resolve_role,
 )
@@ -173,8 +174,9 @@ class TestBuildRecords:
 
     def test_sentence_tree_count_mismatch(self):
         tree, sentences = _mini_setup()
-        with pytest.raises(AlignmentError, match="^1 sentences but 2 trees$"):
-            check_aligned(sentences, [tree, tree])
+        fault = alignment_fault(sentences, [tree, tree])
+        assert (type(fault), str(fault)) == (AlignmentError, "1 sentences but 2 trees")
+        assert alignment_fault(sentences, [tree]) is None
 
     def test_pipe_in_span_replaced(self):
         tree = treebank.parse_tree("(S (NP-SBJ (NN a|b)) (VP (VBD ran)) (. .))")
@@ -256,10 +258,29 @@ class TestReadFile:
     def test_misaligned_file_reads_but_fails_check(self, fixtures_dir):
         # validate goes on to check the propositions of a misaligned file
         layout = layout_for(fixtures_dir, "misaligned")
-        _, sentences, trees, tree_texts = read_file(layout.triple("00/wsj_0001"))
+        parts = read_file(layout.triple("00/wsj_0001"))
+        _, sentences, trees, tree_texts = parts
         assert [treebank.parse_tree(t) for t in tree_texts] == trees
-        with pytest.raises(AlignmentError, match="2 sentences but 1 trees"):
-            check_aligned(sentences, trees)
+        fault = alignment_fault(sentences, trees)
+        assert (type(fault), str(fault)) == (AlignmentError, "2 sentences but 1 trees")
+        [(_, walked_parts, walked)] = read_corpus([layout.triple("00/wsj_0001")])
+        assert walked_parts == parts
+        assert (type(walked), str(walked)) == (AlignmentError, "2 sentences but 1 trees")
+
+    def test_walk_yields_file_faults_in_order(self, read_fault_dir):
+        triples, _ = discover_files(layout_for(read_fault_dir, "readfault"))
+        walked = [
+            (triple.file_id, parts is None, type(fault).__name__, str(fault))
+            for triple, parts, fault in read_corpus(triples)
+        ]
+        assert walked == [
+            ("00/wsj_0001", True, "MalformedPointer", "field '1::2-ARG1': bad pointer '1::2' in '1::2'"),
+            ("00/wsj_0002", False, "NoneType", "None"),
+            ("01/wsj_0101", True, "TrailingGarbage", "content after the root tree"),
+            ("01/wsj_0102", False, "NoneType", "None"),
+            ("02/wsj_0201", True, "MalformedOnf", "plain sentence without a treebanked sentence"),
+            ("24/wsj_2401", False, "NoneType", "None"),
+        ]
 
 
 class TestFilterRecords:
