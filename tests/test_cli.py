@@ -223,6 +223,135 @@ class TestExtract:
         assert backend.stdout == "pure\n"
 
 
+def _roots(corpus, leave_out=None):
+    return [
+        arg for sub in ("prop", "onf", "parse") if sub != leave_out
+        for arg in (f"--{sub}", f"{corpus}/{sub}")
+    ]
+
+
+def _text_or_none(path):
+    return Path(path).read_text(encoding="utf-8") if Path(path).exists() else None
+
+
+def _root_case(sub):
+    def case(fixtures_dir):
+        missing = "error: MissingRoot: corpus root does not exist: "
+        return (
+            ["extract", *_roots(fixtures_dir / "corpus", leave_out=sub)], sub,
+            ("nowhere_config", "nowhere_config"), [f"--{sub}", "nowhere_flag"],
+            lambda rc, out, err: err,
+            (f"error: ConfigError: missing required corpus roots: --{sub}\n",
+             f"{missing}nowhere_config\n", f"{missing}nowhere_flag\n"),
+        )
+    return case
+
+
+def _trace_mode_case(fixtures_dir):
+    # the corpus's one trace, `*-2`, made the null complementizer `0`,
+    # which only tree-guided trace removal drops
+    shutil.copytree(fixtures_dir / "corpus", "zero")
+    for path in (Path("zero/parse/00/wsj_0001.parse"), Path("zero/onf/00/wsj_0001.onf")):
+        path.write_text(path.read_text(encoding="utf-8").replace("*-2", "0"), encoding="utf-8")
+    return (
+        ["extract", *_roots("zero")], "trace-mode", ("pattern", "pattern"),
+        ["--trace-mode", "tree"],
+        lambda rc, out, err: "0 Smith Jones" in Path("dataset.csv").read_text(encoding="utf-8"),
+        (False, True, False),
+    )
+
+
+def _exclude_case(fixtures_dir):
+    Path("c.txt").write_text("00/wsj_0001\n", encoding="utf-8")
+    Path("f.txt").write_text("00/wsj_0002\n", encoding="utf-8")
+    return (
+        ["extract", *_roots(fixtures_dir / "corpus")], "exclude", ("c.txt", "c.txt"),
+        ["--exclude", "f.txt"],
+        lambda rc, out, err: _text_or_none("dataset.csv.skiplog"),
+        (None, "00/wsj_0001\texcluded by configuration\n",
+         "00/wsj_0002\texcluded by configuration\n"),
+    )
+
+
+def _stats_argv(fixtures_dir):
+    return ["stats", "--csv", str(fixtures_dir / "golden" / "dataset_srl.csv")]
+
+
+def _threshold_case(key, default, config, flag):
+    def case(fixtures_dir):
+        return (
+            _stats_argv(fixtures_dir), key, (config, config), [f"--{key}", flag],
+            lambda rc, out, err: json.loads(_text_or_none("stats.json"))["sentiment"][key],
+            (default, float(config), float(flag)),
+        )
+    return case
+
+
+# a case id -> a function of the fixtures directory, called in an empty
+# working directory, giving (argv, config key, the key's config value in
+# the config and in the flag case, the flag, what a run shows, what it
+# should show with the default, the config value and the flag)
+PRECEDENCE = {
+    "extract-prop": _root_case("prop"),
+    "extract-onf": _root_case("onf"),
+    "extract-parse": _root_case("parse"),
+    "extract-out": lambda fixtures_dir: (
+        ["extract", *_roots(fixtures_dir / "corpus")], "out", ("c.csv", "c.csv"),
+        ["--out", "f.csv"], lambda rc, out, err: out.splitlines()[-1],
+        ("wrote dataset.csv (srl schema)", "wrote c.csv (srl schema)",
+         "wrote f.csv (srl schema)"),
+    ),
+    "extract-schema": lambda fixtures_dir: (
+        ["extract", *_roots(fixtures_dir / "corpus")], "schema", ("orl", "orl"),
+        ["--schema", "srl"], lambda rc, out, err: out.splitlines()[-1],
+        ("wrote dataset.csv (srl schema)", "wrote dataset.csv (orl schema)",
+         "wrote dataset.csv (srl schema)"),
+    ),
+    "extract-trace-mode": _trace_mode_case,
+    # a flag can only turn --strict on, so it wins over `strict = false`
+    "extract-strict": lambda fixtures_dir: (
+        ["extract", *_roots(fixtures_dir / "badptr")], "strict", ("true", "false"),
+        ["--strict"], lambda rc, out, err: rc, (0, 1, 1),
+    ),
+    "extract-exclude": _exclude_case,
+    "stats-out": lambda fixtures_dir: (
+        _stats_argv(fixtures_dir), "out", ("c", "c"), ["--out", "f"],
+        lambda rc, out, err: out.splitlines()[-1],
+        ("wrote stats.json and stats.txt", "wrote c/stats.json and c/stats.txt",
+         "wrote f/stats.json and f/stats.txt"),
+    ),
+    "stats-lexicon": lambda fixtures_dir: (
+        _stats_argv(fixtures_dir), "lexicon", ("c.tsv", "c.tsv"), ["--lexicon", "f.tsv"],
+        lambda rc, out, err: err,
+        ("", "error: IoError: [Errno 2] No such file or directory: 'c.tsv'\n",
+         "error: IoError: [Errno 2] No such file or directory: 'f.tsv'\n"),
+    ),
+    "stats-t1": _threshold_case("t1", 0.05, "0.1", "0.2"),
+    "stats-t2": _threshold_case("t2", 0.5, "0.6", "0.7"),
+}
+
+
+class TestConfigPrecedence:
+    """Every config key, on each command that reads it: a flag wins over
+    the config file, which wins over the flag's default."""
+
+    @pytest.mark.parametrize("source", ["default", "config", "flag"])
+    @pytest.mark.parametrize("case", list(PRECEDENCE))
+    def test_precedence(self, case, source, fixtures_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv, key, config_values, flag, observe, expected = PRECEDENCE[case](fixtures_dir)
+        if source != "default":
+            value = config_values[source == "flag"]
+            Path("run.conf").write_text(f"{key} = {value}\n", encoding="utf-8")
+            argv = [*argv, "--config", "run.conf"]
+        if source == "flag":
+            argv = [*argv, *flag]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        shown = observe(rc, captured.out, captured.err)
+        assert shown == expected[("default", "config", "flag").index(source)]
+
+
 class TestStats:
     def test_mini_breakdown_printed(self, fixtures_dir, tmp_path, capsys):
         rc = main([
