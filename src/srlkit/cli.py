@@ -12,7 +12,7 @@ after writing one `error: <Type>: <detail>` line to stderr.
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 from srlkit import stats as statsmod
@@ -28,39 +28,30 @@ from srlkit.pipeline import (
     ROLE_ORDER,
     SCHEMAS,
     CorpusLayout,
-    alignment_fault,
     discover_files,
     export_csv,
     extract_corpus,
     open_replacing,
     proposition_faults,
     read_corpus,
-    read_file,
     resolve_role,
 )
 from srlkit.propbank import sort_propositions
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 TRACE_MODES = tuple(mode.value for mode in TraceMode)
 # a config file's boolean spellings, matched in any case
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
-
-
-@dataclass
-class RunConfig:
-    prop: Path
-    onf: Path
-    parse: Path
-    out: Path
-    schema: str
-    trace_mode: str
-    strict: bool
-    exclude: Path | None
-    lexicon: Path | None
-    t1: float
-    t2: float
+# a config key -> (cast, choices): how its value becomes the flag's; a
+# value that `cast` rejects or that is not among `choices` is a ConfigError
+_CONFIG_KEYS = {
+    "prop": (str, None), "onf": (str, None), "parse": (str, None),
+    "out": (Path, None), "schema": (str, SCHEMAS), "trace-mode": (str, TRACE_MODES),
+    "strict": (lambda raw: _BOOLEANS[raw.lower()], None),
+    "exclude": (str, None), "lexicon": (str, None), "t1": (float, None), "t2": (float, None),
+}
 
 
 def _error_line(exc: SrlKitError) -> str:
@@ -84,23 +75,22 @@ def _load_config(path) -> dict[str, str]:
     return values
 
 
-def _setting(args, config: dict[str, str], key: str, default, cast=str, choices=None):
-    """A flag's value, else the config file's, else `default`. A config
-    value that `cast` rejects, or that is not among `choices`, is a
-    ConfigError; argparse checks the flags."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in config:
-        raw = config[key]
+def _config_defaults(path) -> dict:
+    """The config file's known keys, each cast and checked, keyed by the
+    flag's dest; unknown keys are ignored."""
+    defaults = {}
+    for key, raw in _load_config(path).items():
+        if key not in _CONFIG_KEYS:
+            continue
+        cast, choices = _CONFIG_KEYS[key]
         try:
-            value = _BOOLEANS[raw.lower()] if cast is bool else cast(raw)
+            value = cast(raw)
             if choices is not None and value not in choices:
                 raise ValueError(raw)
-            return value
         except (KeyError, ValueError):
             raise ConfigError(f"bad value for {key}: {raw!r}") from None
-    return default
+        defaults[key.replace("-", "_")] = value
+    return defaults
 
 
 def _read_exclusions(path) -> frozenset[str]:
@@ -112,28 +102,29 @@ def _read_exclusions(path) -> frozenset[str]:
     return frozenset(ids)
 
 
-def _layout(config: RunConfig) -> CorpusLayout:
-    exclusions = _read_exclusions(config.exclude) if config.exclude else frozenset()
+def _layout(args, exclude=None) -> CorpusLayout:
+    missing = [f"--{name}" for name in ("prop", "onf", "parse") if not getattr(args, name)]
+    if missing:
+        raise ConfigError(f"missing required corpus roots: {' '.join(missing)}")
     return CorpusLayout(
-        prop_root=Path(config.prop),
-        onf_root=Path(config.onf),
-        parse_root=Path(config.parse),
-        exclusions=exclusions,
+        prop_root=Path(args.prop),
+        onf_root=Path(args.onf),
+        parse_root=Path(args.parse),
+        exclusions=_read_exclusions(exclude) if exclude else frozenset(),
     )
 
 
-def cmd_extract(config: RunConfig) -> int:
-    layout = _layout(config)
+def cmd_extract(args) -> int:
     result = extract_corpus(
-        layout,
-        trace_mode=TraceMode(config.trace_mode),
-        strict=config.strict,
+        _layout(args, args.exclude),
+        trace_mode=TraceMode(args.trace_mode),
+        strict=args.strict,
     )
-    export_csv(result.records, config.out, schema=config.schema)
+    export_csv(result.records, args.out, schema=args.schema)
     summary = result.summary
     # a skip log exists exactly when this run skipped something; one left
     # by an earlier run would describe a different dataset
-    skip_path = Path(str(config.out) + ".skiplog")
+    skip_path = Path(str(args.out) + ".skiplog")
     if summary.skip_log:
         with open_replacing(skip_path) as handle:
             handle.write("".join(f"{fid}\t{reason}\n" for fid, reason in summary.skip_log))
@@ -143,15 +134,15 @@ def cmd_extract(config: RunConfig) -> int:
     for f in fields(summary):
         if f.name != "skip_log":
             print(f"{f.name.replace('_', ' ') + ':':<21}{getattr(summary, f.name)}")
-    print(f"wrote {config.out} ({config.schema} schema)")
+    print(f"wrote {args.out} ({args.schema} schema)")
     return 0
 
 
-def cmd_stats(config: RunConfig, csv_path) -> int:
-    records = statsmod.read_dataset_csv(csv_path)
-    lexicon = statsmod.SentimentLexicon.load(config.lexicon) if config.lexicon else None
-    bundle = statsmod.compute_stats(records, lexicon=lexicon, t1=config.t1, t2=config.t2)
-    json_path, txt_path = statsmod.emit_report(bundle, config.out)
+def cmd_stats(args) -> int:
+    records = statsmod.read_dataset_csv(args.csv)
+    lexicon = statsmod.SentimentLexicon.load(args.lexicon) if args.lexicon else None
+    bundle = statsmod.compute_stats(records, lexicon=lexicon, t1=args.t1, t2=args.t2)
+    json_path, txt_path = statsmod.emit_report(bundle, args.out)
     b = bundle.breakdown
     print(
         f"breakdown: {b.both_pct}/{b.only_arg1_pct}/{b.only_arg0_pct} "
@@ -162,9 +153,8 @@ def cmd_stats(config: RunConfig, csv_path) -> int:
     return 0
 
 
-def cmd_validate(config: RunConfig) -> int:
-    layout = _layout(config)
-    triples, skips = discover_files(layout)
+def cmd_validate(args) -> int:
+    triples, skips = discover_files(_layout(args))
     violations: list[tuple[str, str, str]] = [(file_id, "-", reason) for file_id, reason in skips]
     for triple, parts, fault in read_corpus(triples):
         if parts is None:
@@ -185,12 +175,16 @@ def cmd_validate(config: RunConfig) -> int:
     return 0 if not violations else 1
 
 
-def cmd_inspect(config: RunConfig, file_id: str, tree_index: int) -> int:
-    triple = _layout(config).triple(file_id)
+def cmd_inspect(args) -> int:
+    file_id, tree_index = args.file, args.tree
+    triple = _layout(args).triple(file_id)
     for path in (triple.prop_path, triple.onf_path, triple.parse_path):
         if not path.is_file():
             raise UnknownFile(f"no such corpus file: {path}")
-    props, sentences, trees, tree_texts = read_file(triple)
+    [(_, parts, fault)] = read_corpus([triple])
+    if parts is None:
+        raise fault
+    props, sentences, trees, tree_texts = parts
     if tree_index >= len(trees) or tree_index < 0:
         raise IndexOutOfRange(
             f"tree index {tree_index} out of range ({len(trees)} trees in {file_id})"
@@ -209,7 +203,6 @@ def cmd_inspect(config: RunConfig, file_id: str, tree_index: int) -> int:
         print(f"treebanked: {sentences[tree_index].treebanked}")
     # what extract skips is shown where it applies: this file, a
     # proposition's indices, a pointer
-    fault = alignment_fault(sentences, trees)
     if fault is not None:
         print(_error_line(fault))
     print()
@@ -242,7 +235,9 @@ def cmd_inspect(config: RunConfig, file_id: str, tree_index: int) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and, by name, the subcommand parsers a config file's
+    values go to."""
     parser = argparse.ArgumentParser(
         prog="srlkit",
         description="Extract predicate-argument spans from a PropBank/OntoNotes-style corpus.",
@@ -255,80 +250,64 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--parse", help="root directory of .parse files", required=required)
 
     p_extract = sub.add_parser("extract", help="run the extraction pipeline")
+    p_extract.set_defaults(handler=cmd_extract)
     add_layout_flags(p_extract, required=False)
     p_extract.add_argument("--exclude", help="file of corpus ids to skip, one per line")
-    p_extract.add_argument("--schema", choices=SCHEMAS, default=None)
-    p_extract.add_argument("--trace-mode", choices=TRACE_MODES, default=None)
-    p_extract.add_argument("--strict", action="store_true", default=None)
-    p_extract.add_argument("--out", default=None, help="output CSV path (default dataset.csv)")
-    p_extract.add_argument(
-        "--jobs", type=int, default=None, help="accepted and ignored: extraction runs sequentially"
-    )
-    p_extract.add_argument("--config", default=None, help="key = value config file; flags win")
+    p_extract.add_argument("--schema", choices=SCHEMAS, default="srl",
+                           help="output schema (default %(default)s)")
+    p_extract.add_argument("--trace-mode", choices=TRACE_MODES, default="tree",
+                           help="how traces are dropped (default %(default)s)")
+    p_extract.add_argument("--strict", action="store_true",
+                           help="fail on a bad file or proposition instead of skipping it")
+    # a Path, so the path printed is normalised (./x.csv as x.csv)
+    p_extract.add_argument("--out", type=Path, default="dataset.csv",
+                           help="output CSV path (default %(default)s)")
+    p_extract.add_argument("--jobs", type=int, default=1,
+                           help="accepted and ignored: extraction runs sequentially")
+    p_extract.add_argument("--config", help="key = value config file; flags win")
 
     p_stats = sub.add_parser("stats", help="compute statistics from a dataset CSV")
+    p_stats.set_defaults(handler=cmd_stats)
     p_stats.add_argument("--csv", required=True, help="dataset.csv produced by extract")
-    p_stats.add_argument("--lexicon", default=None, help="token<TAB>valence sentiment lexicon")
-    p_stats.add_argument("--t1", type=float, default=None, help="neutral threshold (default 0.05)")
-    p_stats.add_argument("--t2", type=float, default=None, help="strong threshold (default 0.5)")
-    p_stats.add_argument("--out", default=None, help="report directory (default .)")
-    p_stats.add_argument("--config", default=None)
+    p_stats.add_argument("--lexicon", help="token<TAB>valence sentiment lexicon")
+    p_stats.add_argument("--t1", type=float, default=statsmod.DEFAULT_T1,
+                         help="neutral threshold (default %(default)s)")
+    p_stats.add_argument("--t2", type=float, default=statsmod.DEFAULT_T2,
+                         help="strong threshold (default %(default)s)")
+    p_stats.add_argument("--out", type=Path, default=".",
+                         help="report directory (default %(default)s)")
+    p_stats.add_argument("--config", help="key = value config file; flags win")
 
     p_validate = sub.add_parser("validate", help="check corpus alignment and pointers")
+    p_validate.set_defaults(handler=cmd_validate)
     add_layout_flags(p_validate)
 
     p_inspect = sub.add_parser("inspect", help="show one tree and its propositions")
+    p_inspect.set_defaults(handler=cmd_inspect)
     add_layout_flags(p_inspect)
     p_inspect.add_argument("--file", required=True, help="corpus file id, e.g. 00/wsj_0001")
     p_inspect.add_argument("--tree", required=True, type=int, help="tree index within the file")
 
-    return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    file_values = _load_config(args.config) if getattr(args, "config", None) else {}
-    prop = _setting(args, file_values, "prop", None)
-    onf = _setting(args, file_values, "onf", None)
-    parse = _setting(args, file_values, "parse", None)
-    if args.command in ("extract", "validate", "inspect"):
-        missing = [name for name, val in (("--prop", prop), ("--onf", onf), ("--parse", parse)) if not val]
-        if missing:
-            raise ConfigError(f"missing required corpus roots: {' '.join(missing)}")
-    out_default = "." if args.command == "stats" else "dataset.csv"  # report directory, CSV path
-    return RunConfig(
-        prop=Path(prop) if prop else Path("."),
-        onf=Path(onf) if onf else Path("."),
-        parse=Path(parse) if parse else Path("."),
-        out=Path(_setting(args, file_values, "out", out_default)),
-        schema=_setting(args, file_values, "schema", "srl", choices=SCHEMAS),
-        trace_mode=_setting(args, file_values, "trace-mode", "tree", choices=TRACE_MODES),
-        strict=bool(_setting(args, file_values, "strict", False, cast=bool)),
-        exclude=_setting(args, file_values, "exclude", None),
-        lexicon=_setting(args, file_values, "lexicon", None),
-        t1=float(_setting(args, file_values, "t1", statsmod.DEFAULT_T1, cast=float)),
-        t2=float(_setting(args, file_values, "t2", statsmod.DEFAULT_T2, cast=float)),
-    )
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if args.command == "extract":
-            return cmd_extract(config)
-        if args.command == "stats":
-            return cmd_stats(config, args.csv)
-        if args.command == "validate":
-            return cmd_validate(config)
-        if args.command == "inspect":
-            return cmd_inspect(config, args.file, args.tree)
+        # a subcommand parser writes its own defaults over a namespace it
+        # is given, so the config file's values become its defaults and
+        # the flags are parsed again over them
+        if getattr(args, "config", None):
+            commands[args.command].set_defaults(**_config_defaults(args.config))
+            args = parser.parse_args(argv)
+        return args.handler(args)
     except SrlKitError as exc:
         print(_error_line(exc), file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: IoError: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -198,6 +198,29 @@ class TestExtract:
         assert captured.out == ""
         assert not out.exists()
 
+    # every value in the file is checked, also one a flag overrides
+    @pytest.mark.parametrize(
+        "command, key, value, flag",
+        [("extract", "schema", "xml", ["--schema", "srl"]),
+         ("extract", "trace-mode", "foo", ["--trace-mode", "tree"]),
+         ("extract", "strict", "ture", ["--strict"]),
+         ("stats", "t1", "low", ["--t1", "0.1"])],
+    )
+    def test_config_file_bad_value_under_flag(
+        self, command, key, value, flag, fixtures_dir, tmp_path, capsys
+    ):
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        stats_csv = ["--csv", str(fixtures_dir / "stats_mini.csv")]
+        inputs = flags(fixtures_dir) if command == "extract" else stats_csv
+        out = tmp_path / "out"
+        rc = main([command, *inputs, "--config", str(config), "--out", str(out), *flag])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: ConfigError: bad value for {key}: {value!r}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("value, rc", [("YES", 1), ("On", 1), ("0", 0), ("Off", 0)])
     def test_config_file_boolean(self, value, rc, fixtures_dir, tmp_path, capsys):
         config = tmp_path / "run.conf"
