@@ -34,6 +34,7 @@ from srlkit.pipeline import (
     open_replacing,
     proposition_faults,
     read_corpus,
+    read_text,
     resolve_role,
 )
 from srlkit.propbank import sort_propositions
@@ -61,7 +62,7 @@ def _error_line(exc: SrlKitError) -> str:
 def _load_config(path) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     for i, line in enumerate(text.splitlines(), start=1):
@@ -95,7 +96,7 @@ def _config_defaults(path) -> dict:
 
 def _read_exclusions(path) -> frozenset[str]:
     ids = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             ids.add(line)

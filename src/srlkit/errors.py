@@ -9,6 +9,10 @@ class SrlKitError(Exception):
     """Base class for all toolkit errors."""
 
 
+class DecodeError(SrlKitError):
+    """A text input is not UTF-8; the message names the file and the byte offset."""
+
+
 # --- tree text parsing ---
 
 class EmptyInput(SrlKitError):

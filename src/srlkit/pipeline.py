@@ -24,6 +24,7 @@ from srlkit import treebank
 from srlkit.cleaning import TraceMode, TracePolicy, join_untraced
 from srlkit.errors import (
     AlignmentError,
+    DecodeError,
     EmptyCorpus,
     ExtractionError,
     MissingRoot,
@@ -53,6 +54,7 @@ __all__ = [
     "FOLDERS",
     "ROLE_ORDER",
     "discover_files",
+    "read_text",
     "read_file",
     "alignment_fault",
     "read_corpus",
@@ -175,14 +177,25 @@ def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[s
     return triples, skips
 
 
+def read_text(path, newline=None) -> str:
+    """The text of a UTF-8 file, its line ends translated as `open` does
+    for `newline`. Every text input is read through here, so bytes that
+    are not UTF-8 are a DecodeError, never a UnicodeDecodeError."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"{path}: not UTF-8 at byte offset {exc.start} ({exc.reason})") from None
+
+
 def read_file(
     triple: FileTriple,
 ) -> tuple[list[Proposition], list[SentencePair], list[treebank.SpanTree], list[str]]:
     """Read and parse one file triple: its propositions, sentences and
     trees, and the text of each tree."""
-    props = parse_prop_file(triple.prop_path.read_text(encoding="utf-8"))
-    sentences = parse_onf(triple.onf_path.read_text(encoding="utf-8"))
-    tree_texts = parse_trees_file(triple.parse_path.read_text(encoding="utf-8"))
+    props = parse_prop_file(read_text(triple.prop_path))
+    sentences = parse_onf(read_text(triple.onf_path))
+    tree_texts = parse_trees_file(read_text(triple.parse_path))
     return props, sentences, [treebank.parse_tree(t) for t in tree_texts], tree_texts
 
 

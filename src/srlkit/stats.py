@@ -9,6 +9,7 @@ t2; scores exactly at +-t1 are neutral, exactly at +-t2 are +-1.
 """
 
 import csv
+import io
 import json
 import math
 from collections import Counter
@@ -16,7 +17,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from srlkit.errors import BadThresholds, EmptyInput, HeaderMismatch, LexiconError
-from srlkit.pipeline import SRL_HEADER, SrlRecord, open_replacing
+from srlkit.pipeline import SRL_HEADER, SrlRecord, open_replacing, read_text
 
 __all__ = [
     "ALPHA",
@@ -78,9 +79,7 @@ class SentimentLexicon:
     def load(cls, path) -> "SentimentLexicon":
         """Read a `token<TAB>valence` file; `#` comments; extra columns ignored."""
         valences: dict[str, float] = {}
-        for i, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        for i, line in enumerate(read_text(path).splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -309,16 +308,15 @@ def emit_report(stats: DatasetStats, out_dir) -> tuple[Path, Path]:
 
 def read_dataset_csv(path) -> list[SrlRecord]:
     """Load an exported srl-schema dataset.csv back into records."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != SRL_HEADER:
-            raise HeaderMismatch(
-                f"expected header {','.join(SRL_HEADER)!r}, got {header!r}"
-            )
-        records = []
-        for row in reader:
-            if len(row) != len(SRL_HEADER):
-                raise HeaderMismatch(f"row with {len(row)} fields: {row!r}")
-            records.append(SrlRecord(*row))
+    reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+    header = next(reader, None)
+    if header != SRL_HEADER:
+        raise HeaderMismatch(
+            f"expected header {','.join(SRL_HEADER)!r}, got {header!r}"
+        )
+    records = []
+    for row in reader:
+        if len(row) != len(SRL_HEADER):
+            raise HeaderMismatch(f"row with {len(row)} fields: {row!r}")
+        records.append(SrlRecord(*row))
     return records

@@ -706,3 +706,63 @@ class TestInspect:
         rc = main(["inspect", *flags(fixtures_dir), "--file", "00/wsj_0001", "--tree", "7"])
         assert rc != 0
         assert "error: IndexOutOfRange:" in capsys.readouterr().err
+
+
+def spoil(path):
+    """Append the bytes ff fe, which are not UTF-8, to a file; return the
+    fault reading it gives."""
+    offset = path.stat().st_size
+    with open(path, "ab") as handle:
+        handle.write(b"\xff\xfe")
+    return f"{path}: not UTF-8 at byte offset {offset} (invalid start byte)"
+
+
+class TestNotUtf8:
+    """Input that is not UTF-8 is one fault that names the file and the
+    byte offset, never a traceback."""
+
+    def test_corpus_file(self, fixtures_dir, tmp_path, capsys):
+        shutil.copytree(fixtures_dir / "corpus", tmp_path / "corpus")
+        fault = spoil(tmp_path / "corpus" / "prop" / "00" / "wsj_0002.prop")
+        # extract skips the file, or stops on it under --strict
+        out = tmp_path / "d.csv"
+        assert main(["extract", *flags(tmp_path), "--out", str(out)]) == 0
+        assert "files skipped:       1\n" in capsys.readouterr().out
+        assert (tmp_path / "d.csv.skiplog").read_text(encoding="utf-8") == (
+            f"00/wsj_0002\t{fault}\n"
+        )
+        assert main(["extract", *flags(tmp_path), "--strict", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: ExtractionError: 00/wsj_0002: {fault}\n"
+        assert main(["validate", *flags(tmp_path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "file_id\ttree\tdetail",
+            f"00/wsj_0002\t-\tunparseable file: {fault}",
+            "1 violations",
+        ]
+        assert main(["inspect", *flags(tmp_path), "--file", "00/wsj_0002", "--tree", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: DecodeError: {fault}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--config", "--exclude", "--lexicon", "--csv"])
+    def test_run_input(self, flag, fixtures_dir, golden_srl_csv, tmp_path, capsys):
+        path = tmp_path / "input"
+        if flag == "--config":
+            path.write_text("schema = srl\n", encoding="utf-8")
+        elif flag == "--exclude":
+            path.write_text("00/wsj_0001\n", encoding="utf-8")
+        else:
+            shutil.copy(fixtures_dir / "lexicon.tsv" if flag == "--lexicon" else golden_srl_csv, path)
+        fault = spoil(path)
+        command = {
+            "--config": ["extract", *flags(fixtures_dir)],
+            "--exclude": ["extract", *flags(fixtures_dir)],
+            "--lexicon": ["stats", "--csv", str(golden_srl_csv)],
+            "--csv": ["stats"],
+        }[flag]
+        out = tmp_path / "out"
+        assert main([*command, flag, str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: DecodeError: {fault}\n"
+        assert captured.out == ""
+        assert not out.exists()
