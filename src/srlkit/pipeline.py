@@ -6,9 +6,9 @@ A corpus is three parallel directory trees of `.prop`, `.onf`, and
 to 24. A file id is `<NN>/<stem>`. Discovery is driven by the `.prop`
 files; ids missing either companion file are skipped and logged. Output
 rows are totally ordered by (file id, tree index, predicate terminal,
-source line), so runs are byte-reproducible. `extract` and `validate`
-read and check each file through one walk, `read_corpus`, which yields a
-file's fault as a value. A proposition gives no row for the faults
+source line), so runs are byte-reproducible. `extract`, `validate` and
+`inspect` read and check each file through one walk, `read_corpus`,
+which yields a file's fault as a value. A proposition gives no row for the faults
 `proposition_faults` lists: `extract` skips it on the first, `validate`
 reports them all.
 """
