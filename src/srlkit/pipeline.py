@@ -8,9 +8,9 @@ files; ids missing either companion file are skipped and logged. Output
 rows are totally ordered by (file id, tree index, predicate terminal,
 source line), so runs are byte-reproducible. `extract`, `validate` and
 `inspect` read and check each file through one walk, `read_corpus`,
-which yields a file's fault as a value. A proposition gives no row for the faults
-`proposition_faults` lists: `extract` skips it on the first, `validate`
-reports them all.
+which yields a file's fault as a value. A proposition gives no row for
+the faults `proposition_faults` lists: `extract` skips it on the first,
+`validate` reports them all.
 """
 
 import contextlib
