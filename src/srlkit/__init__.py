@@ -1,9 +1,10 @@
 """srlkit: extract predicate-argument spans from PropBank/OntoNotes-style
 corpora and compute dataset statistics.
 
-The hot scanners (tree text, pointer expressions, `.onf` sentence
-blocks) run from a compiled extension when it is built, with a
-pure-Python fallback selected at import; `srlkit.backend()` reports
+The hot paths (tree text, pointer expressions, `.prop` lines, `.onf`
+sentence blocks, `.parse` files and span resolution) run from a compiled
+extension when it is built, with a pure-Python fallback selected at
+import; `srlkit.backend()` reports
 which one is active.
 """
 

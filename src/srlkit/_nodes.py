@@ -1,10 +1,12 @@
-"""The tree type, SpanTree, and the sentence type, SentencePair.
+"""The tree type, SpanTree; the sentence type, SentencePair; and the
+proposition types, RoleLabel, RoleExpr and Proposition.
 
 Kept in a leaf module so both the pure-Python and the compiled readers
 can build the same objects.
 """
 
-from dataclasses import dataclass
+import enum
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
@@ -30,3 +32,35 @@ class SentencePair:
 
     plain: str
     treebanked: str
+
+
+class RoleLabel(enum.Enum):
+    ARG0 = "ARG0"
+    ARG1 = "ARG1"
+    REL = "REL"
+
+    # members are singletons compared by identity; Enum's own hash is a
+    # Python-level hash(self._name_), paid on every `roles` lookup
+    __hash__ = object.__hash__
+
+
+class RoleExpr(NamedTuple):
+    """One pointer expression of a role field."""
+
+    parts: list[tuple[int, int]]  # (terminal, height) pairs in source order
+    text: str  # the expression as written, e.g. "14:1*16:1*17:1"
+
+
+@dataclass
+class Proposition:
+    """One predicate instance from a `.prop` line."""
+
+    file_id: str
+    tree_index: int
+    predicate_terminal: int
+    roles: dict[RoleLabel, list[RoleExpr]] = field(default_factory=dict)
+    raw_line: str = ""
+    line_no: int = 0
+
+    def exprs(self, label: RoleLabel) -> list[RoleExpr]:
+        return self.roles.get(label, [])

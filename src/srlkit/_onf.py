@@ -1,4 +1,4 @@
-"""Pure-Python `.onf` sentence reader.
+"""Pure-Python `.onf` sentence reader and `.parse` file splitter.
 
 `parse_onf` is the fallback for, and reference of, the compiled reader in
 _speedups.c. Both return the same pairs and raise the same MalformedOnf
@@ -6,7 +6,7 @@ errors, in the same order and with the same messages. The pure reader
 splits the text into blank-line-separated blocks and drops a block whose
 text contains neither header before splitting it into lines; the
 compiled one searches for the headers and reads only the blocks around
-them.
+them. `parse_trees_file` is the reference of the compiled splitter.
 """
 
 import re
@@ -67,3 +67,8 @@ def parse_onf(text: str) -> list[SentencePair]:
     if pending_plain is not None:
         raise MalformedOnf("plain sentence without a treebanked sentence")
     return pairs
+
+
+def parse_trees_file(text: str) -> list[str]:
+    """Blank-line-separated tree strings, trimmed, empty chunks dropped."""
+    return [chunk for chunk in map(str.strip, BLOCK_SPLIT.split(text)) if chunk]

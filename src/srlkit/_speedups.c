@@ -1,14 +1,21 @@
-/* Compiled scanners for tree text, pointer expressions and .onf text.
+/* Compiled scanners for tree text, pointer expressions, .prop lines,
+   .onf and .parse text, and the span resolver.
 
    parse_spans reads tree text straight into a flat SpanTree, the form
    every caller of treebank.parse_tree gets; its reference is the pure
    flat scanner _sexpr.parse_spans, and the tests check both against an
    independent object-tree parser in tests/support.py.
    parse_expr_parts and roundtrip_exhaustive replace the _pointers scanner.
+   parse_prop_file reads the Propositions of a .prop file; its reference
+   is _propbank.parse_prop_file, and the tests check both against the
+   object parser in tests/support.py.
    parse_onf reads the SentencePairs of an .onf file, visiting only the
    blocks that hold a header's text; its reference is _onf.parse_onf, and
    the tests check both against the reader in tests/support.py that
-   splits every block into lines.
+   splits every block into lines. parse_trees_file splits a .parse file
+   as _onf.parse_trees_file does.
+   resolve_exprs selects each pointer's node and joins its untraced
+   tokens, as _resolve.resolve_exprs does.
    _backend selects them at import time. Results, error types and error
    messages match the pure versions exactly; only the scanning runs in C.
 
@@ -22,11 +29,16 @@
 #include <string.h>
 
 /* looked up once at import; read-only afterwards */
-static PyObject *SpanTree, *SentencePair;
+static PyObject *SpanTree, *SentencePair, *RoleLabel, *RoleExpr, *Proposition;
 static PyObject *EmptyInput, *UnbalancedParens, *TrailingGarbage;
-static PyObject *MalformedPointer, *EmptyFragment, *MalformedOnf;
+static PyObject *MalformedPointer, *EmptyFragment, *MalformedLine, *MalformedOnf;
+static PyObject *TerminalOutOfRange, *HeightOverflow;
+static PyObject *labels[3];     /* RoleLabel.ARG0, .ARG1 and .REL */
+static const char *const label_names[3] = {"ARG0", "ARG1", "REL"};
 static PyObject *empty_str;     /* the label of a "( (S ...) )" wrapper */
 static PyObject *header_end;    /* "sentence:", the end of both .onf headers */
+static PyObject *space;         /* " ", what joins a role's tokens */
+static PyObject *parts_name;    /* "parts", the RoleExpr field */
 
 /* the ASCII whitespace of the pure tokenizer's re.ASCII "\s"; the .onf
    reader uses str.isspace's instead */
@@ -59,6 +71,38 @@ text_of(PyObject *obj, Text *t)
 }
 
 #define AT(t, i) PyUnicode_READ((t).kind, (t).data, (i))
+
+/* str.splitlines's line breaks, without a call for ASCII */
+static inline int
+is_linebreak(Py_UCS4 c)
+{
+    if (c < 128)
+        return (c >= '\n' && c <= '\r') || (c >= 0x1c && c <= 0x1e);
+    return Py_UNICODE_ISLINEBREAK(c);
+}
+
+/* Replace a pending exception of class `match` with one of class `type`
+   whose message is `format` applied to obj and the old exception's str;
+   any other exception is left pending. */
+static void
+rewrap_error(PyObject *match, PyObject *type, const char *format, PyObject *obj)
+{
+    if (!PyErr_ExceptionMatches(match))
+        return;
+#if PY_VERSION_HEX >= 0x030C0000
+    PyObject *exc = PyErr_GetRaisedException();
+#else
+    PyObject *exc_type, *exc, *tb;
+    PyErr_Fetch(&exc_type, &exc, &tb);
+    PyErr_NormalizeException(&exc_type, &exc, &tb);
+    Py_XDECREF(exc_type);
+    Py_XDECREF(tb);
+#endif
+    if (exc != NULL) {
+        PyErr_Format(type, format, obj, exc);
+        Py_DECREF(exc);
+    }
+}
 
 /* --- tree text ---------------------------------------------------------
 
@@ -354,6 +398,208 @@ fail:
     return NULL;
 }
 
+/* --- .prop lines ------------------------------------------------------
+
+   A line is what str.splitlines gives and its fields what str.split()
+   gives. Only the fields after the first three whose suffix names a role
+   are decoded; the rest are skipped as the scan passes them. */
+
+/* The next field of s[*i:end] as [*from, *to); 0 when there is none. */
+static int
+next_field(Text s, Py_ssize_t *i, Py_ssize_t end, Py_ssize_t *from, Py_ssize_t *to)
+{
+    Py_ssize_t k = *i;
+    while (k < end && Py_UNICODE_ISSPACE(AT(s, k)))
+        k++;
+    if (k == end)
+        return 0;
+    *from = k;
+    while (k < end && !Py_UNICODE_ISSPACE(AT(s, k)))
+        k++;
+    *to = *i = k;
+    return 1;
+}
+
+/* The RoleLabel that the suffix s[a:b], upper-cased, is the value of, or
+   NULL. No code point outside ASCII upper-cases into these names' letters
+   or digits, so an ASCII comparison that ignores case is exact. */
+static PyObject *
+role_of(Text s, Py_ssize_t a, Py_ssize_t b)
+{
+    for (int k = 0; k < 3; k++) {
+        const char *name = label_names[k];
+        Py_ssize_t j = 0;
+        for (; a + j < b && name[j] != '\0'; j++) {
+            Py_UCS4 c = AT(s, a + j);
+            if (c >= 'a' && c <= 'z')
+                c -= 'a' - 'A';
+            if (c != (Py_UCS4)name[j])
+                break;
+        }
+        if (a + j == b && name[j] == '\0')
+            return labels[k];
+    }
+    return NULL;
+}
+
+/* The value of the index field s[a:b], which must be ASCII "-?[0-9]+";
+   int() converts it, so it has no length cap of its own. NULL with a
+   ValueError when it is not such a field or int() refuses it. *negative
+   is set when the value is below zero. */
+static PyObject *
+index_field(PyObject *text, Text s, Py_ssize_t a, Py_ssize_t b, int *negative)
+{
+    Py_ssize_t k = a + (AT(s, a) == '-');
+    int ok = k < b, nonzero = 0;
+    for (; ok && k < b; k++) {
+        Py_UCS4 c = AT(s, k);
+        ok = c >= '0' && c <= '9';
+        nonzero |= c != '0';
+    }
+    PyObject *field = PyUnicode_Substring(text, a, b);
+    if (field == NULL)
+        return NULL;
+    PyObject *value = NULL;
+    if (ok)
+        value = PyLong_FromUnicodeObject(field, 10);
+    else
+        PyErr_Format(PyExc_ValueError, "invalid literal for int() with base 10: %R", field);
+    Py_DECREF(field);
+    *negative = AT(s, a) == '-' && nonzero;
+    return value;
+}
+
+/* Append the RoleExpr of the role field s[a:b], whose last "-" is at
+   dash, to roles[label]. 0, or -1 with an exception set. */
+static int
+add_role(PyObject *text, Py_ssize_t a, Py_ssize_t dash, Py_ssize_t b,
+         PyObject *label, PyObject *roles)
+{
+    PyObject *prefix = PyUnicode_Substring(text, a, dash);
+    if (prefix == NULL)
+        return -1;
+    PyObject *parts = parse_expr_parts(NULL, prefix);
+    if (parts == NULL) {
+        PyObject *field = PyUnicode_Substring(text, a, b);
+        if (field != NULL) {
+            rewrap_error(MalformedPointer, MalformedPointer, "field %R: %S", field);
+            Py_DECREF(field);
+        }
+        Py_DECREF(prefix);
+        return -1;
+    }
+    /* RoleExpr(parts, prefix) is tuple.__new__(RoleExpr, (parts, prefix));
+       calling that from here skips the NamedTuple's Python-level __new__ */
+    PyObject *pair = PyTuple_Pack(2, parts, prefix);
+    PyObject *args = pair ? PyTuple_Pack(1, pair) : NULL;
+    PyObject *expr = args ? PyTuple_Type.tp_new((PyTypeObject *)RoleExpr, args, NULL) : NULL;
+    Py_XDECREF(args);
+    Py_XDECREF(pair);
+    Py_DECREF(parts);
+    Py_DECREF(prefix);
+    if (expr == NULL)
+        return -1;
+    PyObject *exprs = PyDict_GetItemWithError(roles, label);
+    int rc = -1;
+    if (exprs != NULL)
+        rc = PyList_Append(exprs, expr);
+    else if (!PyErr_Occurred() && (exprs = PyList_New(1)) != NULL) {
+        PyList_SET_ITEM(exprs, 0, Py_NewRef(expr));
+        rc = PyDict_SetItem(roles, label, exprs);
+        Py_DECREF(exprs);
+    }
+    Py_DECREF(expr);
+    return rc;
+}
+
+/* The Proposition of the line s[from:to], numbered line_no, or NULL: with
+   an exception set when the line is malformed, without one when it is
+   blank. The checks run in the pure reader's order. */
+static PyObject *
+prop_line(PyObject *text, Text s, Py_ssize_t from, Py_ssize_t to, Py_ssize_t line_no)
+{
+    Py_ssize_t bounds[3][2], i = from, n = 0;
+    while (n < 3 && next_field(s, &i, to, &bounds[n][0], &bounds[n][1]))
+        n++;
+    if (n == 0)
+        return NULL;
+    PyObject *line = PyUnicode_Substring(text, from, to);
+    if (line == NULL)
+        return NULL;
+    PyObject *args[6] = {NULL};  /* the Proposition's fields, in order */
+    PyObject *prop = NULL;
+    if (n < 3) {
+        PyErr_Format(MalformedLine, "expected at least 3 fields, got %zd: %R", n, line);
+        goto done;
+    }
+    int negative[2] = {0, 0};
+    for (int k = 0; k < 2; k++) {
+        args[1 + k] = index_field(text, s, bounds[1 + k][0], bounds[1 + k][1], &negative[k]);
+        if (args[1 + k] == NULL) {
+            rewrap_error(PyExc_ValueError, MalformedLine, "non-integer index in %R: %S", line);
+            goto done;
+        }
+    }
+    if (negative[0] || negative[1]) {
+        PyErr_Format(MalformedLine, "negative index in %R", line);
+        goto done;
+    }
+    if ((args[3] = PyDict_New()) == NULL)
+        goto done;
+    Py_ssize_t a, b;
+    while (next_field(s, &i, to, &a, &b)) {
+        Py_ssize_t dash = b;
+        while (dash > a && AT(s, dash - 1) != '-')
+            dash--;
+        PyObject *label = dash > a ? role_of(s, dash, b) : NULL;
+        if (label != NULL && add_role(text, a, dash - 1, b, label, args[3]) < 0)
+            goto done;
+    }
+    args[0] = PyUnicode_Substring(text, bounds[0][0], bounds[0][1]);
+    args[4] = Py_NewRef(line);
+    args[5] = PyLong_FromSsize_t(line_no);
+    if (args[0] != NULL && args[5] != NULL)
+        prop = PyObject_Vectorcall(Proposition, args, 6, NULL);
+done:
+    for (int k = 0; k < 6; k++)
+        Py_XDECREF(args[k]);
+    Py_DECREF(line);
+    return prop;
+}
+
+static PyObject *
+parse_prop_file(PyObject *Py_UNUSED(module), PyObject *text)
+{
+    Text s;
+    if (text_of(text, &s) < 0)
+        return NULL;
+    PyObject *props = PyList_New(0);
+    if (props == NULL)
+        return NULL;
+    Py_ssize_t line_no = 0;
+    for (Py_ssize_t i = 0; i < s.n;) {
+        Py_ssize_t end = i;
+        while (end < s.n && !is_linebreak(AT(s, end)))
+            end++;
+        PyObject *prop = prop_line(text, s, i, end, ++line_no);
+        if (prop == NULL && PyErr_Occurred())
+            goto fail;
+        if (prop != NULL) {
+            int rc = PyList_Append(props, prop);
+            Py_DECREF(prop);
+            if (rc < 0)
+                goto fail;
+        }
+        i = end + 1;
+        if (end + 1 < s.n && AT(s, end) == '\r' && AT(s, end + 1) == '\n')
+            i++;
+    }
+    return props;
+fail:
+    Py_DECREF(props);
+    return NULL;
+}
+
 /* --- exhaustive round-trip sweep -------------------------------------- */
 
 #define EXPR_MAX 256  /* > 3 parts of "%d:%d" and 2 connectors */
@@ -581,14 +827,19 @@ line_is(Text s, Py_ssize_t from, Py_ssize_t to, const char *ascii, Py_ssize_t le
     return 1;
 }
 
-/* cleaning.TRACE_PATTERN on the token s[from:to]: "*", then either a
-   closing "*" at the end, or "-" and decimal digits at the end after a
-   prefix that starts and ends with "*" (a bare "*" is both). */
+/* cleaning.TRACE_PATTERN on the token s[from:to], which is not empty:
+   "*", then either a closing "*" at the end, or "-" and decimal digits at
+   the end after a prefix that starts and ends with "*" (a bare "*" is
+   both); and, as the pattern's "[^\s]*" says, no whitespace. Tokens of
+   .onf text hold none; tree tokens may, as only ASCII ends them. */
 static int
 is_trace(Text s, Py_ssize_t from, Py_ssize_t to)
 {
     if (AT(s, from) != '*')
         return 0;
+    for (Py_ssize_t k = from + 1; k < to; k++)
+        if (Py_UNICODE_ISSPACE(AT(s, k)))
+            return 0;
     if (AT(s, to - 1) == '*')
         return 1;
     Py_ssize_t d = to;
@@ -708,6 +959,213 @@ fail:
     return NULL;
 }
 
+/* --- .parse files ------------------------------------------------------ */
+
+/* The trees of a .parse file: the text split at every run of whitespace
+   that holds two "\n" or more (the pure splitter's re.split on
+   "\n\s*\n"), each chunk stripped, empty chunks dropped. A chunk ends
+   where the .onf reader's blocks end. */
+static PyObject *
+parse_trees_file(PyObject *Py_UNUSED(module), PyObject *text)
+{
+    Text s;
+    if (text_of(text, &s) < 0)
+        return NULL;
+    PyObject *chunks = PyList_New(0);
+    if (chunks == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0;;) {
+        while (i < s.n && Py_UNICODE_ISSPACE(AT(s, i)))
+            i++;
+        if (i == s.n)
+            return chunks;
+        Py_ssize_t from = i, to = i = block_end(s, i);
+        while (Py_UNICODE_ISSPACE(AT(s, to - 1)))
+            to--;
+        PyObject *chunk = PyUnicode_Substring(text, from, to);
+        int rc = chunk == NULL ? -1 : PyList_Append(chunks, chunk);
+        Py_XDECREF(chunk);
+        if (rc < 0) {
+            Py_DECREF(chunks);
+            return NULL;
+        }
+    }
+}
+
+/* --- span resolution ----------------------------------------------------
+
+   A SpanTree is read through its tuples in place: a pointer's node is
+   found by climbing the parent links from its terminal's preterminal, and
+   the node's tokens are kept or dropped one by one. */
+
+/* a SpanTree's fields, in order */
+enum { TOKENS, POS_TAGS, PARENTS, STARTS, ENDS, LEAVES, NTABLES_OF_TREE };
+
+/* The tuples of a SpanTree. 0, or -1 with a TypeError set. */
+static int
+tree_tables(PyObject *tree, PyObject **t)
+{
+    if (!PyTuple_Check(tree) || PyTuple_GET_SIZE(tree) != NTABLES_OF_TREE) {
+        PyErr_Format(PyExc_TypeError, "expected a SpanTree, got %.200s", Py_TYPE(tree)->tp_name);
+        return -1;
+    }
+    for (int k = 0; k < NTABLES_OF_TREE; k++) {
+        t[k] = PyTuple_GET_ITEM(tree, k);
+        if (!PyTuple_Check(t[k])) {
+            PyErr_SetString(PyExc_TypeError, "a SpanTree's tables must be tuples");
+            return -1;
+        }
+    }
+    if (PyTuple_GET_SIZE(t[POS_TAGS]) != PyTuple_GET_SIZE(t[TOKENS])) {
+        PyErr_SetString(PyExc_ValueError, "a SpanTree needs one POS tag per token");
+        return -1;
+    }
+    return 0;
+}
+
+/* table[k] as a Py_ssize_t in *out. 0, or -1 with an exception set when
+   k is out of the table or the entry is not an int. */
+static int
+entry(PyObject *table, Py_ssize_t k, Py_ssize_t *out)
+{
+    if (k < 0 || k >= PyTuple_GET_SIZE(table)) {
+        PyErr_SetString(PyExc_IndexError, "SpanTree table index out of range");
+        return -1;
+    }
+    *out = PyLong_AsSsize_t(PyTuple_GET_ITEM(table, k));
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* treebank.select_node: the node reached from the terminal-th
+   preterminal after `height` steps up, with its errors and messages. */
+static int
+select_node(PyObject **t, PyObject *terminal, PyObject *height, Py_ssize_t *node)
+{
+    int t_over, h_over;
+    long long h = PyLong_AsLongLongAndOverflow(height, &h_over);
+    if (h == -1 && PyErr_Occurred())
+        return -1;
+    if (h_over < 0 || (h_over == 0 && h < 0)) {
+        PyErr_Format(HeightOverflow, "negative height %S", height);
+        return -1;
+    }
+    long long k = PyLong_AsLongLongAndOverflow(terminal, &t_over);
+    if (k == -1 && PyErr_Occurred())
+        return -1;
+    if (t_over < 0 || (t_over == 0 && k < 0)) {
+        PyErr_Format(TerminalOutOfRange, "negative terminal index %S", terminal);
+        return -1;
+    }
+    Py_ssize_t nleaves = PyTuple_GET_SIZE(t[LEAVES]);
+    if (t_over > 0 || k >= nleaves) {
+        PyErr_Format(TerminalOutOfRange, "terminal %S out of range (tree has %zd terminals)",
+                     terminal, nleaves);
+        return -1;
+    }
+    if (entry(t[LEAVES], (Py_ssize_t)k, node) < 0)
+        return -1;
+    if (h_over > 0)  /* a climb that long passes the root first */
+        h = LLONG_MAX;
+    for (long long step = 0; step < h; step++) {
+        if (entry(t[PARENTS], *node, node) < 0)
+            return -1;
+        if (*node < 0) {
+            PyErr_Format(HeightOverflow, "height %S from terminal %S passes the root",
+                         height, terminal);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* 1 when the token is a trace in the chosen mode: under a "-NONE-" POS
+   tag when tree-guided, else by cleaning.TRACE_PATTERN. -1 with an
+   exception set when a pattern-mode token is not a str. */
+static int
+is_dropped(PyObject *token, PyObject *pos, int tree_guided)
+{
+    if (tree_guided)
+        return PyUnicode_Check(pos) && PyUnicode_CompareWithASCIIString(pos, "-NONE-") == 0;
+    Text s;
+    if (text_of(token, &s) < 0)
+        return -1;
+    return s.n > 0 && is_trace(s, 0, s.n);
+}
+
+/* Append to kept the tokens of node's span that are not traces. A part
+   whose text is "", a lone empty token, is taken back out, as the pure
+   resolver leaves empty parts out. 0, or -1 with an exception set. */
+static int
+keep_span(PyObject **t, Py_ssize_t node, int tree_guided, PyObject *kept)
+{
+    Py_ssize_t lo, hi, before = PyList_GET_SIZE(kept);
+    if (entry(t[STARTS], node, &lo) < 0 || entry(t[ENDS], node, &hi) < 0)
+        return -1;
+    if (lo < 0 || lo > hi || hi > PyTuple_GET_SIZE(t[TOKENS])) {
+        PyErr_SetString(PyExc_IndexError, "SpanTree span out of range");
+        return -1;
+    }
+    for (Py_ssize_t k = lo; k < hi; k++) {
+        PyObject *token = PyTuple_GET_ITEM(t[TOKENS], k);
+        int dropped = is_dropped(token, PyTuple_GET_ITEM(t[POS_TAGS], k), tree_guided);
+        if (dropped < 0 || (!dropped && PyList_Append(kept, token) < 0))
+            return -1;
+    }
+    if (PyList_GET_SIZE(kept) == before + 1) {
+        PyObject *only = PyList_GET_ITEM(kept, before);
+        if (PyUnicode_Check(only) && PyUnicode_GET_LENGTH(only) == 0)
+            return PyList_SetSlice(kept, before, before + 1, NULL);
+    }
+    return 0;
+}
+
+static PyObject *
+resolve_exprs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *t[NTABLES_OF_TREE];
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "resolve_exprs expected 3 arguments, got %zd", nargs);
+        return NULL;
+    }
+    int tree_guided = PyObject_IsTrue(args[2]);
+    if (tree_guided < 0 || tree_tables(args[1], t) < 0)
+        return NULL;
+    PyObject *exprs = PySequence_Fast(args[0], "expected a sequence of RoleExprs");
+    if (exprs == NULL)
+        return NULL;
+    PyObject *kept = PyList_New(0), *joined = NULL;
+    if (kept == NULL)
+        goto done;
+    for (Py_ssize_t e = 0; e < PySequence_Fast_GET_SIZE(exprs); e++) {
+        PyObject *parts = PyObject_GetAttr(PySequence_Fast_GET_ITEM(exprs, e), parts_name);
+        PyObject *seq = parts ? PySequence_Fast(parts, "expected a sequence of pointer parts")
+                              : NULL;
+        Py_XDECREF(parts);
+        if (seq == NULL)
+            goto done;
+        for (Py_ssize_t p = 0; p < PySequence_Fast_GET_SIZE(seq); p++) {
+            PyObject *part = PySequence_Fast_GET_ITEM(seq, p);
+            Py_ssize_t node;
+            if (!PyTuple_Check(part) || PyTuple_GET_SIZE(part) != 2) {
+                PyErr_SetString(PyExc_TypeError, "a pointer part must be a (terminal, height) tuple");
+                Py_DECREF(seq);
+                goto done;
+            }
+            if (select_node(t, PyTuple_GET_ITEM(part, 0), PyTuple_GET_ITEM(part, 1), &node) < 0
+                || keep_span(t, node, tree_guided, kept) < 0) {
+                Py_DECREF(seq);
+                goto done;
+            }
+        }
+        Py_DECREF(seq);
+    }
+    joined = PyUnicode_Join(space, kept);
+done:
+    Py_XDECREF(kept);
+    Py_DECREF(exprs);
+    return joined;
+}
+
 /* --- module ----------------------------------------------------------- */
 
 static PyMethodDef methods[] = {
@@ -719,6 +1177,16 @@ static PyMethodDef methods[] = {
     {"parse_onf", parse_onf, METH_O,
      PyDoc_STR("Extract (plain, treebanked) SentencePairs from .onf text in\n"
                "document order.")},
+    {"parse_prop_file", parse_prop_file, METH_O,
+     PyDoc_STR("Parse every non-blank line of a .prop file into a Proposition,\n"
+               "keeping line numbers.")},
+    {"parse_trees_file", parse_trees_file, METH_O,
+     PyDoc_STR("Blank-line-separated tree strings, trimmed, empty chunks dropped.")},
+    {"resolve_exprs", (PyCFunction)(void (*)(void))resolve_exprs, METH_FASTCALL,
+     PyDoc_STR("resolve_exprs(expr_list, tree, tree_guided)\n\n"
+               "The text of every pointer part of the expressions, traces dropped\n"
+               "(by POS when tree_guided, else by pattern), empty parts left out,\n"
+               "joined with single spaces.")},
     {"roundtrip_exhaustive", (PyCFunction)(void (*)(void))roundtrip_exhaustive,
      METH_VARARGS | METH_KEYWORDS,
      PyDoc_STR("Check parse->format identity over every expression whose parts range\n"
@@ -731,7 +1199,8 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT,
     .m_name = "srlkit._speedups",
-    .m_doc = "Compiled scanners for tree text, pointer expressions and .onf text.",
+    .m_doc = "Compiled scanners for tree, pointer, .prop, .onf and .parse text,\n"
+             "and the span resolver.",
     .m_size = -1,
     .m_methods = methods,
 };
@@ -742,11 +1211,17 @@ static const struct {
 } imports[] = {
     {"srlkit._nodes", "SpanTree", &SpanTree},
     {"srlkit._nodes", "SentencePair", &SentencePair},
+    {"srlkit._nodes", "RoleLabel", &RoleLabel},
+    {"srlkit._nodes", "RoleExpr", &RoleExpr},
+    {"srlkit._nodes", "Proposition", &Proposition},
     {"srlkit.errors", "EmptyInput", &EmptyInput},
     {"srlkit.errors", "UnbalancedParens", &UnbalancedParens},
     {"srlkit.errors", "TrailingGarbage", &TrailingGarbage},
     {"srlkit.errors", "MalformedPointer", &MalformedPointer},
     {"srlkit.errors", "EmptyFragment", &EmptyFragment},
+    {"srlkit.errors", "MalformedLine", &MalformedLine},
+    {"srlkit.errors", "TerminalOutOfRange", &TerminalOutOfRange},
+    {"srlkit.errors", "HeightOverflow", &HeightOverflow},
     {"srlkit.errors", "MalformedOnf", &MalformedOnf},
 };
 
@@ -766,5 +1241,14 @@ PyInit__speedups(void)
         return NULL;
     if (header_end == NULL && (header_end = PyUnicode_FromString("sentence:")) == NULL)
         return NULL;
+    if (space == NULL && (space = PyUnicode_FromString(" ")) == NULL)
+        return NULL;
+    if (parts_name == NULL && (parts_name = PyUnicode_InternFromString("parts")) == NULL)
+        return NULL;
+    for (int k = 0; k < 3; k++) {
+        Py_XSETREF(labels[k], PyObject_GetAttrString(RoleLabel, label_names[k]));
+        if (labels[k] == NULL)
+            return NULL;
+    }
     return PyModule_Create(&module_def);
 }

@@ -5,7 +5,8 @@ drops exactly the tokens sitting under a "-NONE-" preterminal (exact by
 construction), PatternOnly drops tokens matching the trace pattern. The
 null complementizer "0" is only removed tree-guided, since "0" is a
 legitimate numeral elsewhere. `join_untraced` applies either policy; it
-is what `pipeline.resolve_role` runs on each selected span.
+is what the pure resolver (`_resolve.resolve_exprs`) runs on each
+selected span, and the compiled resolver applies the same two rules.
 """
 
 import enum

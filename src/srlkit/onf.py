@@ -9,16 +9,12 @@ blocks that contain a header's text: the compiled reader finds them with
 a substring search and the pure one (`_onf.parse_onf`) drops the others
 before splitting them into lines. Every block that may hold a header
 still gets the full line checks.
-A `.parse` file is just trees separated by blank lines.
+A `.parse` file is just trees separated by blank lines: runs of
+whitespace holding two or more line feeds. `parse_trees_file` splits it
+in C when the extension is built, else with `_onf`'s regex.
 """
 
-from srlkit._backend import parse_onf
+from srlkit._backend import parse_onf, parse_trees_file
 from srlkit._nodes import SentencePair
-from srlkit._onf import BLOCK_SPLIT
 
 __all__ = ["SentencePair", "parse_onf", "parse_trees_file"]
-
-
-def parse_trees_file(text: str) -> list[str]:
-    """Blank-line-separated tree strings, trimmed, empty chunks dropped."""
-    return [chunk for chunk in map(str.strip, BLOCK_SPLIT.split(text)) if chunk]

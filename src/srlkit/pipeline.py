@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from srlkit import treebank
-from srlkit.cleaning import TraceMode, TracePolicy, join_untraced
+from srlkit._backend import resolve_exprs
+from srlkit.cleaning import TraceMode, TracePolicy
 from srlkit.errors import (
     AlignmentError,
     DecodeError,
@@ -93,9 +94,9 @@ class CorpusLayout:
         folder, _, stem = file_id.partition("/")
         return FileTriple(
             file_id,
-            Path(self.prop_root) / folder / f"{stem}.prop",
-            Path(self.onf_root) / folder / f"{stem}.onf",
-            Path(self.parse_root) / folder / f"{stem}.parse",
+            Path(self.prop_root, folder, f"{stem}.prop"),
+            Path(self.onf_root, folder, f"{stem}.onf"),
+            Path(self.parse_root, folder, f"{stem}.parse"),
         )
 
 
@@ -150,8 +151,22 @@ class ExtractResult:
     summary: RunSummary
 
 
+def _file_names(folder: Path) -> set[str] | None:
+    """The names in `folder` that `Path.is_file` holds for, symlinks
+    followed, or None when the folder cannot be listed."""
+    try:
+        with os.scandir(folder) as entries:
+            return {entry.name for entry in entries if entry.is_file()}
+    except OSError:
+        return None
+
+
 def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[str, str]]]:
-    """Aligned (prop, onf, parse) triples plus skip entries, ordered by id."""
+    """Aligned (prop, onf, parse) triples plus skip entries, ordered by id.
+
+    Each folder is listed once. An id is every name in a `.prop` folder
+    that ends in ".prop", as `Path.glob("*.prop")` matches it:
+    case-sensitively, hidden names and directories included."""
     for root in (layout.prop_root, layout.onf_root, layout.parse_root):
         if not Path(root).is_dir():
             raise MissingRoot(f"corpus root does not exist: {root}")
@@ -161,13 +176,23 @@ def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[s
         prop_dir = Path(layout.prop_root) / folder
         if not prop_dir.is_dir():
             continue
-        for prop_path in sorted(prop_dir.glob("*.prop")):
-            file_id = f"{folder}/{prop_path.stem}"
+        try:
+            with os.scandir(prop_dir) as entries:
+                names = sorted(entry.name for entry in entries if entry.name.endswith(".prop"))
+        except PermissionError:  # glob yields nothing for such a folder
+            continue
+        listed = [_file_names(Path(root) / folder) for root in (layout.onf_root, layout.parse_root)]
+        for name in names:
+            file_id = f"{folder}/{name[:-5] or name}"  # the stem of ".prop" is ".prop"
             if file_id in layout.exclusions:
                 skips.append((file_id, "excluded by configuration"))
                 continue
             triple = layout.triple(file_id)
-            missing = [p.suffix for p in (triple.onf_path, triple.parse_path) if not p.is_file()]
+            missing = [
+                path.suffix
+                for path, names_there in zip((triple.onf_path, triple.parse_path), listed)
+                if not (path.is_file() if names_there is None else path.name in names_there)
+            ]
             if missing:
                 skips.append((file_id, f"missing companion file(s): {' '.join(missing)}"))
                 continue
@@ -232,19 +257,10 @@ def resolve_role(
     Each pointer selects a subtree whose cleaned text becomes one part;
     parts that clean to "" are dropped and the survivors joined with
     single spaces, expressions in source order. With no policy, traces are
-    dropped tree-guided.
+    dropped tree-guided. The backend's resolver does the work.
     """
-    mode = TraceMode.TREE_GUIDED if policy is None else policy.mode
-    tokens, pos, _, start, end, _ = tree
-    pieces = []
-    for expr in expr_list:
-        for t, h in expr.parts:
-            node = treebank.select_node(tree, t, h)
-            lo, hi = start[node], end[node]
-            text = join_untraced(tokens[lo:hi], pos[lo:hi], mode)
-            if text:
-                pieces.append(text)
-    return " ".join(pieces)
+    tree_guided = policy is None or policy.mode is TraceMode.TREE_GUIDED
+    return resolve_exprs(expr_list, tree, tree_guided)
 
 
 def _locate(

@@ -12,8 +12,8 @@ lays a tree's text out for `inspect`.
 from srlkit._backend import backend
 from srlkit._backend import parse_spans as _parse_spans
 from srlkit._nodes import SpanTree
+from srlkit._resolve import select_node
 from srlkit._sexpr import TOKENS
-from srlkit.errors import HeightOverflow, TerminalOutOfRange
 
 __all__ = ["SpanTree", "backend", "parse_tree", "select_node", "pretty"]
 
@@ -47,23 +47,3 @@ def pretty(text: str) -> str:
             depth += 1
             i += 2
     return "\n".join(lines)
-
-
-def select_node(tree: SpanTree, terminal: int, height: int) -> int:
-    """Number of the node reached from the terminal-th preterminal after
-    `height` steps up."""
-    if height < 0:
-        raise HeightOverflow(f"negative height {height}")
-    if terminal < 0:
-        raise TerminalOutOfRange(f"negative terminal index {terminal}")
-    if terminal >= len(tree.leaf):
-        raise TerminalOutOfRange(
-            f"terminal {terminal} out of range (tree has {len(tree.leaf)} terminals)"
-        )
-    node = tree.leaf[terminal]
-    parent = tree.parent
-    for _ in range(height):
-        node = parent[node]
-        if node < 0:
-            raise HeightOverflow(f"height {height} from terminal {terminal} passes the root")
-    return node

@@ -7,12 +7,14 @@ oracle (explicit parent map, recursive traversal). They are deliberately
 a different mechanism from srlkit's flat scanners and `select_node`,
 which the tests compare against them.
 
-The reader oracles are the object-building `.prop` line parser
-(`parse_prop_line`, with `PointerExpr`/`TreePointer`/`Connector`, on
-the active backend's pointer scanner) and the `.onf` reader that splits
+The reader oracles are the object-building `.prop` parser
+(`parse_prop_line` and `parse_prop_file`, with
+`PointerExpr`/`TreePointer`/`Connector`, on the active backend's pointer
+scanner) and the `.onf` reader that splits
 every block into lines (`parse_onf_unfiltered`), with block, line,
-delimiter and header rules of its own; srlkit's
-`propbank.parse_prop_line` and both `.onf` readers (`_onf.parse_onf`
+delimiter and header rules of its own; both of srlkit's `.prop`
+readers (`_propbank.parse_prop_file` and the compiled
+`parse_prop_file`) and both `.onf` readers (`_onf.parse_onf`
 and the compiled `parse_onf`) must match them.
 """
 
@@ -404,6 +406,12 @@ def parse_prop_line(line: str, line_no: int = 0) -> Proposition:
         raw_line=line,
         line_no=line_no,
     )
+
+
+def parse_prop_file(text: str) -> list[Proposition]:
+    """`parse_prop_line` on every non-blank line, numbered from 1 as
+    `str.splitlines` counts lines."""
+    return [parse_prop_line(line, n) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
 
 
 # --- the .onf reader without its prefilter ---------------------------------

@@ -267,3 +267,18 @@ def test_trace_tokens_with_non_ascii_digits(reader, token, trace):
             reader(text)
     else:
         assert reader(text) == [SentencePair(f"A {token} b .", f"A {token} b .")]
+
+
+def _compiled_parse_trees_file(text):
+    from srlkit import _speedups
+
+    return _speedups.parse_trees_file(text)
+
+
+@requires_build_tools
+@settings(max_examples=300)
+@given(st.text(alphabet="\n\r\x0b\x1c 　a(", max_size=40))
+def test_compiled_tree_splitter_matches_regex(text):
+    # a separator is a whitespace run holding two "\n"; "\r", "\x0b",
+    # "\x1c" and "　" are whitespace that is not "\n"
+    assert _compiled_parse_trees_file(text) == _onf.parse_trees_file(text)

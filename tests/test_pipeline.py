@@ -1,13 +1,14 @@
 import importlib
 import random
 import shutil
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 import support
 from native import requires_build_tools
-from srlkit import treebank
+from srlkit import _resolve, treebank
 from srlkit.cleaning import TraceMode, TracePolicy
 from srlkit.errors import (
     AlignmentError,
@@ -19,6 +20,7 @@ from srlkit.errors import (
 from srlkit.onf import SentencePair
 from srlkit.pipeline import (
     CorpusLayout,
+    ROLE_ORDER,
     SRL_HEADER,
     SrlRecord,
     alignment_fault,
@@ -111,6 +113,38 @@ class TestDiscoverFiles:
         ]
         assert triples[-1].file_id == "24/wsj_2401"
         assert skips == []
+
+    def test_listing_rules(self, fixtures_dir, tmp_path):
+        # an id is any name ending in ".prop", matched case-sensitively, a
+        # hidden one or a directory too; a companion counts only as a file,
+        # reached through a symlink or not
+        shutil.copytree(fixtures_dir / "corpus", tmp_path / "corpus")
+        prop, onf, parse = (tmp_path / "corpus" / ext / "00" for ext in ("prop", "onf", "parse"))
+        for stem in (".h", "x", "y", "z"):
+            shutil.copy(prop / "wsj_0001.prop", prop / f"{stem}.prop")
+        for stem in (".h", "x", "y"):
+            shutil.copy(parse / "wsj_0001.parse", parse / f"{stem}.parse")
+        shutil.copy(onf / "wsj_0001.onf", onf / ".h.onf")
+        shutil.copy(onf / "wsj_0001.onf", onf / "z.onf")
+        shutil.copy(prop / "wsj_0001.prop", prop / "u.PROP")
+        shutil.copy(prop / "wsj_0001.prop", prop / ".prop")
+        (prop / "d.prop").mkdir()
+        (onf / "x.onf").mkdir()
+        (onf / "y.onf").symlink_to(onf / "wsj_0001.onf")
+        (parse / "z.parse").symlink_to(parse / "gone.parse")
+        layout = replace(layout_for(tmp_path, "corpus"), exclusions=frozenset({"00/wsj_0002"}))
+        triples, skips = discover_files(layout)
+        assert [t.file_id for t in triples][:3] == ["00/.h", "00/wsj_0001", "00/y"]
+        assert [t.file_id for t in triples][3:] == [
+            t.file_id for t in discover_files(layout_for(fixtures_dir, "corpus"))[0]
+        ][2:]
+        assert skips == [
+            ("00/.prop", "missing companion file(s): .onf .parse"),
+            ("00/d", "missing companion file(s): .onf .parse"),
+            ("00/wsj_0002", "excluded by configuration"),
+            ("00/x", "missing companion file(s): .onf"),
+            ("00/z", "missing companion file(s): .parse"),
+        ]
 
 
 class TestResolveRole:
@@ -225,18 +259,31 @@ def _oracle_faults(prop, tree_objects):
     return wheres
 
 
+def _resolved(resolve_exprs, prop, tree, tree_guided):
+    """Each role's text, or its error as (type, message), in ROLE_ORDER."""
+    out = []
+    for label in ROLE_ORDER:
+        try:
+            out.append(resolve_exprs(prop.exprs(label), tree, tree_guided))
+        except SrlKitError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
 @pytest.mark.parametrize(
     "kernels",
     [
-        pytest.param(("_sexpr", "_pointers"), id="pure"),
-        pytest.param(("_speedups", "_speedups"), id="compiled", marks=requires_build_tools),
+        pytest.param(("_sexpr", "_pointers", "_resolve"), id="pure"),
+        pytest.param(("_speedups",) * 3, id="compiled", marks=requires_build_tools),
     ],
 )
 @given(st.integers(0, 10**9))
 def test_build_record_raises_first_fault(kernels, seed):
     """extract's builder raises exactly when proposition_faults (what
-    validate lists) is non-empty, and raises its first fault."""
-    tree_kernel, pointer_kernel = (importlib.import_module(f"srlkit.{k}") for k in kernels)
+    validate lists) is non-empty, and raises its first fault; otherwise
+    its roles are the pure resolver's text, which the kernel's resolver
+    matches, errors included, in both trace modes."""
+    tree_kernel, pointer_kernel, resolver = (importlib.import_module(f"srlkit.{k}") for k in kernels)
     rng = random.Random(seed)
     objects = [support.random_tree(rng, max_terminals=10) for _ in range(rng.randint(1, 3))]
     trees = [tree_kernel.parse_spans(support.render(t)) for t in objects]
@@ -244,14 +291,71 @@ def test_build_record_raises_first_fault(kernels, seed):
     prop = _random_proposition(rng, trees, pointer_kernel.parse_expr_parts)
     faults = proposition_faults(prop, trees)
     assert [where for where, _ in faults] == _oracle_faults(prop, objects)
-    try:
-        build_record(prop, trees, sentences)
-    except SrlKitError as exc:
-        assert faults
-        first = faults[0][1]
-        assert (type(exc), str(exc)) == (type(first), str(first))
-    else:
-        assert faults == []
+    for mode in TraceMode:
+        tree_guided = mode is TraceMode.TREE_GUIDED
+        if prop.tree_index < len(trees):
+            tree = trees[prop.tree_index]
+            expected = _resolved(_resolve.resolve_exprs, prop, tree, tree_guided)
+            assert _resolved(resolver.resolve_exprs, prop, tree, tree_guided) == expected
+        try:
+            record = build_record(prop, trees, sentences, policy=TracePolicy(mode))
+        except SrlKitError as exc:
+            assert faults
+            first = faults[0][1]
+            assert (type(exc), str(exc)) == (type(first), str(first))
+        else:
+            assert faults == []
+            predicate, arg0, arg1 = expected
+            assert (record.predicate, record.arg0, record.arg1) == (
+                predicate, arg0.replace("|", "/"), arg1.replace("|", "/")
+            )
+
+
+@pytest.mark.parametrize(
+    "resolver", ["_resolve", pytest.param("_speedups", marks=requires_build_tools)]
+)
+@pytest.mark.parametrize(
+    "tokens, tree_guided, pointers, text",
+    [
+        # the pattern's [^\s] takes no whitespace, which a tree token may hold
+        (("*a\u3000b*", "*\x1c*", "*T*-1", "x"), False, [(0, 1)], "*a\u3000b* *\x1c* x"),
+        (("*-٣", "*-²", "**", "*"), False, [(0, 1)], "*-²"),
+        (("*a\u3000b*", "*T*-1", "x"), True, [(0, 1)], "*a\u3000b* x"),
+        # a part whose text is "" is left out, but not one of two empty tokens
+        (("", "a"), True, [(0, 0), (1, 0)], "a"),
+        (("", "a"), True, [(0, 1)], " a"),
+        (("", ""), True, [(0, 0), (1, 0)], ""),
+        (("", ""), True, [(0, 1), (0, 0)], " "),
+    ],
+)
+def test_resolvers_on_odd_tokens(resolver, tokens, tree_guided, pointers, text):
+    n = len(tokens)  # a root over n preterminals
+    tree = treebank.SpanTree(
+        tokens=tokens,
+        pos=tuple("-NONE-" if token == "*T*-1" else "NN" for token in tokens),
+        parent=(-1,) + (0,) * n,
+        start=(0,) + tuple(range(n)),
+        end=(n,) + tuple(range(1, n + 1)),
+        leaf=tuple(range(1, n + 1)),
+    )
+    resolve_exprs = importlib.import_module(f"srlkit.{resolver}").resolve_exprs
+    assert resolve_exprs([RoleExpr(pointers, "")], tree, tree_guided) == text
+
+
+@requires_build_tools
+@pytest.mark.parametrize(
+    "pointer", [(10**30, 0), (0, 10**30), (-(10**30), 0), (0, -(10**30)), (2**63, 0), (0, 2**63 - 1)]
+)
+def test_resolvers_on_pointers_past_a_c_long(pointer):
+    from srlkit import _speedups
+
+    tree = treebank.parse_tree("(S (NP (-NONE- *T*-1) (NN a)) (VP (VBZ x)))")
+    outcomes = []
+    for resolve_exprs in (_speedups.resolve_exprs, _resolve.resolve_exprs):
+        with pytest.raises(SrlKitError) as exc:
+            resolve_exprs([RoleExpr([pointer], "")], tree, True)
+        outcomes.append((type(exc.value), str(exc.value)))
+    assert outcomes[0] == outcomes[1]
 
 
 class TestReadFile:

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 import support
 from native import requires_build_tools
+from srlkit import _propbank
 from srlkit.errors import EmptyFragment, MalformedLine, MalformedPointer
 from srlkit.propbank import (
     Proposition,
@@ -266,7 +267,8 @@ def test_parse_prop_file_line_numbers():
 # --- parity with the object parser of tests/support.py ----------------------
 
 _SUFFIXES = ["ARG0", "ARG1", "rel", "REL", "arg0", "Arg1", "ARGM-TMP", "ARG2", "ARG1-PRD", "rEl", ""]
-_METADATA = ["gold", "say.01", "v--a", "-----", "say-v", "ARG0", "rel", "-rel", "-ARG1", "x-"]
+_METADATA = ["gold", "say.01", "v--a", "-----", "say-v", "ARG0", "rel", "-rel", "-ARG1", "x-",
+             "1:0-x-rel", "2:0--ARG0", "--rel", "3:1-ARG1-"]
 _EDIT_CHARS = "0123456789:*,;-xArgEL \t٣"
 
 
@@ -285,7 +287,8 @@ def _pointer_text(draw):
 def _prop_lines(draw):
     """A `.prop` line, well formed or not, with a few character edits."""
     good = st.integers(0, 50).map(str)
-    index = st.one_of(good, good, good, st.sampled_from(["-1", "+2", "1_0", "x", "٣", "07", ""]))
+    index = st.one_of(good, good, good, st.sampled_from(
+        ["-1", "+2", "1_0", "x", "٣", "07", "", "-0", "007", "-", "1٣", "２"]))
     role = st.builds(lambda e, s: f"{e}-{s}", _pointer_text(), st.sampled_from(_SUFFIXES))
     fields = [draw(st.sampled_from(["wsj/00/wsj_0001", "f", "nw/x"])), draw(index), draw(index)]
     fields += draw(st.lists(st.one_of(role, st.sampled_from(_METADATA)), max_size=8))
@@ -323,3 +326,108 @@ def test_parse_prop_line_matches_object_oracle(line):
         lambda e: ([(p.terminal, p.height) for p in e.parts], str(e)),
     )
     assert got == expected
+
+
+# --- the file readers: compiled, pure and the oracle ------------------------
+
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"]
+_SPACES = [" ", "\t", "\u3000", "\xa0", "\x1f", "\u2003"]
+
+
+@st.composite
+def _prop_files(draw):
+    """`.prop` text: lines as `_prop_lines` makes them, blank ones among
+    them, fields set apart by some Unicode whitespace and lines ended by
+    any of str.splitlines's line breaks."""
+    text = ""
+    for line in draw(st.lists(st.one_of(_prop_lines(), st.sampled_from(["", " ", "\t\u3000"])),
+                              max_size=6)):
+        text += line.replace(" ", draw(st.sampled_from(_SPACES)))
+        text += draw(st.sampled_from(_LINE_BREAKS))
+    return text[: len(text) - draw(st.integers(0, 1))]
+
+
+def _compiled_parse_prop_file(text):
+    from srlkit import _speedups
+
+    return _speedups.parse_prop_file(text)
+
+
+def _file_outcome(parse, text, expr_view=lambda e: (e.parts, e.text)):
+    try:
+        props = parse(text)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return "returned", [
+        (p.file_id, p.tree_index, p.predicate_terminal, p.line_no, p.raw_line,
+         [(label, [expr_view(e) for e in exprs]) for label, exprs in p.roles.items()])
+        for p in props
+    ]
+
+
+def _oracle_file_outcome(text):
+    return _file_outcome(
+        support.parse_prop_file, text, lambda e: ([(p.terminal, p.height) for p in e.parts], str(e))
+    )
+
+
+@given(_prop_files())
+def test_pure_file_reader_matches_oracle(text):
+    assert _file_outcome(_propbank.parse_prop_file, text) == _oracle_file_outcome(text)
+
+
+@requires_build_tools
+@given(_prop_files())
+def test_compiled_file_reader_matches_pure_and_oracle(text):
+    compiled = _file_outcome(_compiled_parse_prop_file, text)
+    assert compiled == _file_outcome(_propbank.parse_prop_file, text)
+    assert compiled == _oracle_file_outcome(text)
+
+
+_READERS = [
+    pytest.param(_propbank.parse_prop_file, id="pure"),
+    pytest.param(_compiled_parse_prop_file, id="compiled", marks=requires_build_tools),
+    pytest.param(support.parse_prop_file, id="oracle"),
+]
+
+
+@pytest.mark.parametrize("reader", _READERS)
+def test_reader_builds_propositions(reader):
+    props = reader("f 0 1 x 1:0-rel 2:1*3:0-Arg0\x85\u2028f 2 3 y\r\n")
+    assert [(type(p), p.line_no, p.raw_line) for p in props] == [
+        (Proposition, 1, "f 0 1 x 1:0-rel 2:1*3:0-Arg0"), (Proposition, 3, "f 2 3 y")
+    ]
+    if reader is not support.parse_prop_file:
+        assert props[0].roles == {
+            RoleLabel.REL: [RoleExpr([(1, 0)], "1:0")],
+            RoleLabel.ARG0: [RoleExpr([(2, 1), (3, 0)], "2:1*3:0")],
+        }
+        assert all(type(e) is RoleExpr for exprs in props[0].roles.values() for e in exprs)
+
+
+_LIMIT = "Exceeds the limit (4300 digits) for integer string conversion"
+
+
+@pytest.mark.parametrize("reader", _READERS)
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (f"f 0 {'1' * 4300} x", None),  # an index field has no length cap of its own
+        (f"f 0 {'0' * 4300}7 x", _LIMIT),  # int()'s limit counts leading zeros too
+        (f"f -{'1' * 5000} 1 x", _LIMIT),
+        (f"f {'1' * 5000} ٣ x", _LIMIT),  # the first index field fails first
+        (f"f ٣ {'1' * 5000} x", "invalid literal"),
+        ("f 0 1 x\nf 0 -1 x\nf 0 y", "negative index in 'f 0 -1 x'"),
+        ("f 0 1 1::2-ARG1 3:0*-REL", "field '1::2-ARG1': bad pointer"),
+        ("f 0 1 7:0-ARG1 3:0*-REL", "field '3:0*-REL': empty pointer fragment in '3:0*'"),
+    ],
+)
+def test_reader_errors(reader, text, error):
+    if error is None:
+        assert [p.predicate_terminal for p in reader(text)] == [int("1" * 4300)]
+    else:
+        with pytest.raises((MalformedLine, MalformedPointer)) as exc:
+            reader(text)
+        assert error in str(exc.value)
+        expected = MalformedPointer if error.startswith("field") else MalformedLine
+        assert type(exc.value) is expected

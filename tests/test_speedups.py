@@ -57,6 +57,29 @@ BAD_ONF = [
     b"Plain sentence:",                          # not a str
     None,
 ]
+VALID_PROPS = [
+    "f 0 1 x 1:0-rel 2:1*3:0-Arg0 4:0-ARG1 5:0-ARG1\n\nf 2 3 y\r\n",
+    "f 0 1 x 1:0-rel\u2028g 1 2 \U0001F600 2:0-ARG0\x85",
+    f"f 0 {'1' * 4300}",
+    "",
+    "\u3000\x85",
+]
+BAD_PROPS = [
+    "f 0", "f x 1", "f 0 -1", f"f 0 {'1' * 5000}", "f 0 1 1::2-ARG1", "f 0 1 3:0*-REL",
+    "f 0 1 -rel", "f 0 1 x\nf ٣ 1", b"f 0 1", None,
+]
+VALID_PARSE_FILES = ["(X a)\n\n(Y b)\n", "", " \n \x0b\n ", "(X \u3000a)\n\u3000\n(Y \U0001F600)"]
+BAD_PARSE_FILES = [b"(X a)", None]
+RESOLVE_TREE = "(S (NP (-NONE- *T*-1) (NN a)) (VP (VBZ \U0001F600)))"
+VALID_RESOLVES = [  # (pointers of each expression, tree_guided)
+    ([[(1, 1)], [(0, 0), (2, 0)]], True),
+    ([[(1, 1)], [(0, 0), (2, 0)]], False),
+    ([], True),
+]
+BAD_RESOLVES = [
+    ([[(9, 0)]], True), ([[(0, 9)]], True), ([[(0, -1)]], True), ([[(-1, 0)]], True),
+    ([[(10**30, 0)]], True), ([[(0, 10**30)]], True), ([[(0,)]], True), ([[("0", 0)]], True),
+]
 
 
 @requires_build_tools
@@ -74,12 +97,28 @@ def test_compiles_without_warnings():
 @requires_build_tools
 def test_no_reference_leaks():
     from srlkit import _speedups
+    from srlkit._nodes import RoleExpr, SpanTree
 
+    tree = _speedups.parse_spans(RESOLVE_TREE)
+    odd_tree = SpanTree((1,), ("NN",), (-1,), (0,), (1,), (0,))  # a token that is not a str
     calls = (
         [(_speedups.parse_spans, (text,)) for text in VALID_TREES + BAD_TREES]
         + [(_speedups.parse_expr_parts, (text,)) for text in VALID_POINTERS + BAD_POINTERS]
         + [(_speedups.roundtrip_exhaustive, args) for args in SWEEPS]
+        + [(_speedups.parse_prop_file, (text,)) for text in VALID_PROPS + BAD_PROPS]
         + [(_speedups.parse_onf, (text,)) for text in VALID_ONF + BAD_ONF]
+        + [(_speedups.parse_trees_file, (text,)) for text in VALID_PARSE_FILES + BAD_PARSE_FILES]
+        + [
+            (_speedups.resolve_exprs, ([RoleExpr(parts, "") for parts in exprs], tree, mode))
+            for exprs, mode in VALID_RESOLVES + BAD_RESOLVES
+        ]
+        + [
+            (_speedups.resolve_exprs, args)
+            for args in [
+                ([RoleExpr([(0, 0)], "")], odd_tree, False), ([RoleExpr([(0, 0)], "")], odd_tree, True),
+                ([object()], tree, True), (5, tree, True), ([], (1, 2), True), ([], tree),
+            ]
+        ]
     )
 
     def run_all():
