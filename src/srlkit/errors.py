@@ -90,6 +90,10 @@ class HeaderMismatch(SrlKitError):
     """A dataset CSV does not carry the expected header row."""
 
 
+class MalformedDataset(SrlKitError):
+    """The CSV reader cannot read a dataset CSV; the message names the file and the line."""
+
+
 class LexiconError(SrlKitError):
     """Unreadable or out-of-range sentiment lexicon entry."""
 

@@ -14,11 +14,12 @@ the faults `proposition_faults` lists: `extract` skips it on the first,
 """
 
 import contextlib
-import csv
+import itertools
 import operator
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from srlkit import treebank
 from srlkit._backend import resolve_exprs
@@ -64,6 +65,7 @@ __all__ = [
     "build_record",
     "filter_records",
     "map_to_orl",
+    "csv_lines",
     "export_csv",
     "extract_corpus",
     "open_replacing",
@@ -100,15 +102,13 @@ class CorpusLayout:
         )
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     file_id: str
     tree_index: int
     predicate_terminal: int
 
 
-@dataclass(frozen=True)
-class SrlRecord:
+class SrlRecord(NamedTuple):
     sentence: str
     treebanked_sentence: str
     predicate: str
@@ -118,8 +118,7 @@ class SrlRecord:
     provenance: Provenance | None = None
 
 
-@dataclass(frozen=True)
-class OrlRecord:
+class OrlRecord(NamedTuple):
     sentence: str
     treebanked_sentence: str
     holder: str
@@ -129,8 +128,8 @@ class OrlRecord:
 
 
 # a CSV row is a record's fields in order, its provenance left out
-SRL_HEADER = [f.name for f in fields(SrlRecord) if f.name != "provenance"]
-ORL_HEADER = [f.name for f in fields(OrlRecord) if f.name != "provenance"]
+SRL_HEADER = [name for name in SrlRecord._fields if name != "provenance"]
+ORL_HEADER = [name for name in OrlRecord._fields if name != "provenance"]
 
 
 @dataclass
@@ -259,8 +258,12 @@ def resolve_role(
     single spaces, expressions in source order. With no policy, traces are
     dropped tree-guided. The backend's resolver does the work.
     """
-    tree_guided = policy is None or policy.mode is TraceMode.TREE_GUIDED
-    return resolve_exprs(expr_list, tree, tree_guided)
+    return resolve_exprs(expr_list, tree, _tree_guided(policy))
+
+
+def _tree_guided(policy: TracePolicy | None) -> bool:
+    """Whether `policy` drops traces tree-guided, as no policy does."""
+    return policy is None or policy.mode is TraceMode.TREE_GUIDED
 
 
 def _locate(
@@ -316,18 +319,20 @@ def build_record(
     tree, fault = _locate(prop, trees)
     if fault is not None:
         raise fault
+    tree_guided = _tree_guided(policy)
+    roles = prop.roles
     pair = sentences[prop.tree_index]
-    predicate = resolve_role(prop.exprs(RoleLabel.REL), tree, policy)
-    arg0 = resolve_role(prop.exprs(RoleLabel.ARG0), tree, policy).replace("|", "/")
-    arg1 = resolve_role(prop.exprs(RoleLabel.ARG1), tree, policy).replace("|", "/")
+    predicate = resolve_exprs(roles.get(RoleLabel.REL, ()), tree, tree_guided)
+    arg0 = resolve_exprs(roles.get(RoleLabel.ARG0, ()), tree, tree_guided).replace("|", "/")
+    arg1 = resolve_exprs(roles.get(RoleLabel.ARG1, ()), tree, tree_guided).replace("|", "/")
     return SrlRecord(
-        sentence=pair.plain,
-        treebanked_sentence=pair.treebanked,
-        predicate=predicate,
-        arg0=arg0,
-        arg1=arg1,
-        merged_arguments=f"{arg0}|{arg1}",
-        provenance=Provenance(file_id, prop.tree_index, prop.predicate_terminal),
+        pair.plain,
+        pair.treebanked,
+        predicate,
+        arg0,
+        arg1,
+        f"{arg0}|{arg1}",
+        Provenance(file_id, prop.tree_index, prop.predicate_terminal),
     )
 
 
@@ -364,17 +369,38 @@ def open_replacing(path, newline=None):
         raise
 
 
+CSV_BATCH_ROWS = 32  # rows formatted per write, so memory does not grow with the output
+
+
+def csv_lines(rows) -> str:
+    """Rows of strings as CSV text: fields joined with "," and each row
+    ended by "\n". A field holding ",", '"', CR or LF is quoted, each '"'
+    in it doubled (RFC 4180 minimal quoting); every other character,
+    NUL included, is written as it is."""
+    lines = []
+    for row in rows:
+        lines.append(",".join([
+            '"' + value.replace('"', '""') + '"'
+            if "," in value or '"' in value or "\n" in value or "\r" in value
+            else value
+            for value in row
+        ]))
+        lines.append("\n")
+    return "".join(lines)
+
+
 def export_csv(records: list[SrlRecord], path, schema: str = "srl") -> None:
-    """Write records as UTF-8 CSV with a header row and standard quoting;
-    the ORL schema writes each record's `map_to_orl`."""
+    """Write records as UTF-8 CSV with a header row, in `csv_lines`'
+    quoting; the ORL schema writes each record's `map_to_orl`."""
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}")
     header = SRL_HEADER if schema == "srl" else ORL_HEADER
     rows = records if schema == "srl" else map(map_to_orl, records)
+    rows = map(operator.attrgetter(*header), rows)
     with open_replacing(path, newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(map(operator.attrgetter(*header), rows))
+        handle.write(csv_lines([header]))
+        while batch := csv_lines(itertools.islice(rows, CSV_BATCH_ROWS)):
+            handle.write(batch)
 
 
 def extract_corpus(

@@ -16,7 +16,13 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from srlkit.errors import BadThresholds, EmptyInput, HeaderMismatch, LexiconError
+from srlkit.errors import (
+    BadThresholds,
+    EmptyInput,
+    HeaderMismatch,
+    LexiconError,
+    MalformedDataset,
+)
 from srlkit.pipeline import SRL_HEADER, SrlRecord, open_replacing, read_text
 
 __all__ = [
@@ -307,16 +313,21 @@ def emit_report(stats: DatasetStats, out_dir) -> tuple[Path, Path]:
 
 
 def read_dataset_csv(path) -> list[SrlRecord]:
-    """Load an exported srl-schema dataset.csv back into records."""
+    """Load an exported srl-schema dataset.csv back into records. Text
+    the CSV reader rejects, such as a field over its size limit, is a
+    MalformedDataset naming the file and the reader's line number."""
     reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
-    header = next(reader, None)
-    if header != SRL_HEADER:
-        raise HeaderMismatch(
-            f"expected header {','.join(SRL_HEADER)!r}, got {header!r}"
-        )
-    records = []
-    for row in reader:
-        if len(row) != len(SRL_HEADER):
-            raise HeaderMismatch(f"row with {len(row)} fields: {row!r}")
-        records.append(SrlRecord(*row))
+    try:
+        header = next(reader, None)
+        if header != SRL_HEADER:
+            raise HeaderMismatch(
+                f"expected header {','.join(SRL_HEADER)!r}, got {header!r}"
+            )
+        records = []
+        for row in reader:
+            if len(row) != len(SRL_HEADER):
+                raise HeaderMismatch(f"row with {len(row)} fields: {row!r}")
+            records.append(SrlRecord(*row))
+    except csv.Error as exc:
+        raise MalformedDataset(f"{path}: line {reader.line_num}: {exc}") from None
     return records

@@ -86,6 +86,20 @@ class TestExtract:
         assert rc == 0
         assert out.read_bytes() == golden_srl_csv.read_bytes()
 
+    def test_nul_in_token_written_verbatim(self, fixtures_dir, golden_srl_csv, tmp_path, capsys):
+        # NUL is valid UTF-8 and both readers keep it; the CSV holds it as
+        # it is, unquoted, on every Python
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixtures_dir / "corpus", corpus)
+        for path in (corpus / "onf" / "00" / "wsj_0002.onf", corpus / "parse" / "00" / "wsj_0002.parse"):
+            path.write_bytes(path.read_bytes().replace(b"fish", b"fi\x00sh"))
+        out = tmp_path / "d.csv"
+        assert main(["extract", *flags(tmp_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        expected = golden_srl_csv.read_bytes().replace(b"fish", b"fi\x00sh")
+        assert out.read_bytes() == expected
+        assert b"eat,,fi\x00sh,|fi\x00sh\n" in expected
+
     def test_empty_corpus(self, tmp_path, capsys):
         for sub in ("prop", "onf", "parse"):
             (tmp_path / sub).mkdir()
@@ -451,6 +465,21 @@ class TestStats:
         assert captured.err == "error: EmptyInput: no records to break down\n"
         assert captured.out == ""
         assert not reports.exists()
+
+    def test_field_over_reader_limit(self, tmp_path, capsys):
+        # the csv module reads no field longer than 131,072 characters
+        path = tmp_path / "big.csv"
+        header = "sentence,treebanked_sentence,predicate,arg0,arg1,merged_arguments\n"
+        path.write_text(header + "s,t,p,a,b,a|b\n" + f"s,t,p,{'x' * 131_073},b,x|b\n",
+                        encoding="utf-8")
+        out = tmp_path / "reports"
+        assert main(["stats", "--csv", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: MalformedDataset: {path}: line 3: field larger than field limit (131072)\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_missing_csv(self, tmp_path, capsys):
         rc = main(["stats", "--csv", str(tmp_path / "none.csv"), "--out", str(tmp_path)])

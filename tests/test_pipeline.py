@@ -1,7 +1,15 @@
+import csv
 import importlib
+import io
+import os
+import pickle
 import random
 import shutil
+import subprocess
+import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,11 +28,15 @@ from srlkit.errors import (
 from srlkit.onf import SentencePair
 from srlkit.pipeline import (
     CorpusLayout,
+    ORL_HEADER,
     ROLE_ORDER,
     SRL_HEADER,
+    OrlRecord,
+    Provenance,
     SrlRecord,
     alignment_fault,
     build_record,
+    csv_lines,
     discover_files,
     export_csv,
     extract_corpus,
@@ -33,9 +45,11 @@ from srlkit.pipeline import (
     proposition_faults,
     read_corpus,
     read_file,
+    read_text,
     resolve_role,
 )
 from srlkit.propbank import Proposition, RoleExpr, RoleLabel, parse_prop_line
+from srlkit.stats import read_dataset_csv
 
 
 def role_expr(text):
@@ -405,6 +419,56 @@ class TestFilterRecords:
         assert all(r.merged_arguments != "|" for r in golden_records)
 
 
+class TestRecordTypes:
+    """What the NamedTuple records are relied on for: the CSV headers,
+    `stats`' positional build and the ORL mapping."""
+
+    def test_headers_are_the_fields_without_provenance(self):
+        assert SRL_HEADER == [
+            "sentence", "treebanked_sentence", "predicate", "arg0", "arg1", "merged_arguments",
+        ]
+        assert ORL_HEADER == ["sentence", "treebanked_sentence", "holder", "expression", "target"]
+        assert SrlRecord._fields == (*SRL_HEADER, "provenance")
+        assert OrlRecord._fields == (*ORL_HEADER, "provenance")
+
+    def test_provenance_defaults_to_none(self):
+        assert SrlRecord(*"abcdef").provenance is None
+        assert OrlRecord(*"abcde").provenance is None
+
+    def test_map_to_orl_copies_values_and_provenance(self):
+        provenance = Provenance("00/x", 3, 7)
+        rec = SrlRecord("s", "t", "said", "He", "it rained", "He|it rained", provenance)
+        assert map_to_orl(rec) == OrlRecord("s", "t", "He", "said", "it rained", provenance)
+        assert map_to_orl(rec).provenance is provenance
+
+    @requires_build_tools
+    def test_extract_records_equal_across_backends(self, fixtures_dir):
+        script = (
+            "import pickle, sys; from pathlib import Path; "
+            "from srlkit import backend; from srlkit.pipeline import CorpusLayout, extract_corpus; "
+            "roots = [Path(sys.argv[1], name) for name in ('prop', 'onf', 'parse')]; "
+            "records = extract_corpus(CorpusLayout(*roots)).records; "
+            "sys.stdout.buffer.write(pickle.dumps((backend(), records)))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {k: v for k, v in os.environ.items() if k != "SRLKIT_PURE"}
+        env["PYTHONPATH"] = str(src)
+        for name in ("corpus", "swapped", "partial", "badptr"):
+            runs = {}
+            for pure in (True, False):
+                proc = subprocess.run(
+                    [sys.executable, "-c", script, str(fixtures_dir / name)],
+                    env={**env, "SRLKIT_PURE": "1"} if pure else env,
+                    capture_output=True, check=True,
+                )
+                backend, records = pickle.loads(proc.stdout)
+                runs[backend] = records
+            assert set(runs) == {"pure", "compiled"}
+            assert runs["pure"] == runs["compiled"], name
+            assert all(type(r) is SrlRecord and type(r.provenance) is Provenance
+                       for r in runs["compiled"])
+
+
 class TestMapToOrl:
     def test_example(self):
         rec = SrlRecord("s", "t", "said", "He", "it rained", "He|it rained")
@@ -462,6 +526,71 @@ class TestExportCsv:
             export_csv([*golden_records, object()], out)  # the last row cannot be written
         assert out.read_text(encoding="utf-8") == "previous run\n"
         assert list(tmp_path.iterdir()) == [out]
+
+
+# fields drawn to hold what CSV quoting turns on, next to arbitrary text
+CSV_FIELD = st.one_of(
+    st.text(st.sampled_from([",", '"', "\n", "\r", "\x00", " ", "a", "é", "漢", "😀"]), max_size=8),
+    st.text(max_size=8),
+)
+
+
+def _reference_csv(rows) -> str:
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+class TestCsvLines:
+    """`csv_lines`, the one CSV writer, against the standard library's."""
+
+    @given(st.lists(st.lists(CSV_FIELD, min_size=5, max_size=6), max_size=6))
+    def test_matches_csv_writer(self, rows):
+        # csv.writer quotes CR only from Python 3.13 and, before 3.11,
+        # cannot write NUL at all; the rule here is the same on every Python
+        if sys.version_info < (3, 13):
+            rows = [[v.replace("\r", "").replace("\x00", "") for v in row] for row in rows]
+        assert csv_lines(rows) == _reference_csv(rows)
+
+    @pytest.mark.parametrize("value, written", [
+        ("", ""),
+        ("a b", "a b"),
+        ("a,b", '"a,b"'),
+        ('say "hi"', '"say ""hi"""'),
+        ("a\nb", '"a\nb"'),
+        ("a\rb", '"a\rb"'),
+        ("fi\x00sh", "fi\x00sh"),
+        ("é漢", "é漢"),
+    ])
+    def test_quoting_rule(self, value, written):
+        assert csv_lines([["x", value]]) == f"x,{written}\n"
+
+    def test_no_rows(self):
+        assert csv_lines([]) == ""
+
+    @given(st.lists(st.lists(CSV_FIELD, min_size=6, max_size=6), max_size=6))
+    def test_reads_back_through_stats(self, rows):
+        if sys.version_info < (3, 11):  # the 3.10 reader rejects NUL
+            rows = [[v.replace("\x00", "") for v in row] for row in rows]
+        srl = [SrlRecord(*row) for row in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "dataset.csv")
+            export_csv(srl, path, schema="srl")
+            assert read_dataset_csv(path) == srl
+            # read_dataset_csv takes only the srl header, so the orl file
+            # goes through the same reader without its header check
+            export_csv(srl, path, schema="orl")
+            text = read_text(path, newline="")
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [
+            ORL_HEADER, *(list(map_to_orl(r)[:5]) for r in srl)
+        ]
+
+    def test_rows_span_batches(self, tmp_path):
+        records = [SrlRecord(f"s{i}", "t", "p", "a,b", "", "a,b|") for i in range(600)]
+        out = tmp_path / "d.csv"
+        export_csv(records, out)
+        assert out.read_text(encoding="utf-8") == csv_lines([SRL_HEADER, *(r[:6] for r in records)])
+        assert read_dataset_csv(out) == records
 
 
 class TestExtractCorpus:

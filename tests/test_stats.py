@@ -4,7 +4,13 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from srlkit.errors import BadThresholds, EmptyInput, HeaderMismatch, LexiconError
+from srlkit.errors import (
+    BadThresholds,
+    EmptyInput,
+    HeaderMismatch,
+    LexiconError,
+    MalformedDataset,
+)
 from srlkit.pipeline import SrlRecord
 from srlkit.stats import (
     ALPHA,
@@ -267,3 +273,15 @@ class TestReadDatasetCsv:
         path.write_text("sentence,predicate\nfoo,bar\n", encoding="utf-8")
         with pytest.raises(HeaderMismatch):
             read_dataset_csv(path)
+
+    def test_reader_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(
+            "sentence,treebanked_sentence,predicate,arg0,arg1,merged_arguments\n"
+            f'"{"x" * 200_000}",t,p,a,b,a|b\n',
+            encoding="utf-8",
+        )
+        message = f"{path}: line 2: field larger than field limit (131072)"
+        with pytest.raises(MalformedDataset) as caught:
+            read_dataset_csv(path)
+        assert str(caught.value) == message
