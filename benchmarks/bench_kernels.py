@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Benchmark the compiled kernel `_speedups` against the pure one, `_pure`.
 
 Usage: python benchmarks/bench_kernels.py [--trees N] [--pointers N] [--repeats K]
 
-Parses the same randomly generated corpus with both backends and reports
-throughput; also cross-checks that both produce identical results. Tree
-text is read into SpanTrees: compiled `parse_spans` against the pure flat
-scanner `_sexpr.parse_spans`. The trees are generated and rendered to
-text with the test suite's object-tree helpers (tests/support.py). The
-same trees make `.onf` documents of SENTENCES_PER_DOC sentence sections,
-each with its Tree and Leaves blocks, read by compiled `parse_onf` and
-the pure `_onf.parse_onf`; `.parse` documents of as many trees, split by
-`parse_trees_file`; and `.prop` documents of PROPS_PER_TREE propositions
-per tree, read by `parse_prop_file`. Their roles are then resolved on
-their trees by `resolve_exprs` in both trace modes.
+Runs each kernel function of both modules over the same randomly
+generated corpus and reports throughput; also cross-checks that both
+give identical results. Tree text is read into SpanTrees by
+`parse_spans`. The trees are generated and rendered to text with the
+test suite's object-tree helpers (tests/support.py). The same trees make
+`.onf` documents of SENTENCES_PER_DOC sentence sections, each with its
+Tree and Leaves blocks, read by `parse_onf`; `.parse` documents of as
+many trees, split by `parse_trees_file`; and `.prop` documents of
+PROPS_PER_TREE propositions per tree, read by `parse_prop_file`. Each of
+their pointers is climbed to its node on its tree by `select_node`, and
+their roles are resolved by `resolve_exprs` in both trace modes.
 """
 
 import argparse
@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 import support
-from srlkit import _onf, _pointers, _propbank, _resolve, _sexpr
+from srlkit import _pure
 
 try:
     from srlkit import _speedups
@@ -107,19 +107,29 @@ def role_tasks(trees, prop_documents):
     tasks = []
     for d, text in enumerate(prop_documents):
         first = d * SENTENCES_PER_DOC
-        doc_trees = [_sexpr.parse_spans(t) for t in trees[first : first + SENTENCES_PER_DOC]]
-        for prop in _propbank.parse_prop_file(text):
+        doc_trees = [_pure.parse_spans(t) for t in trees[first : first + SENTENCES_PER_DOC]]
+        for prop in _pure.parse_prop_file(text):
             tasks.extend((exprs, doc_trees[prop.tree_index]) for exprs in prop.roles.values())
     return tasks
 
 
-def run(name, corpus, pure_fn, fast_fn, repeats):
-    pure_time = best_of(repeats, lambda: [pure_fn(s) for s in corpus])
-    line = f"{name:<18} pure  {len(corpus) / pure_time:>12,.0f}/s"
-    if fast_fn is not None:
-        fast_time = best_of(repeats, lambda: [fast_fn(s) for s in corpus])
-        line += f"   compiled  {len(corpus) / fast_time:>12,.0f}/s   speedup {pure_time / fast_time:4.1f}x"
+def run(name, corpus, function, repeats, star=False):
+    """Time kernel `function` over the corpus on each built kernel; with
+    `star` each item is its argument tuple."""
+    times = {}
+    for kernel in (_pure, _speedups):
+        if kernel is not None:
+            fn = getattr(kernel, function)
+            call = (lambda: [fn(*args) for args in corpus]) if star else (lambda: [fn(s) for s in corpus])
+            times[kernel] = best_of(repeats, call)
+    line = f"{name:<18} pure  {len(corpus) / times[_pure]:>12,.0f}/s"
+    if _speedups is not None:
+        fast = times[_speedups]
+        line += f"   compiled  {len(corpus) / fast:>12,.0f}/s   speedup {times[_pure] / fast:4.1f}x"
     print(line)
+
+
+CHECKED = 5000  # items of each row cross-checked between the kernels
 
 
 def main():
@@ -130,40 +140,34 @@ def main():
     args = ap.parse_args()
 
     trees, pointers, documents, parse_documents, prop_documents = make_corpus(args.trees, args.pointers)
-    # resolve_exprs's arguments, once per trace mode
-    resolves = {mode: [(exprs, tree, mode == "tree") for exprs, tree in role_tasks(trees, prop_documents)]
-                for mode in ("tree", "pattern")}
+    tasks = role_tasks(trees, prop_documents)
+    # (name, items, kernel function, whether each item is an argument tuple)
+    rows = [
+        ("tree parsing", trees, "parse_spans", False),
+        ("pointer parsing", pointers, "parse_expr_parts", False),
+        (".prop reading", prop_documents, "parse_prop_file", False),
+        (".onf reading", documents, "parse_onf", False),
+        (".parse splitting", parse_documents, "parse_trees_file", False),
+        ("pointer selection",
+         [(tree, t, h) for exprs, tree in tasks for expr in exprs for t, h in expr.parts],
+         "select_node", True),
+    ] + [
+        (f"resolve ({mode})", [(exprs, tree, mode == "tree") for exprs, tree in tasks],
+         "resolve_exprs", True)
+        for mode in ("tree", "pattern")
+    ]
     if _speedups is None:
         print("compiled extension not built; timing the pure backend only")
     else:
-        for text in trees[:500]:
-            assert _sexpr.parse_spans(text) == _speedups.parse_spans(text)
-        for text in pointers[:5000]:
-            assert _pointers.parse_expr_parts(text) == _speedups.parse_expr_parts(text)
-        for text in prop_documents[:500]:
-            assert _propbank.parse_prop_file(text) == _speedups.parse_prop_file(text)
-        for text in documents[:500]:
-            assert _onf.parse_onf(text) == _speedups.parse_onf(text)
-        for text in parse_documents[:500]:
-            assert _onf.parse_trees_file(text) == _speedups.parse_trees_file(text)
-        for calls in resolves.values():
-            for call in calls[:5000]:
-                assert _resolve.resolve_exprs(*call) == _speedups.resolve_exprs(*call)
+        for _, items, function, star in rows:
+            pure, fast = getattr(_pure, function), getattr(_speedups, function)
+            for item in items[:CHECKED]:
+                call = item if star else (item,)
+                assert pure(*call) == fast(*call), (function, item)
         print("backends agree on the generated corpus")
 
-    run("tree parsing", trees, _sexpr.parse_spans,
-        _speedups.parse_spans if _speedups else None, args.repeats)
-    run("pointer parsing", pointers, _pointers.parse_expr_parts,
-        _speedups.parse_expr_parts if _speedups else None, args.repeats)
-    run(".prop reading", prop_documents, _propbank.parse_prop_file,
-        _speedups.parse_prop_file if _speedups else None, args.repeats)
-    run(".onf reading", documents, _onf.parse_onf,
-        _speedups.parse_onf if _speedups else None, args.repeats)
-    run(".parse splitting", parse_documents, _onf.parse_trees_file,
-        _speedups.parse_trees_file if _speedups else None, args.repeats)
-    for mode, calls in resolves.items():
-        run(f"resolve ({mode})", calls, lambda call: _resolve.resolve_exprs(*call),
-            (lambda call: _speedups.resolve_exprs(*call)) if _speedups else None, args.repeats)
+    for name, items, function, star in rows:
+        run(name, items, function, args.repeats, star)
 
 
 if __name__ == "__main__":

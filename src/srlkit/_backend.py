@@ -1,33 +1,25 @@
-"""Kernel selection: the compiled _speedups extension when built, pure
-Python otherwise. Set SRLKIT_PURE=1 to force the pure path."""
+"""Kernel selection: `kernel` is the compiled `_speedups` module when it is
+built, else the pure `_pure` module; SRLKIT_PURE=1 forces the pure one.
+Both define the functions of `_pure.__all__`. The ones the package calls
+are bound here once; tests reach the others through `kernel`."""
 
 import os
 
-from srlkit import _onf, _pointers, _propbank, _resolve, _sexpr
-
-_impl = None
-if not os.environ.get("SRLKIT_PURE"):
-    try:
-        from srlkit import _speedups as _impl
-    except ImportError:
-        _impl = None
-
-if _impl is not None:
-    BACKEND = "compiled"
-    parse_spans = _impl.parse_spans
-    parse_expr_parts = _impl.parse_expr_parts
-    parse_prop_file = _impl.parse_prop_file
-    parse_onf = _impl.parse_onf
-    parse_trees_file = _impl.parse_trees_file
-    resolve_exprs = _impl.resolve_exprs
+if os.environ.get("SRLKIT_PURE"):
+    from srlkit import _pure as kernel
 else:
-    BACKEND = "pure"
-    parse_spans = _sexpr.parse_spans
-    parse_expr_parts = _pointers.parse_expr_parts
-    parse_prop_file = _propbank.parse_prop_file
-    parse_onf = _onf.parse_onf
-    parse_trees_file = _onf.parse_trees_file
-    resolve_exprs = _resolve.resolve_exprs
+    try:
+        from srlkit import _speedups as kernel
+    except ImportError:
+        from srlkit import _pure as kernel
+
+BACKEND = "pure" if kernel.__name__ == "srlkit._pure" else "compiled"
+parse_spans = kernel.parse_spans
+parse_prop_file = kernel.parse_prop_file
+parse_onf = kernel.parse_onf
+parse_trees_file = kernel.parse_trees_file
+select_node = kernel.select_node
+resolve_exprs = kernel.resolve_exprs
 
 
 def backend() -> str:

@@ -1,26 +1,19 @@
-/* Compiled scanners for tree text, pointer expressions, .prop lines,
-   .onf and .parse text, and the span resolver.
+/* The compiled kernel: scanners for tree text, pointer expressions,
+   .prop lines, .onf and .parse text, and the pointer climb and span
+   resolver.
 
-   parse_spans reads tree text straight into a flat SpanTree, the form
-   every caller of treebank.parse_tree gets; its reference is the pure
-   flat scanner _sexpr.parse_spans, and the tests check both against an
-   independent object-tree parser in tests/support.py.
-   parse_expr_parts and roundtrip_exhaustive replace the _pointers scanner.
-   parse_prop_file reads the Propositions of a .prop file; its reference
-   is _propbank.parse_prop_file, and the tests check both against the
-   object parser in tests/support.py.
-   parse_onf reads the SentencePairs of an .onf file, visiting only the
-   blocks that hold a header's text; its reference is _onf.parse_onf, and
-   the tests check both against the reader in tests/support.py that
-   splits every block into lines. parse_trees_file splits a .parse file
-   as _onf.parse_trees_file does.
-   resolve_exprs selects each pointer's node and joins its untraced
-   tokens, as _resolve.resolve_exprs does.
-   _backend selects them at import time. Results, error types and error
-   messages match the pure versions exactly; only the scanning runs in C.
+   Its module functions are those of the pure kernel _pure.py, its
+   reference, with the same results, error types and error messages, in
+   the same order; _backend picks one of the two modules at import. Only
+   the scanning runs in C. The tests hold each function to its pure twin
+   and to the independent oracles in tests/support.py.
+   parse_onf visits only the blocks that hold a header's text, where the
+   pure reader splits the text into blocks first. select_node and
+   resolve_exprs climb with one static select_node, so the pointer faults
+   validate lists are the ones extract's resolver raises.
 
    Text is read in place, code point by code point, whatever the width the
-   str stores it in, so any str scans as it does in the pure modules.
+   str stores it in, so any str scans as it does in _pure.py.
 
    Build: python setup.py build_ext --inplace */
 
@@ -1036,8 +1029,9 @@ entry(PyObject *table, Py_ssize_t k, Py_ssize_t *out)
     return *out == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* treebank.select_node: the node reached from the terminal-th
-   preterminal after `height` steps up, with its errors and messages. */
+/* The climb of select_node and resolve_exprs: the node reached from the
+   terminal-th preterminal after `height` steps up, with its errors and
+   messages. */
 static int
 select_node(PyObject **t, PyObject *terminal, PyObject *height, Py_ssize_t *node)
 {
@@ -1119,6 +1113,21 @@ keep_span(PyObject **t, Py_ssize_t node, int tree_guided, PyObject *kept)
     return 0;
 }
 
+/* select_node(tree, terminal, height), the module function */
+static PyObject *
+select_node_of(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *t[NTABLES_OF_TREE];
+    Py_ssize_t node;
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "select_node expected 3 arguments, got %zd", nargs);
+        return NULL;
+    }
+    if (tree_tables(args[0], t) < 0 || select_node(t, args[1], args[2], &node) < 0)
+        return NULL;
+    return PyLong_FromSsize_t(node);
+}
+
 static PyObject *
 resolve_exprs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1182,6 +1191,9 @@ static PyMethodDef methods[] = {
                "keeping line numbers.")},
     {"parse_trees_file", parse_trees_file, METH_O,
      PyDoc_STR("Blank-line-separated tree strings, trimmed, empty chunks dropped.")},
+    {"select_node", (PyCFunction)(void (*)(void))select_node_of, METH_FASTCALL,
+     PyDoc_STR("select_node(tree, terminal, height)\n\n"
+               "The node reached from the terminal-th preterminal after `height` steps up.")},
     {"resolve_exprs", (PyCFunction)(void (*)(void))resolve_exprs, METH_FASTCALL,
      PyDoc_STR("resolve_exprs(expr_list, tree, tree_guided)\n\n"
                "The text of every pointer part of the expressions, traces dropped\n"
@@ -1200,7 +1212,7 @@ static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT,
     .m_name = "srlkit._speedups",
     .m_doc = "Compiled scanners for tree, pointer, .prop, .onf and .parse text,\n"
-             "and the span resolver.",
+             "and the pointer climb and span resolver.",
     .m_size = -1,
     .m_methods = methods,
 };

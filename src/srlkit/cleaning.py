@@ -5,7 +5,7 @@ drops exactly the tokens sitting under a "-NONE-" preterminal (exact by
 construction), PatternOnly drops tokens matching the trace pattern. The
 null complementizer "0" is only removed tree-guided, since "0" is a
 legitimate numeral elsewhere. `join_untraced` applies either policy; it
-is what the pure resolver (`_resolve.resolve_exprs`) runs on each
+is what the pure kernel's resolver (`_pure.resolve_exprs`) runs on each
 selected span, and the compiled resolver applies the same two rules.
 """
 

@@ -163,22 +163,19 @@ def _file_names(folder: Path) -> set[str] | None:
 def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[str, str]]]:
     """Aligned (prop, onf, parse) triples plus skip entries, ordered by id.
 
-    Each folder is listed once. An id is every name in a `.prop` folder
-    that ends in ".prop", as `Path.glob("*.prop")` matches it:
-    case-sensitively, hidden names and directories included."""
+    Each folder is listed once, by `_file_names`. An id is every file in
+    a `.prop` folder whose name ends in ".prop", case-sensitively and
+    hidden names included; an entry that is not a file, like a missing
+    companion, is none."""
     for root in (layout.prop_root, layout.onf_root, layout.parse_root):
         if not Path(root).is_dir():
             raise MissingRoot(f"corpus root does not exist: {root}")
     triples: list[FileTriple] = []
     skips: list[tuple[str, str]] = []
     for folder in FOLDERS:
-        prop_dir = Path(layout.prop_root) / folder
-        if not prop_dir.is_dir():
-            continue
-        try:
-            with os.scandir(prop_dir) as entries:
-                names = sorted(entry.name for entry in entries if entry.name.endswith(".prop"))
-        except PermissionError:  # glob yields nothing for such a folder
+        names = sorted(name for name in _file_names(Path(layout.prop_root) / folder) or ()
+                       if name.endswith(".prop"))
+        if not names:
             continue
         listed = [_file_names(Path(root) / folder) for root in (layout.onf_root, layout.parse_root)]
         for name in names:

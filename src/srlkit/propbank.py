@@ -12,14 +12,13 @@ and the expression's source text. Chain (`*`) and split (`,` / `;`)
 parts resolve alike, so connectors are not kept. Pointers are canonical
 decimal, so the source text is also the expression's one spelling.
 
-`parse_prop_file` is the compiled reader when the extension is built and
-the pure one (`_propbank.parse_prop_file`) otherwise; `parse_prop_line`
-is the pure reader's line parser.
+`parse_prop_file` is the active kernel's reader; `parse_prop_line` is
+the pure kernel's line parser.
 """
 
 from srlkit._backend import parse_prop_file
 from srlkit._nodes import Proposition, RoleExpr, RoleLabel
-from srlkit._propbank import parse_prop_line
+from srlkit._pure import parse_prop_line
 
 __all__ = [
     "RoleLabel",

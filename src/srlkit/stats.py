@@ -142,9 +142,12 @@ def predicate_frequencies(records, k: int) -> list[tuple[str, int]]:
     records = list(records)
     if not records:
         raise EmptyInput("no records to count")
-    counts = Counter(r.predicate for r in records)
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+    return _top(Counter(r.predicate for r in records), k)
+
+
+def _top(counts: Counter, k: int) -> list[tuple[str, int]]:
+    """The k largest counts, ties broken lexicographically."""
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
 
 
 def span_length_stats(records) -> SpanLengthStats:
@@ -205,11 +208,11 @@ def compute_stats(
 ) -> DatasetStats:
     """Fold the full statistics bundle over post-filter records."""
     records = list(records)
-    breakdown = arg_breakdown(records)
-    top = predicate_frequencies(records, TOP_K)
+    breakdown = arg_breakdown(records)  # raises on no records
+    type_counts = Counter(r.predicate for r in records)
+    top = _top(type_counts, TOP_K)
     spans = span_length_stats(records)
     lexicon = lexicon or SentimentLexicon({})
-    type_counts = Counter(r.predicate for r in records)
     type_scores = {pred: sentiment_score(pred, lexicon) for pred in type_counts}
     class_types = {c: 0 for c in SENTIMENT_CLASSES}
     class_tokens = {c: 0 for c in SENTIMENT_CLASSES}

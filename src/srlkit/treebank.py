@@ -1,19 +1,18 @@
 """Constituency trees: parsing, terminal indexing, and node selection.
 
 Trees come from `.parse` files as parenthesized text. `parse_tree` reads
-one into a flat SpanTree, with the compiled scanner when the extension is
-built and the pure one otherwise. Terminals are numbered left to right
-over ALL POS-tagged leaves, including empty elements whose POS is "-NONE-";
-a pointer (terminal, height) selects the node reached by climbing
-`height` parent links from that leaf (`select_node`). `pretty`
-lays a tree's text out for `inspect`.
+one into a flat SpanTree with the active kernel's scanner. Terminals are
+numbered left to right over ALL POS-tagged leaves, including empty
+elements whose POS is "-NONE-"; a pointer (terminal, height) selects the
+node reached by climbing `height` parent links from that leaf
+(`select_node`, the kernel's climb, which its resolver uses too).
+`pretty` lays a tree's text out for `inspect`.
 """
 
-from srlkit._backend import backend
+from srlkit._backend import backend, select_node
 from srlkit._backend import parse_spans as _parse_spans
 from srlkit._nodes import SpanTree
-from srlkit._resolve import select_node
-from srlkit._sexpr import TOKENS
+from srlkit._pure import TOKENS
 
 __all__ = ["SpanTree", "backend", "parse_tree", "select_node", "pretty"]
 

@@ -13,8 +13,8 @@ The reader oracles are the object-building `.prop` parser
 scanner) and the `.onf` reader that splits
 every block into lines (`parse_onf_unfiltered`), with block, line,
 delimiter and header rules of its own; both of srlkit's `.prop`
-readers (`_propbank.parse_prop_file` and the compiled
-`parse_prop_file`) and both `.onf` readers (`_onf.parse_onf`
+readers (`_pure.parse_prop_file` and the compiled
+`parse_prop_file`) and both `.onf` readers (`_pure.parse_onf`
 and the compiled `parse_onf`) must match them.
 """
 
@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 
 from srlkit._nodes import SentencePair, SpanTree
-from srlkit._backend import parse_expr_parts
+from srlkit._backend import kernel
 from srlkit.cleaning import is_trace_token
 from srlkit.errors import (
     EmptyInput,
@@ -337,7 +337,7 @@ class PointerExpr:
 
 def parse_pointer(text: str) -> TreePointer:
     """Parse a single `terminal:height` pointer."""
-    parts = parse_expr_parts(text)
+    parts = kernel.parse_expr_parts(text)
     if len(parts) > 1:
         raise MalformedPointer(f"connector in plain pointer {text!r}")
     return TreePointer(*parts[0])
@@ -348,7 +348,7 @@ _CONNECTOR_BY_CHAR = {c.value: c for c in Connector}
 
 def parse_pointer_expr(text: str) -> PointerExpr:
     """Parse a chain/split pointer expression, preserving connector kinds."""
-    parts = parse_expr_parts(text)
+    parts = kernel.parse_expr_parts(text)
     # the scanner returns only the pairs; a well-formed expression has a
     # connector between each two, so the connectors are read off the text
     return PointerExpr(

@@ -260,6 +260,33 @@ class TestExtract:
         assert backend.stdout == "pure\n"
 
 
+@pytest.mark.parametrize("entry", ["dangling-symlink", "directory"])
+def test_prop_entry_not_a_file_is_no_file_id(entry, fixtures_dir, tmp_path, capsys):
+    """A `.prop` folder entry that is not a regular file (symlinks
+    followed) is no file id, as such a companion counts as missing: with
+    one beside complete companions, extract and validate give the plain
+    corpus's outputs."""
+    odd = tmp_path / "odd"
+    shutil.copytree(fixtures_dir / "corpus", odd)
+    for sub in ("onf", "parse"):
+        shutil.copy(odd / sub / "00" / f"wsj_0001.{sub}", odd / sub / "00" / f"wsj_0009.{sub}")
+    prop = odd / "prop" / "00" / "wsj_0009.prop"
+    if entry == "directory":
+        prop.mkdir()
+    else:
+        prop.symlink_to(tmp_path / "nowhere.prop")
+
+    def outputs(corpus):
+        out = tmp_path / "dataset.csv"
+        out.unlink(missing_ok=True)
+        rc = main(["extract", *_roots(corpus), "--out", str(out)])
+        extract = (rc, _text_or_none(out), _text_or_none(f"{out}.skiplog"), capsys.readouterr())
+        rc = main(["validate", *_roots(corpus)])
+        return extract, (rc, capsys.readouterr().out)
+
+    assert outputs(odd) == outputs(fixtures_dir / "corpus")
+
+
 def _roots(corpus, leave_out=None):
     return [
         arg for sub in ("prop", "onf", "parse") if sub != leave_out

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import support
 from native import requires_build_tools
-from srlkit import _onf, treebank
+from srlkit import _pure, treebank
 from srlkit.cleaning import TraceMode, join_untraced
 from srlkit.errors import MalformedOnf
 from srlkit.onf import SentencePair, parse_onf, parse_trees_file
@@ -220,7 +220,7 @@ _DOCUMENTS = st.one_of(_onf_documents(), _unicode_onf_documents())
 @settings(max_examples=300)
 @given(_DOCUMENTS)
 def test_prefiltered_reader_matches_unfiltered(text):
-    assert _onf_outcome(_onf.parse_onf, text) == _onf_outcome(support.parse_onf_unfiltered, text)
+    assert _onf_outcome(_pure.parse_onf, text) == _onf_outcome(support.parse_onf_unfiltered, text)
 
 
 def _compiled_parse_onf(text):
@@ -241,7 +241,7 @@ def test_compiled_reader_matches_unfiltered(text):
 @pytest.mark.parametrize(
     "reader",
     [
-        pytest.param(_onf.parse_onf, id="pure"),
+        pytest.param(_pure.parse_onf, id="pure"),
         pytest.param(_compiled_parse_onf, id="compiled", marks=requires_build_tools),
         pytest.param(support.parse_onf_unfiltered, id="oracle"),
     ],
@@ -281,4 +281,4 @@ def _compiled_parse_trees_file(text):
 def test_compiled_tree_splitter_matches_regex(text):
     # a separator is a whitespace run holding two "\n"; "\r", "\x0b",
     # "\x1c" and "　" are whitespace that is not "\n"
-    assert _compiled_parse_trees_file(text) == _onf.parse_trees_file(text)
+    assert _compiled_parse_trees_file(text) == _pure.parse_trees_file(text)

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 import support
 from native import requires_build_tools
-from srlkit import _resolve, treebank
+from srlkit import _pure, treebank
 from srlkit.cleaning import TraceMode, TracePolicy
 from srlkit.errors import (
     AlignmentError,
@@ -129,9 +129,9 @@ class TestDiscoverFiles:
         assert skips == []
 
     def test_listing_rules(self, fixtures_dir, tmp_path):
-        # an id is any name ending in ".prop", matched case-sensitively, a
-        # hidden one or a directory too; a companion counts only as a file,
-        # reached through a symlink or not
+        # an id is any file name ending in ".prop", matched case-sensitively,
+        # a hidden one too; a `.prop` entry, like a companion, counts only
+        # as a file, reached through a symlink or not, so a directory is none
         shutil.copytree(fixtures_dir / "corpus", tmp_path / "corpus")
         prop, onf, parse = (tmp_path / "corpus" / ext / "00" for ext in ("prop", "onf", "parse"))
         for stem in (".h", "x", "y", "z"):
@@ -154,7 +154,6 @@ class TestDiscoverFiles:
         ][2:]
         assert skips == [
             ("00/.prop", "missing companion file(s): .onf .parse"),
-            ("00/d", "missing companion file(s): .onf .parse"),
             ("00/wsj_0002", "excluded by configuration"),
             ("00/x", "missing companion file(s): .onf"),
             ("00/z", "missing companion file(s): .parse"),
@@ -285,32 +284,32 @@ def _resolved(resolve_exprs, prop, tree, tree_guided):
 
 
 @pytest.mark.parametrize(
-    "kernels",
+    "kernel",
     [
-        pytest.param(("_sexpr", "_pointers", "_resolve"), id="pure"),
-        pytest.param(("_speedups",) * 3, id="compiled", marks=requires_build_tools),
+        pytest.param("_pure", id="pure"),
+        pytest.param("_speedups", id="compiled", marks=requires_build_tools),
     ],
 )
 @given(st.integers(0, 10**9))
-def test_build_record_raises_first_fault(kernels, seed):
+def test_build_record_raises_first_fault(kernel, seed):
     """extract's builder raises exactly when proposition_faults (what
     validate lists) is non-empty, and raises its first fault; otherwise
     its roles are the pure resolver's text, which the kernel's resolver
     matches, errors included, in both trace modes."""
-    tree_kernel, pointer_kernel, resolver = (importlib.import_module(f"srlkit.{k}") for k in kernels)
+    kernel = importlib.import_module(f"srlkit.{kernel}")
     rng = random.Random(seed)
     objects = [support.random_tree(rng, max_terminals=10) for _ in range(rng.randint(1, 3))]
-    trees = [tree_kernel.parse_spans(support.render(t)) for t in objects]
+    trees = [kernel.parse_spans(support.render(t)) for t in objects]
     sentences = [SentencePair(" ".join(t.tokens), " ".join(t.tokens)) for t in trees]
-    prop = _random_proposition(rng, trees, pointer_kernel.parse_expr_parts)
+    prop = _random_proposition(rng, trees, kernel.parse_expr_parts)
     faults = proposition_faults(prop, trees)
     assert [where for where, _ in faults] == _oracle_faults(prop, objects)
     for mode in TraceMode:
         tree_guided = mode is TraceMode.TREE_GUIDED
         if prop.tree_index < len(trees):
             tree = trees[prop.tree_index]
-            expected = _resolved(_resolve.resolve_exprs, prop, tree, tree_guided)
-            assert _resolved(resolver.resolve_exprs, prop, tree, tree_guided) == expected
+            expected = _resolved(_pure.resolve_exprs, prop, tree, tree_guided)
+            assert _resolved(kernel.resolve_exprs, prop, tree, tree_guided) == expected
         try:
             record = build_record(prop, trees, sentences, policy=TracePolicy(mode))
         except SrlKitError as exc:
@@ -326,7 +325,7 @@ def test_build_record_raises_first_fault(kernels, seed):
 
 
 @pytest.mark.parametrize(
-    "resolver", ["_resolve", pytest.param("_speedups", marks=requires_build_tools)]
+    "resolver", ["_pure", pytest.param("_speedups", marks=requires_build_tools)]
 )
 @pytest.mark.parametrize(
     "tokens, tree_guided, pointers, text",
@@ -365,7 +364,7 @@ def test_resolvers_on_pointers_past_a_c_long(pointer):
 
     tree = treebank.parse_tree("(S (NP (-NONE- *T*-1) (NN a)) (VP (VBZ x)))")
     outcomes = []
-    for resolve_exprs in (_speedups.resolve_exprs, _resolve.resolve_exprs):
+    for resolve_exprs in (_speedups.resolve_exprs, _pure.resolve_exprs):
         with pytest.raises(SrlKitError) as exc:
             resolve_exprs([RoleExpr([pointer], "")], tree, True)
         outcomes.append((type(exc.value), str(exc.value)))

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import support
 from native import requires_build_tools
-from srlkit import _propbank
+from srlkit import _pure
 from srlkit.errors import EmptyFragment, MalformedLine, MalformedPointer
 from srlkit.propbank import (
     Proposition,
@@ -109,10 +109,10 @@ class TestScannerParity:
 
     @staticmethod
     def _assert_same(text):
-        from srlkit import _pointers, _speedups
+        from srlkit import _speedups
 
         assert _outcome(_speedups.parse_expr_parts, text) == _outcome(
-            _pointers.parse_expr_parts, text
+            _pure.parse_expr_parts, text
         )
 
     @given(st.text(alphabet="0123456789:*,;x -é"))
@@ -137,23 +137,21 @@ class TestPointerSweep:
     RANGE = (3, 2, 3)  # 12 single pointers, up to 3 parts
 
     def test_pure(self):
-        from srlkit import _pointers
-
         singles = 4 * 3
-        checked, mismatches, first_bad = _pointers.roundtrip_exhaustive(*self.RANGE)
+        checked, mismatches, first_bad = _pure.roundtrip_exhaustive(*self.RANGE)
         assert checked == singles + 3 * singles**2 + 9 * singles**3
         assert (mismatches, first_bad) == (0, None)
 
     @requires_build_tools
     def test_compiled_matches_pure(self):
-        from srlkit import _pointers, _speedups
+        from srlkit import _speedups
 
         assert _speedups.roundtrip_exhaustive(*self.RANGE) == (
-            _pointers.roundtrip_exhaustive(*self.RANGE)
+            _pure.roundtrip_exhaustive(*self.RANGE)
         )
 
     @pytest.mark.parametrize(
-        "module", ["_pointers", pytest.param("_speedups", marks=requires_build_tools)]
+        "module", ["_pure", pytest.param("_speedups", marks=requires_build_tools)]
     )
     @pytest.mark.parametrize("max_parts", [0, 4])
     def test_rejects_part_counts_outside_1_to_3(self, module, max_parts):
@@ -373,19 +371,19 @@ def _oracle_file_outcome(text):
 
 @given(_prop_files())
 def test_pure_file_reader_matches_oracle(text):
-    assert _file_outcome(_propbank.parse_prop_file, text) == _oracle_file_outcome(text)
+    assert _file_outcome(_pure.parse_prop_file, text) == _oracle_file_outcome(text)
 
 
 @requires_build_tools
 @given(_prop_files())
 def test_compiled_file_reader_matches_pure_and_oracle(text):
     compiled = _file_outcome(_compiled_parse_prop_file, text)
-    assert compiled == _file_outcome(_propbank.parse_prop_file, text)
+    assert compiled == _file_outcome(_pure.parse_prop_file, text)
     assert compiled == _oracle_file_outcome(text)
 
 
 _READERS = [
-    pytest.param(_propbank.parse_prop_file, id="pure"),
+    pytest.param(_pure.parse_prop_file, id="pure"),
     pytest.param(_compiled_parse_prop_file, id="compiled", marks=requires_build_tools),
     pytest.param(support.parse_prop_file, id="oracle"),
 ]

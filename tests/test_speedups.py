@@ -1,7 +1,8 @@
 """Checks on the hand-written C kernel itself: it compiles without
-warnings, leaks no references, and its micro-benchmark script runs. Its
-results are compared with the pure modules in test_treebank.py and
-test_propbank.py."""
+warnings, defines the pure kernel's functions, leaks no references, and
+its micro-benchmark script runs. Its results are compared with the pure
+kernel `_pure` in test_treebank.py, test_propbank.py, test_onf.py and
+test_pipeline.py."""
 
 import gc
 import subprocess
@@ -80,6 +81,10 @@ BAD_RESOLVES = [
     ([[(9, 0)]], True), ([[(0, 9)]], True), ([[(0, -1)]], True), ([[(-1, 0)]], True),
     ([[(10**30, 0)]], True), ([[(0, 10**30)]], True), ([[(0,)]], True), ([[("0", 0)]], True),
 ]
+SELECTS = [  # (terminal, height) on RESOLVE_TREE, which has 3 terminals
+    (1, 1), (0, 3), (3, 0), (-1, 0), (0, -1), (10**30, 0), (0, 10**30), (-(10**30), 0), ("0", 0),
+    (0, None),
+]
 
 
 @requires_build_tools
@@ -92,6 +97,16 @@ def test_compiles_without_warnings():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@requires_build_tools
+def test_kernels_define_the_same_functions():
+    from srlkit import _pure, _speedups
+
+    public = {name for name in dir(_speedups) if not name.startswith("_")}
+    assert all(callable(getattr(_speedups, name)) for name in public)
+    assert public == set(_pure.__all__)
+    assert all(callable(getattr(_pure, name)) for name in _pure.__all__)
 
 
 @requires_build_tools
@@ -111,6 +126,11 @@ def test_no_reference_leaks():
         + [
             (_speedups.resolve_exprs, ([RoleExpr(parts, "") for parts in exprs], tree, mode))
             for exprs, mode in VALID_RESOLVES + BAD_RESOLVES
+        ]
+        + [(_speedups.select_node, (tree, *pointer)) for pointer in SELECTS]
+        + [
+            (_speedups.select_node, args)
+            for args in [(odd_tree, 0, 0), ((1, 2), 0, 0), (None, 0, 0), (tree, 0), ()]
         ]
         + [
             (_speedups.resolve_exprs, args)

@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import support
-from native import missing_build_tool
+from native import missing_build_tool, requires_build_tools
 from srlkit.errors import (
     EmptyInput,
     HeightOverflow,
@@ -270,8 +271,12 @@ def _select_error(terminal, height, terminals):
     return "raised", HeightOverflow, f"height {height} from terminal {terminal} passes the root"
 
 
+@pytest.mark.parametrize(
+    "kernel", ["_pure", pytest.param("_speedups", marks=requires_build_tools)]
+)
 @given(st.integers(0, 10**9))
-def test_select_node_matches_bruteforce_oracle(seed):
+def test_select_node_matches_bruteforce_oracle(kernel, seed):
+    select_node = importlib.import_module(f"srlkit.{kernel}").select_node
     tree = support.random_tree(random.Random(seed))
     order, parents = support.build_parent_map(tree)
     spans = parse_tree(support.render(tree))
@@ -314,9 +319,9 @@ class TestBackendParity:
 
     @staticmethod
     def _scanners():
-        from srlkit import _sexpr
+        from srlkit import _pure
 
-        scanners = [_oracle_spans, _sexpr.parse_spans]
+        scanners = [_oracle_spans, _pure.parse_spans]
         if missing_build_tool() is None:  # then a failed build fails here
             from srlkit import _speedups
 
