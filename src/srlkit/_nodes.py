@@ -2,11 +2,11 @@
 proposition types, RoleLabel, RoleExpr and Proposition.
 
 Kept in a leaf module so both the pure-Python and the compiled readers
-can build the same objects.
+can build the same objects. Each type but the RoleLabel enum is a
+NamedTuple, which both kernels build from positional fields.
 """
 
 import enum
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
@@ -26,8 +26,7 @@ class SpanTree(NamedTuple):
     leaf: tuple     # terminal -> its preterminal node
 
 
-@dataclass(frozen=True)
-class SentencePair:
+class SentencePair(NamedTuple):
     """Plain and trace-bearing (treebanked) variants of one sentence."""
 
     plain: str
@@ -51,14 +50,13 @@ class RoleExpr(NamedTuple):
     text: str  # the expression as written, e.g. "14:1*16:1*17:1"
 
 
-@dataclass
-class Proposition:
+class Proposition(NamedTuple):
     """One predicate instance from a `.prop` line."""
 
     file_id: str
     tree_index: int
     predicate_terminal: int
-    roles: dict[RoleLabel, list[RoleExpr]] = field(default_factory=dict)
+    roles: dict[RoleLabel, list[RoleExpr]]  # no default, so no dict is shared
     raw_line: str = ""
     line_no: int = 0
 

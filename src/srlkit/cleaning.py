@@ -11,7 +11,7 @@ selected span, and the compiled resolver applies the same two rules.
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "TraceMode",
@@ -35,8 +35,7 @@ class TraceMode(enum.Enum):
     PATTERN_ONLY = "pattern"
 
 
-@dataclass(frozen=True)
-class TracePolicy:
+class TracePolicy(NamedTuple):
     mode: TraceMode
 
 

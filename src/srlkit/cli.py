@@ -12,7 +12,6 @@ after writing one `error: <Type>: <detail>` line to stderr.
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from srlkit import stats as statsmod
@@ -132,9 +131,9 @@ def cmd_extract(args) -> int:
         print(f"skip log: {skip_path} ({len(summary.skip_log)} entries)")
     else:
         skip_path.unlink(missing_ok=True)
-    for f in fields(summary):
-        if f.name != "skip_log":
-            print(f"{f.name.replace('_', ' ') + ':':<21}{getattr(summary, f.name)}")
+    for name, value in zip(summary._fields, summary):
+        if name != "skip_log":
+            print(f"{name.replace('_', ' ') + ':':<21}{value}")
     print(f"wrote {args.out} ({args.schema} schema)")
     return 0
 

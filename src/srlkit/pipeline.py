@@ -17,7 +17,6 @@ import contextlib
 import itertools
 import operator
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -76,16 +75,14 @@ FOLDERS = tuple(f"{n:02d}" for n in range(25))  # the corpus sections searched
 ROLE_ORDER = (RoleLabel.REL, RoleLabel.ARG0, RoleLabel.ARG1)  # as a record is built
 
 
-@dataclass(frozen=True)
-class FileTriple:
+class FileTriple(NamedTuple):
     file_id: str
     prop_path: Path
     onf_path: Path
     parse_path: Path
 
 
-@dataclass(frozen=True)
-class CorpusLayout:
+class CorpusLayout(NamedTuple):
     prop_root: Path
     onf_root: Path
     parse_root: Path
@@ -132,20 +129,18 @@ SRL_HEADER = [name for name in SrlRecord._fields if name != "provenance"]
 ORL_HEADER = [name for name in OrlRecord._fields if name != "provenance"]
 
 
-@dataclass
-class RunSummary:
-    files_discovered: int = 0
-    files_processed: int = 0
-    files_skipped: int = 0
-    propositions: int = 0
-    propositions_failed: int = 0
-    rows_filtered: int = 0
-    rows_emitted: int = 0
-    skip_log: list[tuple[str, str]] = field(default_factory=list)
+class RunSummary(NamedTuple):
+    files_discovered: int
+    files_processed: int
+    files_skipped: int
+    propositions: int
+    propositions_failed: int
+    rows_filtered: int
+    rows_emitted: int
+    skip_log: list[tuple[str, str]]
 
 
-@dataclass
-class ExtractResult:
+class ExtractResult(NamedTuple):
     records: list[SrlRecord]
     summary: RunSummary
 
@@ -412,24 +407,20 @@ def extract_corpus(
     that fails to resolve alone; each skip is logged, or raised as an
     ExtractionError under `strict`.
     """
-    triples, discovery_skips = discover_files(layout)
+    triples, skip_log = discover_files(layout)
     policy = TracePolicy(mode=trace_mode)
-    summary = RunSummary(
-        files_discovered=len(triples) + len(discovery_skips),
-        files_skipped=len(discovery_skips),
-        skip_log=list(discovery_skips),
-    )
+    files_discovered = len(triples) + len(skip_log)
+    files_processed = propositions = propositions_failed = 0
     records: list[SrlRecord] = []
     for triple, parts, fault in read_corpus(triples):
         if fault is not None:
             if strict:
                 raise ExtractionError(f"{triple.file_id}: {fault}") from fault
-            summary.skip_log.append((triple.file_id, str(fault)))
-            summary.files_skipped += 1
+            skip_log.append((triple.file_id, str(fault)))
             continue
         props, sentences, trees, _ = parts
-        summary.files_processed += 1
-        summary.propositions += len(props)
+        files_processed += 1
+        propositions += len(props)
         for prop in sort_propositions(props):
             try:
                 records.append(build_record(prop, trees, sentences, triple.file_id, policy))
@@ -438,9 +429,11 @@ def extract_corpus(
                     raise ExtractionError(
                         f"{triple.file_id} prop line {prop.line_no}: {exc}"
                     ) from exc
-                summary.skip_log.append((triple.file_id, f"prop line {prop.line_no}: {exc}"))
-                summary.propositions_failed += 1
+                skip_log.append((triple.file_id, f"prop line {prop.line_no}: {exc}"))
+                propositions_failed += 1
     kept = filter_records(records)
-    summary.rows_filtered = len(records) - len(kept)
-    summary.rows_emitted = len(kept)
+    summary = RunSummary(
+        files_discovered, files_processed, files_discovered - files_processed,
+        propositions, propositions_failed, len(records) - len(kept), len(kept), skip_log,
+    )
     return ExtractResult(records=kept, summary=summary)

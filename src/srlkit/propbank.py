@@ -12,19 +12,18 @@ and the expression's source text. Chain (`*`) and split (`,` / `;`)
 parts resolve alike, so connectors are not kept. Pointers are canonical
 decimal, so the source text is also the expression's one spelling.
 
-`parse_prop_file` is the active kernel's reader; `parse_prop_line` is
-the pure kernel's line parser.
+`parse_prop_file` is the active kernel's reader. The pure kernel's line
+parser, `parse_prop_line`, lives in `srlkit._pure`, which the compiled
+backend never loads.
 """
 
 from srlkit._backend import parse_prop_file
 from srlkit._nodes import Proposition, RoleExpr, RoleLabel
-from srlkit._pure import parse_prop_line
 
 __all__ = [
     "RoleLabel",
     "RoleExpr",
     "Proposition",
-    "parse_prop_line",
     "parse_prop_file",
     "sort_propositions",
 ]

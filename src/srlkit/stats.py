@@ -13,8 +13,8 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from srlkit.errors import (
     BadThresholds,
@@ -51,8 +51,7 @@ SCORE_BINS = 20  # fixed-width bins over [-1, 1]
 TOP_K = 10  # predicates listed in the report
 
 
-@dataclass(frozen=True)
-class ArgBreakdown:
+class ArgBreakdown(NamedTuple):
     both: int
     only_arg1: int
     only_arg0: int
@@ -61,8 +60,7 @@ class ArgBreakdown:
     only_arg0_pct: float
 
 
-@dataclass(frozen=True)
-class SpanLengthStats:
+class SpanLengthStats(NamedTuple):
     mean_arg0: float
     mean_arg1: float
     arg0_undefined: bool
@@ -102,8 +100,7 @@ class SentimentLexicon:
         return cls(valences)
 
 
-@dataclass
-class DatasetStats:
+class DatasetStats(NamedTuple):
     total_records: int
     breakdown: ArgBreakdown
     top_predicates: list[tuple[str, int]]
@@ -245,11 +242,11 @@ def _bar(count: int, peak: int, width: int = 40) -> str:
 def _stats_dict(stats: DatasetStats) -> dict:
     return {
         "total_records": stats.total_records,
-        "argument_presence": asdict(stats.breakdown),
+        "argument_presence": stats.breakdown._asdict(),
         "top_predicates": [
             {"predicate": pred, "count": count} for pred, count in stats.top_predicates
         ],
-        "span_lengths": asdict(stats.span_lengths),
+        "span_lengths": stats.span_lengths._asdict(),
         "sentiment": {
             "t1": stats.t1,
             "t2": stats.t2,

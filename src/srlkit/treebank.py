@@ -12,7 +12,6 @@ node reached by climbing `height` parent links from that leaf
 from srlkit._backend import backend, select_node
 from srlkit._backend import parse_spans as _parse_spans
 from srlkit._nodes import SpanTree
-from srlkit._pure import TOKENS
 
 __all__ = ["SpanTree", "backend", "parse_tree", "select_node", "pretty"]
 
@@ -26,6 +25,8 @@ def pretty(text: str) -> str:
     """Indented multi-line rendering of a tree's text for human inspection:
     one node per line, two spaces per level, leaves as `(POS token)`
     and an outer wrapper dropped. Raises as `parse_tree` does."""
+    from srlkit._pure import TOKENS  # here, so only inspect loads _pure when compiled
+
     parse_tree(text)  # the walk below relies on well-formed text
     toks = TOKENS.findall(text)
     if toks[1] == "(":  # the wrapper: its "(" and ")" enclose the root

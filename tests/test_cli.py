@@ -287,6 +287,49 @@ def test_prop_entry_not_a_file_is_no_file_id(entry, fixtures_dir, tmp_path, caps
     assert outputs(odd) == outputs(fixtures_dir / "corpus")
 
 
+@pytest.mark.parametrize("name", ["corpus", "partial"])
+def test_line_ends_do_not_change_outputs(name, fixtures_dir, tmp_path, monkeypatch, capsys):
+    """A corpus whose files end their lines in CRLF, or in CR alone, gives
+    extract's CSV, skip log and stdout and validate's stdout and exit
+    code byte for byte as the same corpus with LF line ends."""
+
+    def outputs(eol):
+        run = tmp_path / eol.hex()
+        for path in (fixtures_dir / name).rglob("*"):
+            if path.is_file():
+                copy = run / "corpus" / path.relative_to(fixtures_dir / name)
+                copy.parent.mkdir(parents=True, exist_ok=True)
+                copy.write_bytes(path.read_bytes().replace(b"\n", eol))
+        monkeypatch.chdir(run)  # so the paths printed are alike
+        rc = main(["extract", *_roots("corpus"), "--out", "dataset.csv"])
+        skip_log = Path("dataset.csv.skiplog")
+        extract = (rc, Path("dataset.csv").read_bytes(),
+                   skip_log.read_bytes() if skip_log.exists() else None, capsys.readouterr())
+        rc = main(["validate", *_roots("corpus")])
+        return extract, (rc, capsys.readouterr().out)
+
+    lf = outputs(b"\n")
+    assert outputs(b"\r\n") == lf
+    assert outputs(b"\r") == lf
+
+
+def test_cli_import_loads_no_dataclasses_nor_unused_kernel():
+    """`import srlkit.cli` in a fresh interpreter adds no `dataclasses`
+    (which loads inspect, ast, dis and tokenize) to the modules the
+    interpreter held before it, and on the compiled backend no pure
+    kernel `srlkit._pure`. The modules `site` loads differ between
+    machines, so only what the import adds counts."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; before = set(sys.modules); import srlkit.cli; "
+            "print(srlkit.backend(), *sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    backend, *added = proc.stdout.split()
+    assert "dataclasses" not in added
+    if backend == "compiled":
+        assert "srlkit._pure" not in added
+
+
 def _roots(corpus, leave_out=None):
     return [
         arg for sub in ("prop", "onf", "parse") if sub != leave_out

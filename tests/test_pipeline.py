@@ -8,7 +8,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +16,7 @@ from hypothesis import given, strategies as st
 import support
 from native import requires_build_tools
 from srlkit import _pure, treebank
+from srlkit._pure import parse_prop_line
 from srlkit.cleaning import TraceMode, TracePolicy
 from srlkit.errors import (
     AlignmentError,
@@ -48,7 +48,7 @@ from srlkit.pipeline import (
     read_text,
     resolve_role,
 )
-from srlkit.propbank import Proposition, RoleExpr, RoleLabel, parse_prop_line
+from srlkit.propbank import Proposition, RoleExpr, RoleLabel
 from srlkit.stats import read_dataset_csv
 
 
@@ -146,7 +146,7 @@ class TestDiscoverFiles:
         (onf / "x.onf").mkdir()
         (onf / "y.onf").symlink_to(onf / "wsj_0001.onf")
         (parse / "z.parse").symlink_to(parse / "gone.parse")
-        layout = replace(layout_for(tmp_path, "corpus"), exclusions=frozenset({"00/wsj_0002"}))
+        layout = layout_for(tmp_path, "corpus")._replace(exclusions=frozenset({"00/wsj_0002"}))
         triples, skips = discover_files(layout)
         assert [t.file_id for t in triples][:3] == ["00/.h", "00/wsj_0001", "00/y"]
         assert [t.file_id for t in triples][3:] == [

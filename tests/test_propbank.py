@@ -6,13 +6,13 @@ from hypothesis import given, strategies as st
 import support
 from native import requires_build_tools
 from srlkit import _pure
+from srlkit._pure import parse_prop_line
 from srlkit.errors import EmptyFragment, MalformedLine, MalformedPointer
 from srlkit.propbank import (
     Proposition,
     RoleExpr,
     RoleLabel,
     parse_prop_file,
-    parse_prop_line,
     sort_propositions,
 )
 from support import Connector, PointerExpr, TreePointer, parse_pointer, parse_pointer_expr
@@ -232,7 +232,7 @@ class TestParsePropLine:
 class TestSortPropositions:
     @staticmethod
     def _prop(tree_index, terminal, line_no=0):
-        return Proposition("f", tree_index, terminal, line_no=line_no)
+        return Proposition("f", tree_index, terminal, {}, line_no=line_no)
 
     def test_example(self):
         props = [self._prop(1, 3), self._prop(0, 9), self._prop(0, 2)]
