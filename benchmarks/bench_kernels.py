@@ -13,7 +13,10 @@ Tree and Leaves blocks, read by `parse_onf`; `.parse` documents of as
 many trees, split by `parse_trees_file`; and `.prop` documents of
 PROPS_PER_TREE propositions per tree, read by `parse_prop_file`. Each of
 their pointers is climbed to its node on its tree by `select_node`, and
-their roles are resolved by `resolve_exprs` in both trace modes.
+their roles are resolved by `resolve_exprs` in both trace modes. Each
+`.prop` document with its trees and sentences is one file: its rows are
+built by `build_records` in both trace modes and its faults listed by
+`list_faults`.
 """
 
 import argparse
@@ -113,6 +116,16 @@ def role_tasks(trees, prop_documents):
     return tasks
 
 
+def file_tasks(trees, documents, prop_documents):
+    """(propositions, trees, sentences) of every document, one file each."""
+    tasks = []
+    for d, (onf_text, prop_text) in enumerate(zip(documents, prop_documents)):
+        first = d * SENTENCES_PER_DOC
+        doc_trees = [_pure.parse_spans(t) for t in trees[first : first + SENTENCES_PER_DOC]]
+        tasks.append((_pure.parse_prop_file(prop_text), doc_trees, _pure.parse_onf(onf_text)))
+    return tasks
+
+
 def run(name, corpus, function, repeats, star=False):
     """Time kernel `function` over the corpus on each built kernel; with
     `star` each item is its argument tuple."""
@@ -141,6 +154,7 @@ def main():
 
     trees, pointers, documents, parse_documents, prop_documents = make_corpus(args.trees, args.pointers)
     tasks = role_tasks(trees, prop_documents)
+    files = file_tasks(trees, documents, prop_documents)
     # (name, items, kernel function, whether each item is an argument tuple)
     rows = [
         ("tree parsing", trees, "parse_spans", False),
@@ -155,6 +169,14 @@ def main():
         (f"resolve ({mode})", [(exprs, tree, mode == "tree") for exprs, tree in tasks],
          "resolve_exprs", True)
         for mode in ("tree", "pattern")
+    ] + [
+        (f"records ({mode})",
+         [(props, doc_trees, sentences, "00/wsj_0001", mode == "tree")
+          for props, doc_trees, sentences in files],
+         "build_records", True)
+        for mode in ("tree", "pattern")
+    ] + [
+        ("fault listing", [(props, doc_trees) for props, doc_trees, _ in files], "list_faults", True),
     ]
     if _speedups is None:
         print("compiled extension not built; timing the pure backend only")

@@ -20,6 +20,8 @@ parse_onf = kernel.parse_onf
 parse_trees_file = kernel.parse_trees_file
 select_node = kernel.select_node
 resolve_exprs = kernel.resolve_exprs
+build_records = kernel.build_records
+list_faults = kernel.list_faults
 
 
 def backend() -> str:

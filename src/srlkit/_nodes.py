@@ -1,7 +1,9 @@
-"""The tree type, SpanTree; the sentence type, SentencePair; and the
-proposition types, RoleLabel, RoleExpr and Proposition.
+"""The tree type, SpanTree; the sentence type, SentencePair; the
+proposition types, RoleLabel, RoleExpr and Proposition; the record types,
+Provenance and SrlRecord; and the order a file's records are built in,
+ROLE_ORDER and `sort_propositions`.
 
-Kept in a leaf module so both the pure-Python and the compiled readers
+Kept in a leaf module so both the pure-Python and the compiled kernels
 can build the same objects. Each type but the RoleLabel enum is a
 NamedTuple, which both kernels build from positional fields.
 """
@@ -62,3 +64,27 @@ class Proposition(NamedTuple):
 
     def exprs(self, label: RoleLabel) -> list[RoleExpr]:
         return self.roles.get(label, [])
+
+
+ROLE_ORDER = (RoleLabel.REL, RoleLabel.ARG0, RoleLabel.ARG1)  # as a record is built
+
+
+def sort_propositions(props: list[Proposition]) -> list[Proposition]:
+    """Stable sort by (tree_index, predicate_terminal)."""
+    return sorted(props, key=lambda p: (p.tree_index, p.predicate_terminal))
+
+
+class Provenance(NamedTuple):
+    file_id: str
+    tree_index: int
+    predicate_terminal: int
+
+
+class SrlRecord(NamedTuple):
+    sentence: str
+    treebanked_sentence: str
+    predicate: str
+    arg0: str
+    arg1: str
+    merged_arguments: str
+    provenance: Provenance | None = None

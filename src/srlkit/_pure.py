@@ -26,19 +26,34 @@ or raise the same error types with the same messages, in the same order.
 - `select_node` climbs from a pointer's terminal to its node;
   `resolve_exprs` joins the selected nodes' tokens, traces dropped by
   `cleaning.join_untraced`'s two rules.
+- `build_records` builds a file's rows in `sort_propositions` order and
+  `list_faults` lists every fault of its propositions in file order:
+  one call per file for `extract` and for `validate`.
 """
 
 import re
 
-from srlkit._nodes import Proposition, RoleExpr, RoleLabel, SentencePair, SpanTree
+from srlkit._nodes import (
+    ROLE_ORDER,
+    Proposition,
+    Provenance,
+    RoleExpr,
+    RoleLabel,
+    SentencePair,
+    SpanTree,
+    SrlRecord,
+    sort_propositions,
+)
 from srlkit.cleaning import TraceMode, is_trace_token, join_untraced
 from srlkit.errors import (
+    AlignmentError,
     EmptyFragment,
     EmptyInput,
     HeightOverflow,
     MalformedLine,
     MalformedOnf,
     MalformedPointer,
+    SrlKitError,
     TerminalOutOfRange,
     TrailingGarbage,
     UnbalancedParens,
@@ -53,6 +68,8 @@ __all__ = [
     "parse_trees_file",
     "select_node",
     "resolve_exprs",
+    "build_records",
+    "list_faults",
 ]
 
 # --- tree text -------------------------------------------------------------
@@ -365,3 +382,90 @@ def resolve_exprs(expr_list, tree: SpanTree, tree_guided: bool) -> str:
             if text:
                 pieces.append(text)
     return " ".join(pieces)
+
+
+# --- a file's records and faults -------------------------------------------
+
+
+def _locate(prop: Proposition, trees: list[SpanTree]) -> tuple[SpanTree | None, SrlKitError | None]:
+    """The proposition's tree (None if its index is out of range) and the
+    fault of its tree index or predicate terminal, or None. A negative
+    index, which only a hand-built Proposition can hold, is out of range."""
+    if not 0 <= prop.tree_index < len(trees):
+        return None, AlignmentError(
+            f"tree index {prop.tree_index} out of range ({len(trees)} trees)"
+        )
+    tree = trees[prop.tree_index]
+    if not 0 <= prop.predicate_terminal < len(tree.tokens):
+        return tree, TerminalOutOfRange(
+            f"predicate terminal {prop.predicate_terminal} out of range "
+            f"(tree has {len(tree.tokens)} terminals)"
+        )
+    return tree, None
+
+
+def build_records(
+    props: list[Proposition],
+    trees: list[SpanTree],
+    sentences: list[SentencePair],
+    file_id: str,
+    tree_guided: bool,
+) -> tuple[list[SrlRecord], list[tuple[Proposition, SrlKitError]]]:
+    """The file's rows, before filtering, and its failing propositions,
+    each with its first fault, both in `sort_propositions` order. A row's
+    roles are resolved in ROLE_ORDER; a "|" in ARG0 or ARG1 becomes "/",
+    so the one in merged_arguments parts them."""
+    records, failures = [], []
+    for prop in sort_propositions(props):
+        tree, fault = _locate(prop, trees)
+        if fault is None:
+            pair = sentences[prop.tree_index]
+            try:
+                predicate, arg0, arg1 = [
+                    resolve_exprs(prop.exprs(label), tree, tree_guided) for label in ROLE_ORDER
+                ]
+            except SrlKitError as exc:
+                fault = exc.with_traceback(None)  # kept, so it holds no frame
+        if fault is not None:
+            failures.append((prop, fault))
+            continue
+        arg0 = arg0.replace("|", "/")
+        arg1 = arg1.replace("|", "/")
+        records.append(SrlRecord(
+            pair.plain,
+            pair.treebanked,
+            predicate,
+            arg0,
+            arg1,
+            f"{arg0}|{arg1}",
+            Provenance(file_id, prop.tree_index, prop.predicate_terminal),
+        ))
+    return records, failures
+
+
+def list_faults(
+    props: list[Proposition], trees: list[SpanTree]
+) -> list[tuple[Proposition, str, SrlKitError]]:
+    """Every reason each proposition gives no row, as (proposition, where,
+    error), propositions in file order. A proposition's faults come in the
+    order `build_records` meets them: a tree index out of range (alone,
+    since nothing else can be checked), a predicate terminal out of range,
+    then each pointer of ROLE_ORDER's roles that selects no node, in
+    source order within a role. `where` names the pointer, e.g. "ARG0
+    pointer 9:1", and is "" for the two index faults."""
+    faults = []
+    for prop in props:
+        tree, fault = _locate(prop, trees)
+        if fault is not None:
+            faults.append((prop, "", fault))
+        if tree is None:
+            continue
+        for label in ROLE_ORDER:
+            for expr in prop.exprs(label):
+                for t, h in expr.parts:
+                    try:
+                        select_node(tree, t, h)
+                    except SrlKitError as exc:
+                        where = f"{label.value} pointer {t}:{h}"
+                        faults.append((prop, where, exc.with_traceback(None)))
+    return faults

@@ -1,16 +1,19 @@
 /* The compiled kernel: scanners for tree text, pointer expressions,
-   .prop lines, .onf and .parse text, and the pointer climb and span
-   resolver.
+   .prop lines, .onf and .parse text; the pointer climb and span
+   resolver; and the per-file record builder and fault lister.
 
    Its module functions are those of the pure kernel _pure.py, its
    reference, with the same results, error types and error messages, in
-   the same order; _backend picks one of the two modules at import. Only
-   the scanning runs in C. The tests hold each function to its pure twin
-   and to the independent oracles in tests/support.py.
+   the same order; _backend picks one of the two modules at import. The
+   tests hold each function to its pure twin and to the independent
+   oracles in tests/support.py.
    parse_onf visits only the blocks that hold a header's text, where the
-   pure reader splits the text into blocks first. select_node and
-   resolve_exprs climb with one static select_node, so the pointer faults
-   validate lists are the ones extract's resolver raises.
+   pure reader splits the text into blocks first. Every pointer is
+   climbed by one static select_node, so the pointer faults list_faults
+   gives validate are the ones build_records meets for extract.
+   build_records holds C copies of rules the pure kernel takes from
+   Python: sort_propositions' stable order, ROLE_ORDER's use, the "|" to
+   "/" rule of ARG0 and ARG1 and the merged_arguments join.
 
    Text is read in place, code point by code point, whatever the width the
    str stores it in, so any str scans as it does in _pure.py.
@@ -23,15 +26,18 @@
 
 /* looked up once at import; read-only afterwards */
 static PyObject *SpanTree, *SentencePair, *RoleLabel, *RoleExpr, *Proposition;
-static PyObject *EmptyInput, *UnbalancedParens, *TrailingGarbage;
+static PyObject *Provenance, *SrlRecord;
+static PyObject *role_order;    /* ROLE_ORDER, the roles of a record in order */
+static PyObject *role_names;    /* the value of each label of ROLE_ORDER */
+static PyObject *SrlKitError, *EmptyInput, *UnbalancedParens, *TrailingGarbage;
 static PyObject *MalformedPointer, *EmptyFragment, *MalformedLine, *MalformedOnf;
-static PyObject *TerminalOutOfRange, *HeightOverflow;
+static PyObject *TerminalOutOfRange, *HeightOverflow, *AlignmentError;
 static PyObject *labels[3];     /* RoleLabel.ARG0, .ARG1 and .REL */
 static const char *const label_names[3] = {"ARG0", "ARG1", "REL"};
 static PyObject *empty_str;     /* the label of a "( (S ...) )" wrapper */
 static PyObject *header_end;    /* "sentence:", the end of both .onf headers */
-static PyObject *space;         /* " ", what joins a role's tokens */
 static PyObject *parts_name;    /* "parts", the RoleExpr field */
+static PyObject *empty_tuple;   /* the expressions of a role a Proposition lacks */
 
 /* the ASCII whitespace of the pure tokenizer's re.ASCII "\s"; the .onf
    reader uses str.isspace's instead */
@@ -74,6 +80,23 @@ is_linebreak(Py_UCS4 c)
     return Py_UNICODE_ISLINEBREAK(c);
 }
 
+/* The pending exception as an instance, the error indicator cleared. An
+   exception set here has no traceback, so the instance holds no frame. */
+static PyObject *
+take_error(void)
+{
+#if PY_VERSION_HEX >= 0x030C0000
+    return PyErr_GetRaisedException();
+#else
+    PyObject *exc_type, *exc, *tb;
+    PyErr_Fetch(&exc_type, &exc, &tb);
+    PyErr_NormalizeException(&exc_type, &exc, &tb);
+    Py_XDECREF(exc_type);
+    Py_XDECREF(tb);
+    return exc;
+#endif
+}
+
 /* Replace a pending exception of class `match` with one of class `type`
    whose message is `format` applied to obj and the old exception's str;
    any other exception is left pending. */
@@ -82,19 +105,29 @@ rewrap_error(PyObject *match, PyObject *type, const char *format, PyObject *obj)
 {
     if (!PyErr_ExceptionMatches(match))
         return;
-#if PY_VERSION_HEX >= 0x030C0000
-    PyObject *exc = PyErr_GetRaisedException();
-#else
-    PyObject *exc_type, *exc, *tb;
-    PyErr_Fetch(&exc_type, &exc, &tb);
-    PyErr_NormalizeException(&exc_type, &exc, &tb);
-    Py_XDECREF(exc_type);
-    Py_XDECREF(tb);
-#endif
+    PyObject *exc = take_error();
     if (exc != NULL) {
         PyErr_Format(type, format, obj, exc);
         Py_DECREF(exc);
     }
+}
+
+/* type(*items) for a NamedTuple type, built as tuple.__new__(type, items)
+   builds it, which skips the type's Python-level __new__. The n items are
+   borrowed. */
+static PyObject *
+named_tuple(PyObject *type, PyObject *const *items, Py_ssize_t n)
+{
+    PyObject *values = PyTuple_New(n);
+    if (values == NULL)
+        return NULL;
+    for (Py_ssize_t k = 0; k < n; k++)
+        PyTuple_SET_ITEM(values, k, Py_NewRef(items[k]));
+    PyObject *args = PyTuple_Pack(1, values);
+    Py_DECREF(values);
+    PyObject *obj = args ? PyTuple_Type.tp_new((PyTypeObject *)type, args, NULL) : NULL;
+    Py_XDECREF(args);
+    return obj;
 }
 
 /* --- tree text ---------------------------------------------------------
@@ -481,13 +514,7 @@ add_role(PyObject *text, Py_ssize_t a, Py_ssize_t dash, Py_ssize_t b,
         Py_DECREF(prefix);
         return -1;
     }
-    /* RoleExpr(parts, prefix) is tuple.__new__(RoleExpr, (parts, prefix));
-       calling that from here skips the NamedTuple's Python-level __new__ */
-    PyObject *pair = PyTuple_Pack(2, parts, prefix);
-    PyObject *args = pair ? PyTuple_Pack(1, pair) : NULL;
-    PyObject *expr = args ? PyTuple_Type.tp_new((PyTypeObject *)RoleExpr, args, NULL) : NULL;
-    Py_XDECREF(args);
-    Py_XDECREF(pair);
+    PyObject *expr = named_tuple(RoleExpr, (PyObject *[]){parts, prefix}, 2);
     Py_DECREF(parts);
     Py_DECREF(prefix);
     if (expr == NULL)
@@ -1079,20 +1106,45 @@ static int
 is_dropped(PyObject *token, PyObject *pos, int tree_guided)
 {
     if (tree_guided)
-        return PyUnicode_Check(pos) && PyUnicode_CompareWithASCIIString(pos, "-NONE-") == 0;
+        return PyUnicode_Check(pos) && PyUnicode_GET_LENGTH(pos) == 6
+               && PyUnicode_CompareWithASCIIString(pos, "-NONE-") == 0;
     Text s;
     if (text_of(token, &s) < 0)
         return -1;
     return s.n > 0 && is_trace(s, 0, s.n);
 }
 
-/* Append to kept the tokens of node's span that are not traces. A part
-   whose text is "", a lone empty token, is taken back out, as the pure
-   resolver leaves empty parts out. 0, or -1 with an exception set. */
+/* The tokens a resolve keeps, borrowed from the tree's tokens tuple, in a
+   PyMem buffer that grows; one is reused for every resolve of a call. */
+typedef struct {
+    PyObject **token;
+    Py_ssize_t n, cap;
+} Kept;
+
 static int
-keep_span(PyObject **t, Py_ssize_t node, int tree_guided, PyObject *kept)
+keep(Kept *kept, PyObject *token)
 {
-    Py_ssize_t lo, hi, before = PyList_GET_SIZE(kept);
+    if (kept->n == kept->cap) {
+        Py_ssize_t cap = kept->cap < 32 ? 32 : 2 * kept->cap;
+        PyObject **grown = PyMem_Resize(kept->token, PyObject *, (size_t)cap);
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        kept->token = grown;
+        kept->cap = cap;
+    }
+    kept->token[kept->n++] = token;
+    return 0;
+}
+
+/* Keep the tokens of node's span that are not traces. A part whose text
+   is "", a lone empty token, is taken back out, as the pure resolver
+   leaves empty parts out. 0, or -1 with an exception set. */
+static int
+keep_span(PyObject **t, Py_ssize_t node, int tree_guided, Kept *kept)
+{
+    Py_ssize_t lo, hi, before = kept->n;
     if (entry(t[STARTS], node, &lo) < 0 || entry(t[ENDS], node, &hi) < 0)
         return -1;
     if (lo < 0 || lo > hi || hi > PyTuple_GET_SIZE(t[TOKENS])) {
@@ -1102,15 +1154,59 @@ keep_span(PyObject **t, Py_ssize_t node, int tree_guided, PyObject *kept)
     for (Py_ssize_t k = lo; k < hi; k++) {
         PyObject *token = PyTuple_GET_ITEM(t[TOKENS], k);
         int dropped = is_dropped(token, PyTuple_GET_ITEM(t[POS_TAGS], k), tree_guided);
-        if (dropped < 0 || (!dropped && PyList_Append(kept, token) < 0))
+        if (dropped < 0 || (!dropped && keep(kept, token) < 0))
             return -1;
     }
-    if (PyList_GET_SIZE(kept) == before + 1) {
-        PyObject *only = PyList_GET_ITEM(kept, before);
+    if (kept->n == before + 1) {
+        PyObject *only = kept->token[before];
         if (PyUnicode_Check(only) && PyUnicode_GET_LENGTH(only) == 0)
-            return PyList_SetSlice(kept, before, before + 1, NULL);
+            kept->n = before;
     }
     return 0;
+}
+
+/* The n strs of items joined with sep, as str.join joins them, each "|"
+   made "/" when slash_bars is set. NULL with an exception set, the
+   TypeError of str.join when an item is not a str. */
+static PyObject *
+join(PyObject *const *items, Py_ssize_t n, Py_UCS4 sep, int slash_bars)
+{
+    Py_ssize_t len = n > 0 ? n - 1 : 0;
+    Py_UCS4 maxchar = n > 1 ? sep : 0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        Text s;
+        if (!PyUnicode_Check(items[k])) {
+            PyErr_Format(PyExc_TypeError, "sequence item %zd: expected str instance, %.80s found",
+                         k, Py_TYPE(items[k])->tp_name);
+            return NULL;
+        }
+        if (text_of(items[k], &s) < 0)
+            return NULL;
+        len += s.n;
+        if (PyUnicode_MAX_CHAR_VALUE(items[k]) > maxchar)
+            maxchar = PyUnicode_MAX_CHAR_VALUE(items[k]);
+    }
+    PyObject *out = PyUnicode_New(len, maxchar);
+    if (out == NULL)
+        return NULL;
+    int kind = PyUnicode_KIND(out);
+    void *data = PyUnicode_DATA(out);
+    for (Py_ssize_t k = 0, at = 0; k < n; k++) {
+        Py_ssize_t m = PyUnicode_GET_LENGTH(items[k]);
+        if (k > 0)
+            PyUnicode_WRITE(kind, data, at++, sep);
+        if (PyUnicode_KIND(items[k]) == kind)
+            memcpy((char *)data + at * kind, PyUnicode_DATA(items[k]), (size_t)(m * kind));
+        else if (PyUnicode_CopyCharacters(out, at, items[k], 0, m) < 0) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        at += m;
+    }
+    for (Py_ssize_t k = 0; slash_bars && k < len; k++)
+        if (PyUnicode_READ(kind, data, k) == '|')
+            PyUnicode_WRITE(kind, data, k, '/');
+    return out;
 }
 
 /* select_node(tree, terminal, height), the module function */
@@ -1128,6 +1224,65 @@ select_node_of(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t na
     return PyLong_FromSsize_t(node);
 }
 
+/* The pointer parts of one RoleExpr, as a sequence from PySequence_Fast,
+   or NULL with an exception set. */
+static PyObject *
+parts_of(PyObject *expr)
+{
+    PyObject *parts = PyObject_TypeCheck(expr, (PyTypeObject *)RoleExpr)
+                      ? Py_NewRef(PyTuple_GET_ITEM(expr, 0))
+                      : PyObject_GetAttr(expr, parts_name);
+    PyObject *seq = parts ? PySequence_Fast(parts, "expected a sequence of pointer parts") : NULL;
+    Py_XDECREF(parts);
+    return seq;
+}
+
+/* One pointer part, a (terminal, height) tuple; NULL with a TypeError set
+   when it is not one. Borrowed. */
+static PyObject *
+pointer_of(PyObject *parts, Py_ssize_t p)
+{
+    PyObject *part = PySequence_Fast_GET_ITEM(parts, p);
+    if (!PyTuple_Check(part) || PyTuple_GET_SIZE(part) != 2) {
+        PyErr_SetString(PyExc_TypeError, "a pointer part must be a (terminal, height) tuple");
+        return NULL;
+    }
+    return part;
+}
+
+/* resolve_exprs on the tables of a tree: the text of every part of the
+   expressions, each "|" made "/" when slash_bars is set, or NULL with an
+   exception set. kept is the call's scratch. */
+static PyObject *
+resolve(PyObject *expr_list, PyObject **t, int tree_guided, int slash_bars, Kept *kept)
+{
+    PyObject *exprs = PySequence_Fast(expr_list, "expected a sequence of RoleExprs");
+    if (exprs == NULL)
+        return NULL;
+    PyObject *joined = NULL;
+    kept->n = 0;
+    for (Py_ssize_t e = 0; e < PySequence_Fast_GET_SIZE(exprs); e++) {
+        PyObject *seq = parts_of(PySequence_Fast_GET_ITEM(exprs, e));
+        if (seq == NULL)
+            goto done;
+        for (Py_ssize_t p = 0; p < PySequence_Fast_GET_SIZE(seq); p++) {
+            PyObject *part = pointer_of(seq, p);
+            Py_ssize_t node;
+            if (part == NULL
+                || select_node(t, PyTuple_GET_ITEM(part, 0), PyTuple_GET_ITEM(part, 1), &node) < 0
+                || keep_span(t, node, tree_guided, kept) < 0) {
+                Py_DECREF(seq);
+                goto done;
+            }
+        }
+        Py_DECREF(seq);
+    }
+    joined = join(kept->token, kept->n, ' ', slash_bars);
+done:
+    Py_DECREF(exprs);
+    return joined;
+}
+
 static PyObject *
 resolve_exprs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1139,40 +1294,348 @@ resolve_exprs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
     int tree_guided = PyObject_IsTrue(args[2]);
     if (tree_guided < 0 || tree_tables(args[1], t) < 0)
         return NULL;
-    PyObject *exprs = PySequence_Fast(args[0], "expected a sequence of RoleExprs");
-    if (exprs == NULL)
+    Kept kept = {NULL, 0, 0};
+    PyObject *text = resolve(args[0], t, tree_guided, 0, &kept);
+    PyMem_Free(kept.token);
+    return text;
+}
+
+/* --- a file's records and faults ----------------------------------------
+
+   build_records and list_faults take a file's propositions and trees. A
+   proposition's tree index and predicate terminal are read once into an
+   Item; they are ints, of any size as the .prop reader takes up to 4,300
+   digits, so each is kept as a long long when it fits and compared as a
+   Python int when it does not. The checks and their messages are those
+   of _pure._locate, and a pointer's faults are select_node's. */
+
+typedef struct {
+    PyObject *prop;         /* borrowed */
+    PyObject *key[2];       /* tree_index and predicate_terminal, borrowed */
+    long long value[2];     /* their values when they fit a long long */
+    int over[2];            /* -1 below a long long, 1 above, else 0 */
+} Item;
+
+enum { TREE_INDEX, PREDICATE };
+
+/* The Item of props[k], which must be a Proposition with int indices.
+   0, or -1 with a TypeError set. */
+static int
+item_of(PyObject *prop, Item *item)
+{
+    if (!PyObject_TypeCheck(prop, (PyTypeObject *)Proposition)) {
+        PyErr_Format(PyExc_TypeError, "expected a Proposition, got %.200s", Py_TYPE(prop)->tp_name);
+        return -1;
+    }
+    item->prop = prop;
+    for (int k = 0; k < 2; k++) {
+        PyObject *key = item->key[k] = PyTuple_GET_ITEM(prop, 1 + k);
+        if (!PyLong_Check(key)) {
+            PyErr_Format(PyExc_TypeError, "a Proposition's indices must be ints, got %.200s",
+                         Py_TYPE(key)->tp_name);
+            return -1;
+        }
+        item->value[k] = PyLong_AsLongLongAndOverflow(key, &item->over[k]);
+    }
+    return 0;
+}
+
+/* The Items of a tuple of n Propositions, in a PyMem buffer with room
+   for n more as scratch; NULL with an exception set. */
+static Item *
+items_of(PyObject *props)
+{
+    Py_ssize_t n = PyTuple_GET_SIZE(props);
+    if ((size_t)n > PY_SSIZE_T_MAX / (2 * sizeof(Item)))
+        return (Item *)PyErr_NoMemory();
+    Item *items = PyMem_Malloc(2 * (size_t)n * sizeof(Item) + 1);
+    if (items == NULL)
+        return (Item *)PyErr_NoMemory();
+    for (Py_ssize_t k = 0; k < n; k++) {
+        if (item_of(PyTuple_GET_ITEM(props, k), &items[k]) < 0) {
+            PyMem_Free(items);
+            return NULL;
+        }
+    }
+    return items;
+}
+
+/* -1, 0 or 1 as a's key k is below, equal to or above b's; -2 with an
+   exception set when the ints cannot be compared. */
+static int
+key_cmp(const Item *a, const Item *b, int k)
+{
+    if (a->over[k] != b->over[k])
+        return a->over[k] < b->over[k] ? -1 : 1;
+    if (a->over[k] == 0)
+        return (a->value[k] > b->value[k]) - (a->value[k] < b->value[k]);
+    int below = PyObject_RichCompareBool(a->key[k], b->key[k], Py_LT);
+    if (below != 0)
+        return below < 0 ? -2 : -1;
+    int above = PyObject_RichCompareBool(b->key[k], a->key[k], Py_LT);
+    return above < 0 ? -2 : above;
+}
+
+/* Sort items[0:n] by (tree_index, predicate_terminal), ties kept in their
+   order, as sort_propositions does: a bottom-up merge sort that takes
+   from the right run only what sorts strictly before the left run's head.
+   scratch holds n more Items. The sorted Items, in items or in scratch,
+   or NULL with an exception set. */
+static Item *
+sort_items(Item *items, Item *scratch, Py_ssize_t n)
+{
+    for (Py_ssize_t width = 1; width < n; width *= 2) {
+        for (Py_ssize_t lo = 0; lo < n; lo += 2 * width) {
+            Py_ssize_t mid = lo + width < n ? lo + width : n;
+            Py_ssize_t hi = mid + width < n ? mid + width : n;
+            Py_ssize_t i = lo, j = mid, out = lo;
+            while (i < mid && j < hi) {
+                int c = key_cmp(&items[j], &items[i], TREE_INDEX);
+                if (c == 0)
+                    c = key_cmp(&items[j], &items[i], PREDICATE);
+                if (c == -2)
+                    return NULL;
+                scratch[out++] = c < 0 ? items[j++] : items[i++];
+            }
+            while (i < mid)
+                scratch[out++] = items[i++];
+            while (j < hi)
+                scratch[out++] = items[j++];
+        }
+        Item *swap = items;
+        items = scratch;
+        scratch = swap;
+    }
+    return items;
+}
+
+/* The tree of an Item in a tuple of trees, its tables in t, and the
+   fault of its indices.
+   0 when both are in range; else -1 with the fault or another exception
+   set, *tree left NULL when the tree index is out of range. */
+static int
+locate(const Item *item, PyObject *trees, PyObject **tree, PyObject **t)
+{
+    Py_ssize_t ntrees = PyTuple_GET_SIZE(trees);
+    *tree = NULL;
+    if (item->over[TREE_INDEX] || item->value[TREE_INDEX] < 0 || item->value[TREE_INDEX] >= ntrees) {
+        PyErr_Format(AlignmentError, "tree index %S out of range (%zd trees)",
+                     item->key[TREE_INDEX], ntrees);
+        return -1;
+    }
+    PyObject *found = PyTuple_GET_ITEM(trees, (Py_ssize_t)item->value[TREE_INDEX]);
+    if (tree_tables(found, t) < 0)
+        return -1;
+    *tree = found;
+    Py_ssize_t nterms = PyTuple_GET_SIZE(t[TOKENS]);
+    if (item->over[PREDICATE] || item->value[PREDICATE] < 0 || item->value[PREDICATE] >= nterms) {
+        PyErr_Format(TerminalOutOfRange,
+                     "predicate terminal %S out of range (tree has %zd terminals)",
+                     item->key[PREDICATE], nterms);
+        return -1;
+    }
+    return 0;
+}
+
+/* Append item, a new reference or NULL with an exception set, to list.
+   0, or -1 with an exception set. */
+static int
+append_new(PyObject *list, PyObject *item)
+{
+    int rc = item == NULL ? -1 : PyList_Append(list, item);
+    Py_XDECREF(item);
+    return rc;
+}
+
+/* (prop, where, error) for the pending error, which is taken: where is ""
+   when part is NULL, else "<label> pointer T:H" for the pointer part. NULL
+   with an exception set. */
+static PyObject *
+fault_entry(PyObject *prop, PyObject *label, PyObject *part)
+{
+    PyObject *exc = take_error();
+    if (exc == NULL)
         return NULL;
-    PyObject *kept = PyList_New(0), *joined = NULL;
-    if (kept == NULL)
+    PyObject *where = part == NULL
+        ? Py_NewRef(empty_str)
+        : PyUnicode_FromFormat("%U pointer %S:%S", label, PyTuple_GET_ITEM(part, 0),
+                               PyTuple_GET_ITEM(part, 1));
+    PyObject *entry = where ? PyTuple_Pack(3, prop, where, exc) : NULL;
+    Py_XDECREF(where);
+    Py_DECREF(exc);
+    return entry;
+}
+
+/* A Proposition's expressions of role label, borrowed: its roles' entry,
+   else an empty tuple; NULL with an exception set. */
+static PyObject *
+exprs_of(PyObject *prop, PyObject *label)
+{
+    PyObject *roles = PyTuple_GET_ITEM(prop, 3);
+    if (!PyDict_Check(roles)) {
+        PyErr_Format(PyExc_TypeError, "a Proposition's roles must be a dict, got %.200s",
+                     Py_TYPE(roles)->tp_name);
+        return NULL;
+    }
+    PyObject *exprs = PyDict_GetItemWithError(roles, label);
+    if (exprs == NULL && !PyErr_Occurred())
+        exprs = empty_tuple;
+    return exprs;
+}
+
+/* The row of a located proposition: its roles resolved in ROLE_ORDER, a
+   "|" in ARG0 and ARG1 made "/", and its Provenance. NULL with an
+   exception set: a fault when an SrlKitError. */
+static PyObject *
+record_of(const Item *item, PyObject **t, PyObject *sentences, PyObject *file_id,
+          int tree_guided, Kept *kept)
+{
+    PyObject *pair = PySequence_GetItem(sentences, (Py_ssize_t)item->value[TREE_INDEX]);
+    if (pair == NULL)
+        return NULL;
+    PyObject *record = NULL, *provenance = NULL, *merged = NULL, *roles[3] = {NULL};
+    if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
+        PyErr_Format(PyExc_TypeError, "expected a SentencePair, got %.200s", Py_TYPE(pair)->tp_name);
         goto done;
-    for (Py_ssize_t e = 0; e < PySequence_Fast_GET_SIZE(exprs); e++) {
-        PyObject *parts = PyObject_GetAttr(PySequence_Fast_GET_ITEM(exprs, e), parts_name);
-        PyObject *seq = parts ? PySequence_Fast(parts, "expected a sequence of pointer parts")
-                              : NULL;
-        Py_XDECREF(parts);
-        if (seq == NULL)
+    }
+    for (int k = 0; k < 3; k++) {
+        PyObject *exprs = exprs_of(item->prop, PyTuple_GET_ITEM(role_order, k));
+        if (exprs == NULL || (roles[k] = resolve(exprs, t, tree_guided, k > 0, kept)) == NULL)
             goto done;
-        for (Py_ssize_t p = 0; p < PySequence_Fast_GET_SIZE(seq); p++) {
-            PyObject *part = PySequence_Fast_GET_ITEM(seq, p);
-            Py_ssize_t node;
-            if (!PyTuple_Check(part) || PyTuple_GET_SIZE(part) != 2) {
-                PyErr_SetString(PyExc_TypeError, "a pointer part must be a (terminal, height) tuple");
+    }
+    merged = join(roles + 1, 2, '|', 0);
+    provenance = named_tuple(Provenance, (PyObject *[]){file_id, item->key[0], item->key[1]}, 3);
+    if (merged != NULL && provenance != NULL)
+        record = named_tuple(SrlRecord, (PyObject *[]){
+            PyTuple_GET_ITEM(pair, 0), PyTuple_GET_ITEM(pair, 1),
+            roles[0], roles[1], roles[2], merged, provenance}, 7);
+done:
+    for (int k = 0; k < 3; k++)
+        Py_XDECREF(roles[k]);
+    Py_XDECREF(merged);
+    Py_XDECREF(provenance);
+    Py_DECREF(pair);
+    return record;
+}
+
+static PyObject *
+build_records(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError, "build_records expected 5 arguments, got %zd", nargs);
+        return NULL;
+    }
+    int tree_guided = PyObject_IsTrue(args[4]);
+    if (tree_guided < 0)
+        return NULL;
+    /* tuples, so what the Items and tables borrow outlives any callback */
+    PyObject *props = PySequence_Tuple(args[0]);
+    PyObject *trees = props ? PySequence_Tuple(args[1]) : NULL;
+    PyObject *records = trees ? PyList_New(0) : NULL;
+    PyObject *failures = records ? PyList_New(0) : NULL;
+    PyObject *result = NULL;
+    Kept kept = {NULL, 0, 0};
+    Item *items = failures ? items_of(props) : NULL;
+    Item *sorted = items ? sort_items(items, items + PyTuple_GET_SIZE(props),
+                                      PyTuple_GET_SIZE(props)) : NULL;
+    if (sorted == NULL)
+        goto done;
+    for (Py_ssize_t k = 0; k < PyTuple_GET_SIZE(props); k++) {
+        PyObject *tree, *t[NTABLES_OF_TREE], *record = NULL;
+        if (locate(&sorted[k], trees, &tree, t) == 0)
+            record = record_of(&sorted[k], t, args[2], args[3], tree_guided, &kept);
+        int rc = -1;
+        if (record != NULL)
+            rc = append_new(records, record);
+        else if (PyErr_ExceptionMatches(SrlKitError)) {
+            PyObject *exc = take_error();
+            rc = append_new(failures, exc ? PyTuple_Pack(2, sorted[k].prop, exc) : NULL);
+            Py_XDECREF(exc);
+        }
+        if (rc < 0)
+            goto done;
+    }
+    result = PyTuple_Pack(2, records, failures);
+done:
+    PyMem_Free(kept.token);
+    PyMem_Free(items);
+    Py_XDECREF(failures);
+    Py_XDECREF(records);
+    Py_XDECREF(trees);
+    Py_XDECREF(props);
+    return result;
+}
+
+/* Append to faults a (prop, where, error) for each pointer of a located
+   proposition that selects no node. 0, or -1 with an exception set. */
+static int
+pointer_faults(PyObject *prop, PyObject **t, PyObject *faults)
+{
+    for (int k = 0; k < 3; k++) {
+        PyObject *exprs = exprs_of(prop, PyTuple_GET_ITEM(role_order, k));
+        PyObject *seq = exprs ? PySequence_Fast(exprs, "expected a sequence of RoleExprs") : NULL;
+        if (seq == NULL)
+            return -1;
+        for (Py_ssize_t e = 0; e < PySequence_Fast_GET_SIZE(seq); e++) {
+            PyObject *parts = parts_of(PySequence_Fast_GET_ITEM(seq, e));
+            if (parts == NULL) {
                 Py_DECREF(seq);
-                goto done;
+                return -1;
             }
-            if (select_node(t, PyTuple_GET_ITEM(part, 0), PyTuple_GET_ITEM(part, 1), &node) < 0
-                || keep_span(t, node, tree_guided, kept) < 0) {
-                Py_DECREF(seq);
-                goto done;
+            for (Py_ssize_t p = 0; p < PySequence_Fast_GET_SIZE(parts); p++) {
+                PyObject *part = pointer_of(parts, p);
+                Py_ssize_t node;
+                int rc = part == NULL ? -1 : 0;
+                if (rc == 0
+                    && select_node(t, PyTuple_GET_ITEM(part, 0), PyTuple_GET_ITEM(part, 1), &node) < 0)
+                    rc = PyErr_ExceptionMatches(SrlKitError)
+                         ? append_new(faults, fault_entry(prop, PyTuple_GET_ITEM(role_names, k), part))
+                         : -1;
+                if (rc < 0) {
+                    Py_DECREF(parts);
+                    Py_DECREF(seq);
+                    return -1;
+                }
             }
+            Py_DECREF(parts);
         }
         Py_DECREF(seq);
     }
-    joined = PyUnicode_Join(space, kept);
-done:
-    Py_XDECREF(kept);
-    Py_DECREF(exprs);
-    return joined;
+    return 0;
+}
+
+static PyObject *
+list_faults(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "list_faults expected 2 arguments, got %zd", nargs);
+        return NULL;
+    }
+    PyObject *props = PySequence_Tuple(args[0]);
+    PyObject *trees = props ? PySequence_Tuple(args[1]) : NULL;
+    PyObject *faults = trees ? PyList_New(0) : NULL;
+    if (faults == NULL)
+        goto fail;
+    for (Py_ssize_t k = 0; k < PyTuple_GET_SIZE(props); k++) {
+        Item item;
+        PyObject *tree, *t[NTABLES_OF_TREE];
+        if (item_of(PyTuple_GET_ITEM(props, k), &item) < 0)
+            goto fail;
+        if (locate(&item, trees, &tree, t) < 0
+            && (!PyErr_ExceptionMatches(SrlKitError)
+                || append_new(faults, fault_entry(item.prop, NULL, NULL)) < 0))
+            goto fail;
+        if (tree != NULL && pointer_faults(item.prop, t, faults) < 0)
+            goto fail;
+    }
+    Py_DECREF(trees);
+    Py_DECREF(props);
+    return faults;
+fail:
+    Py_XDECREF(faults);
+    Py_XDECREF(trees);
+    Py_XDECREF(props);
+    return NULL;
 }
 
 /* --- module ----------------------------------------------------------- */
@@ -1199,6 +1662,14 @@ static PyMethodDef methods[] = {
                "The text of every pointer part of the expressions, traces dropped\n"
                "(by POS when tree_guided, else by pattern), empty parts left out,\n"
                "joined with single spaces.")},
+    {"build_records", (PyCFunction)(void (*)(void))build_records, METH_FASTCALL,
+     PyDoc_STR("build_records(props, trees, sentences, file_id, tree_guided)\n\n"
+               "The file's rows, before filtering, and its failing propositions, each\n"
+               "as (proposition, first fault), both in sort_propositions order.")},
+    {"list_faults", (PyCFunction)(void (*)(void))list_faults, METH_FASTCALL,
+     PyDoc_STR("list_faults(props, trees)\n\n"
+               "Every fault of each proposition as (proposition, where, error),\n"
+               "propositions in file order, in the order build_records meets them.")},
     {"roundtrip_exhaustive", (PyCFunction)(void (*)(void))roundtrip_exhaustive,
      METH_VARARGS | METH_KEYWORDS,
      PyDoc_STR("Check parse->format identity over every expression whose parts range\n"
@@ -1226,6 +1697,10 @@ static const struct {
     {"srlkit._nodes", "RoleLabel", &RoleLabel},
     {"srlkit._nodes", "RoleExpr", &RoleExpr},
     {"srlkit._nodes", "Proposition", &Proposition},
+    {"srlkit._nodes", "Provenance", &Provenance},
+    {"srlkit._nodes", "SrlRecord", &SrlRecord},
+    {"srlkit._nodes", "ROLE_ORDER", &role_order},
+    {"srlkit.errors", "SrlKitError", &SrlKitError},
     {"srlkit.errors", "EmptyInput", &EmptyInput},
     {"srlkit.errors", "UnbalancedParens", &UnbalancedParens},
     {"srlkit.errors", "TrailingGarbage", &TrailingGarbage},
@@ -1235,6 +1710,7 @@ static const struct {
     {"srlkit.errors", "TerminalOutOfRange", &TerminalOutOfRange},
     {"srlkit.errors", "HeightOverflow", &HeightOverflow},
     {"srlkit.errors", "MalformedOnf", &MalformedOnf},
+    {"srlkit.errors", "AlignmentError", &AlignmentError},
 };
 
 PyMODINIT_FUNC
@@ -1253,14 +1729,28 @@ PyInit__speedups(void)
         return NULL;
     if (header_end == NULL && (header_end = PyUnicode_FromString("sentence:")) == NULL)
         return NULL;
-    if (space == NULL && (space = PyUnicode_FromString(" ")) == NULL)
-        return NULL;
     if (parts_name == NULL && (parts_name = PyUnicode_InternFromString("parts")) == NULL)
+        return NULL;
+    if (empty_tuple == NULL && (empty_tuple = PyTuple_New(0)) == NULL)
         return NULL;
     for (int k = 0; k < 3; k++) {
         Py_XSETREF(labels[k], PyObject_GetAttrString(RoleLabel, label_names[k]));
         if (labels[k] == NULL)
             return NULL;
+    }
+    /* build_records and list_faults read three roles */
+    if (!PyTuple_Check(role_order) || PyTuple_GET_SIZE(role_order) != 3) {
+        PyErr_SetString(PyExc_ImportError, "srlkit._nodes.ROLE_ORDER must be a tuple of 3 labels");
+        return NULL;
+    }
+    Py_XSETREF(role_names, PyTuple_New(3));
+    if (role_names == NULL)
+        return NULL;
+    for (int k = 0; k < 3; k++) {
+        PyObject *name = PyObject_GetAttrString(PyTuple_GET_ITEM(role_order, k), "value");
+        if (name == NULL)
+            return NULL;
+        PyTuple_SET_ITEM(role_names, k, name);
     }
     return PyModule_Create(&module_def);
 }

@@ -30,6 +30,7 @@ from srlkit.pipeline import (
     discover_files,
     export_csv,
     extract_corpus,
+    list_faults,
     open_replacing,
     proposition_faults,
     read_corpus,
@@ -163,10 +164,9 @@ def cmd_validate(args) -> int:
         if fault is not None:
             violations.append((triple.file_id, "-", str(fault)))
         props, _, trees, _ = parts
-        for prop in props:
-            for where, exc in proposition_faults(prop, trees):
-                at = f"prop line {prop.line_no} {where}".rstrip()
-                violations.append((triple.file_id, str(prop.tree_index), f"{at}: {exc}"))
+        for prop, where, exc in list_faults(props, trees):
+            at = f"prop line {prop.line_no} {where}".rstrip()
+            violations.append((triple.file_id, str(prop.tree_index), f"{at}: {exc}"))
     if violations:
         print("file_id\ttree\tdetail")
         for file_id, tree_no, detail in violations:

@@ -8,9 +8,11 @@ files; ids missing either companion file are skipped and logged. Output
 rows are totally ordered by (file id, tree index, predicate terminal,
 source line), so runs are byte-reproducible. `extract`, `validate` and
 `inspect` read and check each file through one walk, `read_corpus`,
-which yields a file's fault as a value. A proposition gives no row for
-the faults `proposition_faults` lists: `extract` skips it on the first,
-`validate` reports them all.
+which yields a file's fault as a value. The kernel then takes a whole
+file: `build_records` builds its rows and names each failing
+proposition's first fault, which `extract` skips it on, and
+`list_faults` lists every fault, which `validate` reports, in the same
+order and words.
 """
 
 import contextlib
@@ -21,7 +23,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from srlkit import treebank
-from srlkit._backend import resolve_exprs
+from srlkit._backend import build_records, list_faults, resolve_exprs
+from srlkit._nodes import ROLE_ORDER, Provenance, SrlRecord
 from srlkit.cleaning import TraceMode, TracePolicy
 from srlkit.errors import (
     AlignmentError,
@@ -30,16 +33,9 @@ from srlkit.errors import (
     ExtractionError,
     MissingRoot,
     SrlKitError,
-    TerminalOutOfRange,
 )
 from srlkit.onf import SentencePair, parse_onf, parse_trees_file
-from srlkit.propbank import (
-    Proposition,
-    RoleExpr,
-    RoleLabel,
-    parse_prop_file,
-    sort_propositions,
-)
+from srlkit.propbank import Proposition, RoleExpr, parse_prop_file
 
 __all__ = [
     "CorpusLayout",
@@ -60,6 +56,8 @@ __all__ = [
     "alignment_fault",
     "read_corpus",
     "resolve_role",
+    "build_records",
+    "list_faults",
     "proposition_faults",
     "build_record",
     "filter_records",
@@ -72,7 +70,6 @@ __all__ = [
 
 SCHEMAS = ("srl", "orl")
 FOLDERS = tuple(f"{n:02d}" for n in range(25))  # the corpus sections searched
-ROLE_ORDER = (RoleLabel.REL, RoleLabel.ARG0, RoleLabel.ARG1)  # as a record is built
 
 
 class FileTriple(NamedTuple):
@@ -97,22 +94,6 @@ class CorpusLayout(NamedTuple):
             Path(self.onf_root, folder, f"{stem}.onf"),
             Path(self.parse_root, folder, f"{stem}.parse"),
         )
-
-
-class Provenance(NamedTuple):
-    file_id: str
-    tree_index: int
-    predicate_terminal: int
-
-
-class SrlRecord(NamedTuple):
-    sentence: str
-    treebanked_sentence: str
-    predicate: str
-    arg0: str
-    arg1: str
-    merged_arguments: str
-    provenance: Provenance | None = None
 
 
 class OrlRecord(NamedTuple):
@@ -258,45 +239,12 @@ def _tree_guided(policy: TracePolicy | None) -> bool:
     return policy is None or policy.mode is TraceMode.TREE_GUIDED
 
 
-def _locate(
-    prop: Proposition, trees: list[treebank.SpanTree]
-) -> tuple[treebank.SpanTree | None, SrlKitError | None]:
-    """The proposition's tree (None if its index is out of range) and the
-    fault of its tree index or predicate terminal, or None."""
-    if prop.tree_index >= len(trees):
-        return None, AlignmentError(
-            f"tree index {prop.tree_index} out of range ({len(trees)} trees)"
-        )
-    tree = trees[prop.tree_index]
-    if prop.predicate_terminal >= len(tree.tokens):
-        return tree, TerminalOutOfRange(
-            f"predicate terminal {prop.predicate_terminal} out of range "
-            f"(tree has {len(tree.tokens)} terminals)"
-        )
-    return tree, None
-
-
 def proposition_faults(
     prop: Proposition, trees: list[treebank.SpanTree]
 ) -> list[tuple[str, SrlKitError]]:
-    """Every reason the proposition gives no row, as (where, error) pairs
-    in the order `build_record` meets them: a tree index out of range
-    (alone, since nothing else can be checked), a predicate terminal out
-    of range, then each REL, ARG0 and ARG1 pointer that selects no node,
-    in source order within a role. `where` names the pointer, e.g.
-    "ARG0 pointer 9:1", and is "" for the two index faults."""
-    tree, fault = _locate(prop, trees)
-    faults = [] if fault is None else [("", fault)]
-    if tree is None:
-        return faults
-    for label in ROLE_ORDER:
-        for expr in prop.exprs(label):
-            for t, h in expr.parts:
-                try:
-                    treebank.select_node(tree, t, h)
-                except SrlKitError as exc:
-                    faults.append((f"{label.value} pointer {t}:{h}", exc))
-    return faults
+    """Every reason the proposition gives no row, as (where, error) pairs:
+    its part of the kernel's `list_faults`."""
+    return [(where, exc) for _, where, exc in list_faults([prop], trees)]
 
 
 def build_record(
@@ -306,26 +254,13 @@ def build_record(
     file_id: str = "",
     policy: TracePolicy | None = None,
 ) -> SrlRecord:
-    """The proposition's row, before filtering. Raises the first of its
-    `proposition_faults`, resolving as it goes rather than checking first."""
-    tree, fault = _locate(prop, trees)
-    if fault is not None:
-        raise fault
-    tree_guided = _tree_guided(policy)
-    roles = prop.roles
-    pair = sentences[prop.tree_index]
-    predicate = resolve_exprs(roles.get(RoleLabel.REL, ()), tree, tree_guided)
-    arg0 = resolve_exprs(roles.get(RoleLabel.ARG0, ()), tree, tree_guided).replace("|", "/")
-    arg1 = resolve_exprs(roles.get(RoleLabel.ARG1, ()), tree, tree_guided).replace("|", "/")
-    return SrlRecord(
-        pair.plain,
-        pair.treebanked,
-        predicate,
-        arg0,
-        arg1,
-        f"{arg0}|{arg1}",
-        Provenance(file_id, prop.tree_index, prop.predicate_terminal),
-    )
+    """The proposition's row, before filtering, as the kernel's
+    `build_records` builds it. Raises the first of its
+    `proposition_faults`."""
+    records, failures = build_records([prop], trees, sentences, file_id, _tree_guided(policy))
+    if failures:
+        raise failures[0][1]
+    return records[0]
 
 
 def filter_records(records: list[SrlRecord]) -> list[SrlRecord]:
@@ -408,7 +343,7 @@ def extract_corpus(
     ExtractionError under `strict`.
     """
     triples, skip_log = discover_files(layout)
-    policy = TracePolicy(mode=trace_mode)
+    tree_guided = trace_mode is TraceMode.TREE_GUIDED
     files_discovered = len(triples) + len(skip_log)
     files_processed = propositions = propositions_failed = 0
     records: list[SrlRecord] = []
@@ -421,16 +356,15 @@ def extract_corpus(
         props, sentences, trees, _ = parts
         files_processed += 1
         propositions += len(props)
-        for prop in sort_propositions(props):
-            try:
-                records.append(build_record(prop, trees, sentences, triple.file_id, policy))
-            except SrlKitError as exc:
-                if strict:
-                    raise ExtractionError(
-                        f"{triple.file_id} prop line {prop.line_no}: {exc}"
-                    ) from exc
-                skip_log.append((triple.file_id, f"prop line {prop.line_no}: {exc}"))
-                propositions_failed += 1
+        built, failures = build_records(props, trees, sentences, triple.file_id, tree_guided)
+        if failures and strict:
+            prop, exc = failures[0]
+            raise ExtractionError(f"{triple.file_id} prop line {prop.line_no}: {exc}") from exc
+        skip_log.extend(
+            (triple.file_id, f"prop line {prop.line_no}: {exc}") for prop, exc in failures
+        )
+        propositions_failed += len(failures)
+        records.extend(built)
     kept = filter_records(records)
     summary = RunSummary(
         files_discovered, files_processed, files_discovered - files_processed,

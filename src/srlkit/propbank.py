@@ -14,11 +14,13 @@ decimal, so the source text is also the expression's one spelling.
 
 `parse_prop_file` is the active kernel's reader. The pure kernel's line
 parser, `parse_prop_line`, lives in `srlkit._pure`, which the compiled
-backend never loads.
+backend never loads. `sort_propositions`, the order a file's records
+are built in, is defined in `srlkit._nodes` beside the types, since the
+pure kernel's record builder uses it; the compiled one has a copy.
 """
 
 from srlkit._backend import parse_prop_file
-from srlkit._nodes import Proposition, RoleExpr, RoleLabel
+from srlkit._nodes import Proposition, RoleExpr, RoleLabel, sort_propositions
 
 __all__ = [
     "RoleLabel",
@@ -27,8 +29,3 @@ __all__ = [
     "parse_prop_file",
     "sort_propositions",
 ]
-
-
-def sort_propositions(props: list[Proposition]) -> list[Proposition]:
-    """Stable sort by (tree_index, predicate_terminal)."""
-    return sorted(props, key=lambda p: (p.tree_index, p.predicate_terminal))

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 import support
 from native import requires_build_tools
-from srlkit import _pure, treebank
+from srlkit import _pure, pipeline, treebank
 from srlkit._pure import parse_prop_line
 from srlkit.cleaning import TraceMode, TracePolicy
 from srlkit.errors import (
@@ -24,6 +24,7 @@ from srlkit.errors import (
     ExtractionError,
     MissingRoot,
     SrlKitError,
+    TerminalOutOfRange,
 )
 from srlkit.onf import SentencePair
 from srlkit.pipeline import (
@@ -48,7 +49,7 @@ from srlkit.pipeline import (
     read_text,
     resolve_role,
 )
-from srlkit.propbank import Proposition, RoleExpr, RoleLabel
+from srlkit.propbank import Proposition, RoleExpr, RoleLabel, sort_propositions
 from srlkit.stats import read_dataset_csv
 
 
@@ -369,6 +370,166 @@ def test_resolvers_on_pointers_past_a_c_long(pointer):
             resolve_exprs([RoleExpr([pointer], "")], tree, True)
         outcomes.append((type(exc.value), str(exc.value)))
     assert outcomes[0] == outcomes[1]
+
+
+# indices past a C long; a .prop file admits up to 4,300 digits
+_HUGE = [10**30, 2**63, 10**4299]
+
+
+def _index(rng, n, valid):
+    """An index in range(n) with probability `valid`, else one past the
+    end, one past a C long, or negative, which only a hand-built
+    Proposition holds."""
+    if rng.random() < valid and n > 0:
+        return rng.randrange(n)
+    return rng.choice([n, n, *_HUGE, -1, -(10**30)])
+
+
+def _height(rng):
+    """A climb that mostly stays in a small tree, else one past its root or
+    past a C long."""
+    return rng.choice([0, 0, 1]) if rng.random() < 0.9 else rng.choice([5, 2**63])
+
+
+def _random_file(rng, parse_spans):
+    """A file's trees, sentences and propositions, hand-built to hold every
+    fault kind, "|" in tokens, absent and empty roles, and, as small trees
+    give few distinct indices, tied sort keys."""
+    trees = []
+    for _ in range(rng.randint(1, 3)):
+        tree = parse_spans(support.render(support.random_tree(rng, max_terminals=8)))
+        tokens = tuple(t + "|" + t if rng.random() < 0.2 else t for t in tree.tokens)
+        trees.append(tree._replace(tokens=tokens))
+    sentences = [SentencePair(" ".join(t.tokens), " ".join(t.tokens)) for t in trees]
+    props = []
+    for line_no in range(rng.randint(0, 8)):
+        tree_index = _index(rng, len(trees), 0.8)
+        terminals = len(trees[tree_index].tokens) if 0 <= tree_index < len(trees) else 4
+        roles = {}
+        for label in RoleLabel:
+            roll = rng.random()
+            if roll < 0.2:
+                continue  # the role is absent
+            roles[label] = [] if roll < 0.3 else [
+                RoleExpr([(_index(rng, terminals, 0.95), _height(rng))
+                          for _ in range(rng.randint(1, 3))], "")
+                for _ in range(rng.randint(1, 2))
+            ]
+        props.append(
+            Proposition("f", tree_index, _index(rng, terminals, 0.8), roles, line_no=line_no)
+        )
+    return trees, sentences, props
+
+
+def _errors(faults):
+    """Faults, each ending in its error, with the error as (type, message)."""
+    return [(*fault[:-1], type(fault[-1]), str(fault[-1])) for fault in faults]
+
+
+@requires_build_tools
+@given(st.integers(0, 10**9))
+def test_file_kernels_agree(seed):
+    """The compiled build_records and list_faults equal the pure twins on
+    generated files: rows, failures and faults, in order, in both trace
+    modes. Rows and failures come in sort_propositions order and faults
+    in file order, each proposition's as proposition_faults lists them."""
+    from srlkit import _speedups
+
+    rng = random.Random(seed)
+    trees, sentences, props = _random_file(rng, _speedups.parse_spans)
+    position = {id(prop): k for k, prop in enumerate(props)}
+    listed = {}
+    for kernel in (_pure, _speedups):
+        faults = kernel.list_faults(props, trees)
+        assert all(exc.__traceback__ is None for *_, exc in faults)  # no frame kept alive
+        listed[kernel] = _errors([(position[id(p)], where, exc) for p, where, exc in faults])
+    assert listed[_speedups] == listed[_pure]
+    assert [k for k, *_ in listed[_pure]] == sorted(k for k, *_ in listed[_pure])
+    for tree_guided in (True, False):
+        built = {}
+        for kernel in (_pure, _speedups):
+            records, failures = kernel.build_records(props, trees, sentences, "00/f", tree_guided)
+            assert all(exc.__traceback__ is None for _, exc in failures)
+            built[kernel] = records, _errors([(position[id(p)], exc) for p, exc in failures])
+        assert built[_speedups] == built[_pure]
+        records, failures = built[_pure]
+        failed = {k for k, *_ in failures}
+        order = [position[id(p)] for p in sort_propositions(props)]
+        assert [k for k, *_ in failures] == [k for k in order if k in failed]
+        assert [r.provenance for r in records] == [
+            Provenance("00/f", props[k].tree_index, props[k].predicate_terminal)
+            for k in order if k not in failed
+        ]
+        # a row's first fault is the first that validate lists for it
+        firsts = {}
+        for k, where, kind, message in listed[_pure]:
+            firsts.setdefault(k, (kind, message))
+        assert {k: (kind, message) for k, kind, message in failures} == firsts
+        assert all(r.arg0.count("|") + r.arg1.count("|") == 0 for r in records)
+        assert all(r.merged_arguments == f"{r.arg0}|{r.arg1}" for r in records)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        pytest.param("_pure", id="pure"),
+        pytest.param("_speedups", id="compiled", marks=requires_build_tools),
+    ],
+)
+@given(st.integers(0, 10**9))
+def test_one_proposition_callers_are_the_file_kernels(kernel, seed):
+    """build_record and proposition_faults give, for each proposition, its
+    part of the file kernels' output."""
+    kernel = importlib.import_module(f"srlkit.{kernel}")
+    rng = random.Random(seed)
+    trees, sentences, props = _random_file(rng, kernel.parse_spans)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "build_records", kernel.build_records)
+        patch.setattr(pipeline, "list_faults", kernel.list_faults)
+        faults = kernel.list_faults(props, trees)
+        for mode in TraceMode:
+            records, failures = kernel.build_records(
+                props, trees, sentences, "00/f", mode is TraceMode.TREE_GUIDED
+            )
+            rows, failed = iter(records), dict((id(p), exc) for p, exc in failures)
+            for prop in sort_propositions(props):
+                try:
+                    outcome = build_record(prop, trees, sentences, "00/f", TracePolicy(mode))
+                except SrlKitError as exc:
+                    assert _errors([(exc,)]) == _errors([(failed[id(prop)],)])
+                else:
+                    assert id(prop) not in failed and outcome == next(rows)
+        for prop in props:
+            assert _errors(proposition_faults(prop, trees)) == _errors(
+                [(where, exc) for p, where, exc in faults if p is prop]
+            )
+
+
+@pytest.mark.parametrize(
+    "kernel", ["_pure", pytest.param("_speedups", marks=requires_build_tools)]
+)
+def test_negative_indices_are_out_of_range(kernel):
+    """A hand-built Proposition may hold a negative index, which the .prop
+    reader refuses: it is out of range, so no tree is read from the end."""
+    kernel = importlib.import_module(f"srlkit.{kernel}")
+    trees = [kernel.parse_spans("(S (NN a) (VB b))"), kernel.parse_spans("(S (NN c))")]
+    sentences = [SentencePair("a b", "a b"), SentencePair("c", "c")]
+    rel = {RoleLabel.REL: [RoleExpr([(0, 0)], "0:0")]}
+    props = [Proposition("f", -1, 0, rel), Proposition("f", 0, -1, rel),
+             Proposition("f", -(10**30), 0, rel)]
+    expected = [
+        (AlignmentError, "tree index -1 out of range (2 trees)"),
+        (TerminalOutOfRange, "predicate terminal -1 out of range (tree has 2 terminals)"),
+        (AlignmentError, f"tree index {-(10**30)} out of range (2 trees)"),
+    ]
+    records, failures = kernel.build_records(props, trees, sentences, "00/f", True)
+    assert records == []
+    assert [(p, type(e), str(e)) for p, e in failures] == [
+        (props[k], *expected[k]) for k in (2, 0, 1)  # sorted by tree index
+    ]
+    assert [(p, w, type(e), str(e)) for p, w, e in kernel.list_faults(props, trees)] == [
+        (prop, "", *fault) for prop, fault in zip(props, expected)
+    ]
 
 
 class TestReadFile:

@@ -81,6 +81,12 @@ BAD_RESOLVES = [
     ([[(9, 0)]], True), ([[(0, 9)]], True), ([[(0, -1)]], True), ([[(-1, 0)]], True),
     ([[(10**30, 0)]], True), ([[(0, 10**30)]], True), ([[(0,)]], True), ([[("0", 0)]], True),
 ]
+# propositions on RESOLVE_TREE with a "|" token: rows, ties, and each fault
+FILE_PROPS = (
+    "f 0 1 x 1:1-ARG0 0:0,2:0-ARG1 2:0-rel\nf 0 1 x 3:0-ARG1\nf 0 0 x\n"
+    f"f 1 0 x\nf 0 9 x 9:0-rel\nf 0 0 x 0:9-ARG0\nf {'9' * 30} 0\nf 0 {'8' * 30} 1:1-ARG0\n"
+    f"f {'9' * 31} 0\nf {'9' * 30} 0\n"
+)
 SELECTS = [  # (terminal, height) on RESOLVE_TREE, which has 3 terminals
     (1, 1), (0, 3), (3, 0), (-1, 0), (0, -1), (10**30, 0), (0, 10**30), (-(10**30), 0), ("0", 0),
     (0, None),
@@ -112,10 +118,28 @@ def test_kernels_define_the_same_functions():
 @requires_build_tools
 def test_no_reference_leaks():
     from srlkit import _speedups
-    from srlkit._nodes import RoleExpr, SpanTree
+    from srlkit._nodes import Proposition, RoleExpr, RoleLabel, SentencePair, SpanTree
 
     tree = _speedups.parse_spans(RESOLVE_TREE)
     odd_tree = SpanTree((1,), ("NN",), (-1,), (0,), (1,), (0,))  # a token that is not a str
+    bar_tree = tree._replace(tokens=("*T*-1", "a|b", "\U0001F600"))
+    props = _speedups.parse_prop_file(FILE_PROPS)
+    pair = SentencePair("a b", "a b")
+    rel = {RoleLabel.REL: [RoleExpr([(0, 0)], "")]}
+    odd_props = [  # each fails, or is a fault, on its own branch
+        Proposition("f", -1, 0, rel), Proposition("f", 0, -(10**30), rel),
+        Proposition("f", 0, 0, {RoleLabel.ARG0: [RoleExpr([(10**30, 0), (0, 2**63)], "")]}),
+        Proposition("f", "0", 0, rel), Proposition("f", 0, 0, None),
+        Proposition("f", 0, 0, {RoleLabel.REL: 5}), Proposition("f", 0, 0, {RoleLabel.REL: [object()]}),
+        Proposition("f", 0, 0, {RoleLabel.REL: [RoleExpr([(0,)], "")]}), object(),
+    ]
+    file_args = [
+        (props, [bar_tree], [pair], "00/f", True), (props, [bar_tree], [pair], "00/f", False),
+        ([], [], [], "00/f", True), ([Proposition("f", 0, 0, rel)], [odd_tree], [pair], "00/f", True),
+        (props, [(1, 2)], [pair], "00/f", True), (props, [tree], [], "00/f", True),
+        (props, [tree], [None], "00/f", True), (5, [tree], [pair], "00/f", True),
+        (props, 5, [pair], "00/f", True), (props, [tree], [pair], "00/f"), (),
+    ] + [([prop], [tree], [pair], "00/f", True) for prop in odd_props]
     calls = (
         [(_speedups.parse_spans, (text,)) for text in VALID_TREES + BAD_TREES]
         + [(_speedups.parse_expr_parts, (text,)) for text in VALID_POINTERS + BAD_POINTERS]
@@ -139,6 +163,9 @@ def test_no_reference_leaks():
                 ([object()], tree, True), (5, tree, True), ([], (1, 2), True), ([], tree),
             ]
         ]
+        + [(_speedups.build_records, args) for args in file_args]
+        + [(_speedups.list_faults, args[:2]) for args in file_args if len(args) > 1]
+        + [(_speedups.list_faults, args) for args in [(props,), (props, [tree], [pair])]]
     )
 
     def run_all():
