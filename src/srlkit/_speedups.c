@@ -192,7 +192,7 @@ span_tree(PyObject *text, Scan *p)
     };
     PyObject *tree = NULL;
     if (args[0] && args[1] && args[2] && args[3] && args[4] && args[5])
-        tree = PyObject_Vectorcall(SpanTree, args, 6, NULL);
+        tree = named_tuple(SpanTree, args, 6);
     for (int k = 0; k < 6; k++)
         Py_XDECREF(args[k]);
     return tree;
@@ -579,7 +579,7 @@ prop_line(PyObject *text, Text s, Py_ssize_t from, Py_ssize_t to, Py_ssize_t lin
     args[4] = Py_NewRef(line);
     args[5] = PyLong_FromSsize_t(line_no);
     if (args[0] != NULL && args[5] != NULL)
-        prop = PyObject_Vectorcall(Proposition, args, 6, NULL);
+        prop = named_tuple(Proposition, args, 6);
 done:
     for (int k = 0; k < 6; k++)
         Py_XDECREF(args[k]);
@@ -941,7 +941,7 @@ read_block(Text s, Py_ssize_t i, Py_ssize_t end, PyObject **pending, PyObject *p
     }
     else {
         PyObject *args[2] = {*pending, text};
-        PyObject *pair = PyObject_Vectorcall(SentencePair, args, 2, NULL);
+        PyObject *pair = named_tuple(SentencePair, args, 2);
         Py_CLEAR(*pending);
         rc = pair == NULL ? -1 : PyList_Append(pairs, pair);
         Py_XDECREF(pair);

@@ -88,12 +88,20 @@ class CorpusLayout(NamedTuple):
     def triple(self, file_id: str) -> FileTriple:
         """The `.prop`, `.onf` and `.parse` paths of a file id `<NN>/<stem>`."""
         folder, _, stem = file_id.partition("/")
-        return FileTriple(
-            file_id,
-            Path(self.prop_root, folder, f"{stem}.prop"),
-            Path(self.onf_root, folder, f"{stem}.onf"),
-            Path(self.parse_root, folder, f"{stem}.parse"),
-        )
+        return _triple(file_id, stem, self._folders(folder))
+
+    def _folders(self, folder: str) -> tuple[Path, Path, Path]:
+        """The `.prop`, `.onf` and `.parse` folders of section `folder`."""
+        return Path(self.prop_root, folder), Path(self.onf_root, folder), Path(self.parse_root, folder)
+
+
+def _triple(file_id: str, stem: str, folders: tuple[Path, Path, Path]) -> FileTriple:
+    """The triple of `file_id`: `<folder>/<stem>.<ext>` in each of its
+    section's three folders."""
+    prop_dir, onf_dir, parse_dir = folders
+    return FileTriple(
+        file_id, prop_dir / f"{stem}.prop", onf_dir / f"{stem}.onf", parse_dir / f"{stem}.parse"
+    )
 
 
 class OrlRecord(NamedTuple):
@@ -139,7 +147,8 @@ def _file_names(folder: Path) -> set[str] | None:
 def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[str, str]]]:
     """Aligned (prop, onf, parse) triples plus skip entries, ordered by id.
 
-    Each folder is listed once, by `_file_names`. An id is every file in
+    Each folder is listed once, by `_file_names`, and a companion is
+    looked up by name in its folder's listing. An id is every file in
     a `.prop` folder whose name ends in ".prop", case-sensitively and
     hidden names included; an entry that is not a file, like a missing
     companion, is none."""
@@ -149,22 +158,24 @@ def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[s
     triples: list[FileTriple] = []
     skips: list[tuple[str, str]] = []
     for folder in FOLDERS:
-        names = sorted(name for name in _file_names(Path(layout.prop_root) / folder) or ()
-                       if name.endswith(".prop"))
+        folders = layout._folders(folder)
+        names = sorted(name for name in _file_names(folders[0]) or () if name.endswith(".prop"))
         if not names:
             continue
-        listed = [_file_names(Path(root) / folder) for root in (layout.onf_root, layout.parse_root)]
+        onf_names, parse_names = _file_names(folders[1]), _file_names(folders[2])
         for name in names:
-            file_id = f"{folder}/{name[:-5] or name}"  # the stem of ".prop" is ".prop"
+            stem = name[:-5] or name  # the stem of ".prop" is ".prop"
+            file_id = f"{folder}/{stem}"
             if file_id in layout.exclusions:
                 skips.append((file_id, "excluded by configuration"))
                 continue
-            triple = layout.triple(file_id)
-            missing = [
-                path.suffix
-                for path, names_there in zip((triple.onf_path, triple.parse_path), listed)
-                if not (path.is_file() if names_there is None else path.name in names_there)
-            ]
+            triple = _triple(file_id, stem, folders)
+            missing = []
+            if not (triple.onf_path.is_file() if onf_names is None else f"{stem}.onf" in onf_names):
+                missing.append(".onf")
+            if not (triple.parse_path.is_file() if parse_names is None
+                    else f"{stem}.parse" in parse_names):
+                missing.append(".parse")
             if missing:
                 skips.append((file_id, f"missing companion file(s): {' '.join(missing)}"))
                 continue
@@ -176,13 +187,19 @@ def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[s
 
 def read_text(path, newline=None) -> str:
     """The text of a UTF-8 file, its line ends translated as `open` does
-    for `newline`. Every text input is read through here, so bytes that
-    are not UTF-8 are a DecodeError, never a UnicodeDecodeError."""
+    for `newline`: with None, "\r\n" and "\r" become "\n"; with "", none
+    is. Every text input is read through here, as one unbuffered read
+    decoded once, so bytes that are not UTF-8 are a DecodeError, never a
+    UnicodeDecodeError, and its offset counts from the start of the file."""
+    with open(path, "rb", buffering=0) as handle:
+        data = handle.read()
     try:
-        with open(path, encoding="utf-8", newline=newline) as handle:
-            return handle.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DecodeError(f"{path}: not UTF-8 at byte offset {exc.start} ({exc.reason})") from None
+    if newline is None and "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def read_file(
@@ -202,7 +219,13 @@ def alignment_fault(sentences: list[SentencePair], trees: list[treebank.SpanTree
     if len(trees) != len(sentences):
         return AlignmentError(f"{len(sentences)} sentences but {len(trees)} trees")
     for i, (pair, tree) in enumerate(zip(sentences, trees)):
-        if tree.tokens != tuple(pair.treebanked.split()):
+        # tree tokens are non-empty and hold no ASCII whitespace, and " " is
+        # the only printable whitespace, so a printable text equal to their
+        # join splits back into exactly them; any other text takes the split
+        text = pair.treebanked
+        if " ".join(tree.tokens) == text and text.isprintable():
+            continue
+        if tree.tokens != tuple(text.split()):
             return AlignmentError(f"tree {i} leaves differ from its treebanked sentence")
     return None
 

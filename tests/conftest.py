@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -22,6 +23,8 @@ settings.register_profile("suite", max_examples=120, deadline=None)
 settings.load_profile("suite")
 
 FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_CORPORA = ("badptr", "corpus", "misaligned", "partial", "swapped")
+PERFBENCH = ROOT / "perfbench"
 SPEEDUPS_SOURCE = SRC / "srlkit" / "_speedups.c"
 
 
@@ -105,6 +108,27 @@ def pytest_report_header(config):
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture(scope="session")
+def oracle_corpus(tmp_path_factory) -> Path:
+    """The corpus of seed 0 that `tests/test_oracle.py` checks, from the
+    benchmark's generator, `perfbench/corpus.py`."""
+    from test_oracle import SHAPE
+
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", PERFBENCH / "corpus.py")
+    corpusmod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpusmod)
+    return corpusmod.generate(corpusmod.Shape(**SHAPE), 0, tmp_path_factory.mktemp("oracle")).root
+
+
+@pytest.fixture(scope="session", params=[*FIXTURE_CORPORA, "oracle"])
+def any_corpus(request) -> Path:
+    """Each fixture corpus, then the oracle corpus: the directory that
+    holds its `prop`, `onf` and `parse` roots."""
+    if request.param == "oracle":
+        return request.getfixturevalue("oracle_corpus")
+    return FIXTURES / request.param
 
 
 @pytest.fixture(scope="session")

@@ -287,17 +287,16 @@ def test_prop_entry_not_a_file_is_no_file_id(entry, fixtures_dir, tmp_path, caps
     assert outputs(odd) == outputs(fixtures_dir / "corpus")
 
 
-@pytest.mark.parametrize("name", ["corpus", "partial"])
-def test_line_ends_do_not_change_outputs(name, fixtures_dir, tmp_path, monkeypatch, capsys):
+def test_line_ends_do_not_change_outputs(any_corpus, tmp_path, monkeypatch, capsys):
     """A corpus whose files end their lines in CRLF, or in CR alone, gives
     extract's CSV, skip log and stdout and validate's stdout and exit
     code byte for byte as the same corpus with LF line ends."""
 
     def outputs(eol):
         run = tmp_path / eol.hex()
-        for path in (fixtures_dir / name).rglob("*"):
+        for path in any_corpus.rglob("*"):
             if path.is_file():
-                copy = run / "corpus" / path.relative_to(fixtures_dir / name)
+                copy = run / "corpus" / path.relative_to(any_corpus)
                 copy.parent.mkdir(parents=True, exist_ok=True)
                 copy.write_bytes(path.read_bytes().replace(b"\n", eol))
         monkeypatch.chdir(run)  # so the paths printed are alike

@@ -1,4 +1,5 @@
 import csv
+import gc
 import importlib
 import io
 import os
@@ -20,6 +21,7 @@ from srlkit._pure import parse_prop_line
 from srlkit.cleaning import TraceMode, TracePolicy
 from srlkit.errors import (
     AlignmentError,
+    DecodeError,
     EmptyCorpus,
     ExtractionError,
     MissingRoot,
@@ -105,6 +107,26 @@ class TestDiscoverFiles:
         assert triple.onf_path == golden_layout.onf_root / "01" / "wsj_0101.onf"
         assert triple.parse_path == golden_layout.parse_root / "01" / "wsj_0101.parse"
         assert triple in discover_files(golden_layout)[0]
+
+    @pytest.mark.parametrize("roots", ["path", "str", "dot"])
+    def test_discovered_triples_are_layout_triples(self, roots, any_corpus, monkeypatch):
+        # discovery builds each folder's paths once; its triples must be
+        # `layout.triple`'s, whose text names the files in skip-log lines
+        if roots == "dot":
+            monkeypatch.chdir(any_corpus / "prop")
+            layout = CorpusLayout(".", "../onf", "../parse")
+        else:
+            wrap = Path if roots == "path" else str
+            layout = CorpusLayout(*(wrap(any_corpus / ext) for ext in ("prop", "onf", "parse")))
+        triples, _ = discover_files(layout)
+        assert triples == [layout.triple(t.file_id) for t in triples]
+        for triple in triples:
+            folder, _, stem = triple.file_id.partition("/")
+            assert [str(path) for path in triple[1:]] == [
+                str(Path(root, folder, f"{stem}.{ext}"))
+                for root, ext in zip(layout[:3], ("prop", "onf", "parse"))
+            ]
+            assert all(type(path) is type(Path()) for path in triple[1:])
 
     def test_missing_root(self, tmp_path):
         layout = CorpusLayout(
@@ -753,7 +775,108 @@ class TestCsvLines:
         assert read_dataset_csv(out) == records
 
 
+class TestReadText:
+    """`read_text` against `open(path, encoding="utf-8", newline=...)`,
+    the reader it replaces."""
+
+    @staticmethod
+    def _opened(path, newline=None):
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            return handle.read()
+
+    @given(st.lists(st.sampled_from(["a", "é", "\r", "\n", "\r\n"]), max_size=40))
+    def test_line_ends_as_open(self, pieces):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder, "f.txt")
+            path.write_bytes("".join(pieces).encode("utf-8"))
+            for newline in (None, ""):
+                assert read_text(path, newline) == self._opened(path, newline)
+
+    @pytest.mark.parametrize("offset", [100, 9_000, 70_000, 2_000_000])
+    def test_decode_error_offset(self, offset, tmp_path):
+        # the offset counts bytes from the start of the file, past any
+        # multi-byte character or CRLF before it
+        path = tmp_path / "f.txt"
+        path.write_bytes("é\r\n".encode("utf-8") * (offset // 4) + b"\xff" + b"a\r\n" * 10)
+        with pytest.raises(UnicodeDecodeError) as opened:
+            self._opened(path)
+        assert opened.value.start == offset
+        with pytest.raises(DecodeError) as exc:
+            read_text(path)
+        assert str(exc.value) == f"{path}: not UTF-8 at byte offset {offset} (invalid start byte)"
+
+    def test_truncated_character_at_end(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"abc\n" + "é".encode("utf-8")[:1])
+        with pytest.raises(DecodeError) as exc:
+            read_text(path)
+        assert str(exc.value) == f"{path}: not UTF-8 at byte offset 4 (unexpected end of data)"
+
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_unreadable_path_is_named(self, kind, tmp_path):
+        path = tmp_path / "d" if kind == "directory" else tmp_path / "nope.txt"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(OSError) as opened:
+            self._opened(path)
+        with pytest.raises(OSError) as exc:
+            read_text(path)
+        assert type(exc.value) is type(opened.value)
+        assert str(exc.value) == str(opened.value)
+        assert str(path) in str(exc.value)
+
+
+# tokens as the tree scanner makes them: non-empty, no ASCII whitespace,
+# with characters that are whitespace or unprintable to str but not to it
+TOKEN = st.text(st.sampled_from(["a", "é", "\xa0", "\x1c", "\x85", "\u2028", "\u200b"]),
+                min_size=1, max_size=3)
+SEPARATOR = st.sampled_from([" ", "  ", "\t", "\n", " \xa0", "\x1c"])
+
+
+@st.composite
+def tree_and_text(draw):
+    """Tree tokens, and a treebanked text: their join, or their join with
+    other separators, leading or trailing space, or other tokens."""
+    tokens = draw(st.lists(TOKEN, min_size=1, max_size=6))
+    words = draw(st.one_of(st.just(tokens), st.lists(TOKEN, min_size=1, max_size=6)))
+    if draw(st.booleans()):
+        text = " ".join(words)
+    else:
+        text = "".join(w + draw(SEPARATOR) for w in words[:-1]) + words[-1]
+    text = draw(st.sampled_from(["", " ", "\t", " \u3000"])) + text
+    return tokens, text + draw(st.sampled_from(["", " ", "\n"]))
+
+
+class TestAlignmentFault:
+    def test_only_space_is_printable_whitespace(self):
+        # the premise of alignment_fault's shortcut, on this Python
+        assert [c for c in map(chr, range(sys.maxunicode + 1))
+                if c.isspace() and c.isprintable()] == [" "]
+
+    @given(tree_and_text())
+    def test_same_verdict_as_split(self, case):
+        tokens, text = case
+        tree = treebank.parse_tree("(S " + " ".join(f"(NN {t})" for t in tokens) + ")")
+        assert tree.tokens == tuple(tokens)
+        fault = alignment_fault([SentencePair("p", text)], [tree])
+        aligned = tree.tokens == tuple(text.split())  # the rule before the shortcut
+        assert (fault is None) == aligned
+        if fault is not None:
+            assert str(fault) == "tree 0 leaves differ from its treebanked sentence"
+
+
 class TestExtractCorpus:
+    def test_walk_makes_no_garbage_cycles(self, any_corpus, tmp_path):
+        # the walk and the CSV write leave nothing for the cyclic collector
+        layout = CorpusLayout(*(any_corpus / ext for ext in ("prop", "onf", "parse")))
+        gc.collect()
+        gc.disable()
+        try:
+            export_csv(extract_corpus(layout).records, tmp_path / "d.csv")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_summary_accounting(self, golden_layout):
         result = extract_corpus(golden_layout)
         s = result.summary
