@@ -16,10 +16,14 @@ their pointers is climbed to its node on its tree by `select_node`, and
 their roles are resolved by `resolve_exprs` in both trace modes. Each
 `.prop` document with its trees and sentences is one file: its rows are
 built by `build_records` in both trace modes and its faults listed by
-`list_faults`.
+`list_faults`. Each row keeps all its results alive until it ends, as a
+run keeps its records, and is timed with the cyclic collector paused, so
+the rows time the kernels and not the collector's passes over the
+results.
 """
 
 import argparse
+import gc
 import random
 import sys
 import time
@@ -38,12 +42,21 @@ except ImportError:
 
 
 def best_of(repeats, fn):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+    """The least wall time of `repeats` calls of `fn`, made with the
+    cyclic collector paused, as srlkit's commands run; the collector's
+    state is restored after."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - start)
+        return best
+    finally:
+        if collecting:
+            gc.enable()
 
 
 SENTENCES_PER_DOC = 8

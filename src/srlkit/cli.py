@@ -8,9 +8,13 @@ Subcommands:
 
 Flag values override config-file values; every domain error exits nonzero
 after writing one `error: <Type>: <detail>` line to stderr.
+Each command runs with the cyclic garbage collector paused, and `main`
+restores the caller's collector state when it returns or raises; library
+calls keep Python's defaults.
 """
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -292,9 +296,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    # the walks free everything by reference count (the no-cycles tests
+    # hold them to it), so the collector's passes over the rows a command
+    # keeps would find nothing; the few cycles argparse leaves wait for
+    # the caller's collector
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        parser, commands = _build_parser()
+        args = parser.parse_args(argv)
         # a subcommand parser writes its own defaults over a namespace it
         # is given, so the config file's values become its defaults and
         # the flags are parsed again over them
@@ -308,6 +318,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: IoError: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

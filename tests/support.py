@@ -16,9 +16,13 @@ delimiter and header rules of its own; both of srlkit's `.prop`
 readers (`_pure.parse_prop_file` and the compiled
 `parse_prop_file`) and both `.onf` readers (`_pure.parse_onf`
 and the compiled `parse_onf`) must match them.
+
+`cyclic_garbage` counts what a call leaves for the cyclic collector,
+for the tests that hold the walks free of reference cycles.
 """
 
 import enum
+import gc
 import random
 import re
 from dataclasses import dataclass
@@ -461,3 +465,18 @@ def parse_onf_unfiltered(text: str) -> list[SentencePair]:
     if pending_plain is not None:
         raise MalformedOnf("plain sentence without a treebanked sentence")
     return pairs
+
+
+def cyclic_garbage(run) -> int:
+    """How many unreachable objects `run()` leaves for the cyclic
+    collector when it runs with the collector paused, as `cli.main` runs a
+    command; the collector's state is restored."""
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if collecting:
+            gc.enable()

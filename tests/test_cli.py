@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -8,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import support
+from srlkit import cli
+from srlkit import stats as statsmod
 from srlkit.cli import main
 
 
@@ -864,3 +868,82 @@ class TestNotUtf8:
         assert captured.err == f"error: DecodeError: {fault}\n"
         assert captured.out == ""
         assert not out.exists()
+
+
+class TestCollectorPause:
+    """Each command runs with the cyclic collector paused, and `main`
+    hands the collector back as it found it, however the command ends."""
+
+    @pytest.mark.parametrize("command", ["extract", "validate", "stats"])
+    def test_paused_while_the_command_runs(
+        self, command, fixtures_dir, golden_srl_csv, tmp_path, monkeypatch, capsys
+    ):
+        module, name, argv = {
+            "extract": (cli, "extract_corpus",
+                        ["extract", *flags(fixtures_dir), "--out", str(tmp_path / "d.csv")]),
+            "validate": (cli, "read_corpus", ["validate", *flags(fixtures_dir)]),
+            "stats": (statsmod, "compute_stats",
+                      ["stats", "--csv", str(golden_srl_csv), "--out", str(tmp_path)]),
+        }[command]
+        real, seen = getattr(module, name), []
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        assert gc.isenabled()
+        assert main(argv) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["caller-on", "caller-off"])
+    @pytest.mark.parametrize("outcome", ["rc-0", "domain-error", "io-error", "help", "missing-flag"])
+    def test_state_restored(self, outcome, collecting, fixtures_dir, tmp_path, capsys):
+        argv, rc, err = {
+            "rc-0": (["validate", *flags(fixtures_dir)], 0, ""),
+            "domain-error": (["validate", *_roots(tmp_path / "nope")], 1, "error: MissingRoot:"),
+            "io-error": (["stats", "--csv", str(tmp_path / "none.csv"), "--out", str(tmp_path)],
+                         1, "error: IoError:"),
+            "help": (["extract", "--help"], 0, ""),
+            "missing-flag": (["stats"], 2, "usage: srlkit stats"),
+        }[outcome]
+        was_on = gc.isenabled()
+        if not collecting:
+            gc.disable()
+        try:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's exit, for --help and a usage error
+                code = exc.code
+            assert (code, gc.isenabled()) == (rc, collecting)
+            assert capsys.readouterr().err.startswith(err)
+        finally:
+            if was_on:
+                gc.enable()
+
+    @pytest.mark.parametrize("command", ["extract", "validate", "stats"])
+    def test_garbage_left_does_not_grow_with_the_corpus(
+        self, command, fixtures_dir, oracle_corpus, tmp_path, capsys
+    ):
+        """With the collector off, what a command leaves for it is a fixed
+        amount (argparse's parser, and json's encoder for stats), the same
+        on the small fixture corpus as on the larger oracle corpus."""
+
+        def left(corpus, run):
+            out = tmp_path / run
+            out.mkdir()
+            extract = ["extract", *_roots(corpus), "--out", str(out / "d.csv")]
+            argv = {
+                "extract": extract,
+                "validate": ["validate", *_roots(corpus)],
+                "stats": ["stats", "--csv", str(out / "d.csv"),
+                          "--lexicon", str(fixtures_dir / "lexicon.tsv"), "--out", str(out)],
+            }[command]
+            if command == "stats":
+                assert main(extract) == 0
+            count = support.cyclic_garbage(lambda: main(argv))
+            capsys.readouterr()
+            return count
+
+        assert left(fixtures_dir / "corpus", "fixture") == left(oracle_corpus, "oracle")

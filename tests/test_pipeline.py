@@ -1,5 +1,4 @@
 import csv
-import gc
 import importlib
 import io
 import os
@@ -44,6 +43,7 @@ from srlkit.pipeline import (
     export_csv,
     extract_corpus,
     filter_records,
+    list_faults,
     map_to_orl,
     proposition_faults,
     read_corpus,
@@ -67,6 +67,18 @@ def layout_for(fixtures_dir, name) -> CorpusLayout:
         onf_root=fixtures_dir / name / "onf",
         parse_root=fixtures_dir / name / "parse",
     )
+
+
+def validate_walk(layout) -> list:
+    """What `validate` walks: each file read and checked, and every fault
+    of every proposition of each file that could be read."""
+    triples, skips = discover_files(layout)
+    faults = [*skips]
+    for _, parts, fault in read_corpus(triples):
+        faults.append(fault)
+        if parts is not None:
+            faults.extend(list_faults(parts[0], parts[2]))
+    return faults
 
 
 class TestDiscoverFiles:
@@ -869,13 +881,41 @@ class TestExtractCorpus:
     def test_walk_makes_no_garbage_cycles(self, any_corpus, tmp_path):
         # the walk and the CSV write leave nothing for the cyclic collector
         layout = CorpusLayout(*(any_corpus / ext for ext in ("prop", "onf", "parse")))
-        gc.collect()
-        gc.disable()
-        try:
-            export_csv(extract_corpus(layout).records, tmp_path / "d.csv")
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        out = tmp_path / "d.csv"
+        assert support.cyclic_garbage(lambda: export_csv(extract_corpus(layout).records, out)) == 0
+
+    def test_validate_walk_makes_no_garbage_cycles(self, any_corpus):
+        layout = CorpusLayout(*(any_corpus / ext for ext in ("prop", "onf", "parse")))
+        assert support.cyclic_garbage(lambda: validate_walk(layout)) == 0
+
+    def test_skip_paths_make_no_garbage_cycles(self, fixtures_dir, tmp_path):
+        # a raised error's traceback is where a cycle would most likely
+        # hide: a file that is not UTF-8, a malformed .prop line, and a
+        # strict run that stops on the first of them
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixtures_dir / "corpus", corpus)
+        with open(corpus / "onf/00/wsj_0002.onf", "ab") as handle:
+            handle.write(b"\xff\xfe")
+        with open(corpus / "prop/01/wsj_0101.prop", "a", encoding="utf-8") as handle:
+            handle.write("nw/wsj/01/wsj_0101 x\n")
+        layout = layout_for(tmp_path, "corpus")
+        out = tmp_path / "d.csv"
+
+        def tolerant():
+            result = extract_corpus(layout)
+            assert [fid for fid, _ in result.summary.skip_log] == ["00/wsj_0002", "01/wsj_0101"]
+            export_csv(result.records, out)
+
+        def strict():
+            try:
+                extract_corpus(layout, strict=True)
+            except ExtractionError:
+                return
+            raise AssertionError("a strict run went past a bad file")
+
+        assert support.cyclic_garbage(tolerant) == 0
+        assert support.cyclic_garbage(lambda: validate_walk(layout)) == 0
+        assert support.cyclic_garbage(strict) == 0
 
     def test_summary_accounting(self, golden_layout):
         result = extract_corpus(golden_layout)

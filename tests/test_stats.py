@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import support
 from srlkit.errors import (
     BadThresholds,
     EmptyInput,
@@ -11,7 +12,7 @@ from srlkit.errors import (
     LexiconError,
     MalformedDataset,
 )
-from srlkit.pipeline import SrlRecord
+from srlkit.pipeline import CorpusLayout, SrlRecord, export_csv, extract_corpus
 from srlkit.stats import (
     ALPHA,
     SentimentLexicon,
@@ -285,3 +286,20 @@ class TestReadDatasetCsv:
         with pytest.raises(MalformedDataset) as caught:
             read_dataset_csv(path)
         assert str(caught.value) == message
+
+
+def test_stats_make_no_garbage_cycles(any_corpus, fixtures_dir, tmp_path):
+    # what the stats command runs, over the CSV extract writes from each corpus
+    layout = CorpusLayout(*(any_corpus / ext for ext in ("prop", "onf", "parse")))
+    csv_path = tmp_path / "d.csv"
+    export_csv(extract_corpus(layout).records, csv_path)
+
+    def run():
+        records = read_dataset_csv(csv_path)
+        lexicon = SentimentLexicon.load(fixtures_dir / "lexicon.tsv")
+        try:
+            compute_stats(records, lexicon=lexicon)
+        except EmptyInput:  # every proposition of the corpus was skipped
+            assert not records
+
+    assert support.cyclic_garbage(run) == 0
