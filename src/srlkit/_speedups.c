@@ -11,9 +11,9 @@
    pure reader splits the text into blocks first. Every pointer is
    climbed by one static select_node, so the pointer faults list_faults
    gives validate are the ones build_records meets for extract.
-   build_records holds C copies of rules the pure kernel takes from
-   Python: sort_propositions' stable order, ROLE_ORDER's use, the "|" to
-   "/" rule of ARG0 and ARG1 and the merged_arguments join.
+   build_records takes its order from sort_propositions and holds C
+   copies of rules the pure kernel takes from Python: ROLE_ORDER's use,
+   the "|" to "/" rule of ARG0 and ARG1 and the merged_arguments join.
 
    Text is read in place, code point by code point, whatever the width the
    str stores it in, so any str scans as it does in _pure.py.
@@ -28,6 +28,7 @@
 static PyObject *SpanTree, *SentencePair, *RoleLabel, *RoleExpr, *Proposition;
 static PyObject *Provenance, *SrlRecord;
 static PyObject *role_order;    /* ROLE_ORDER, the roles of a record in order */
+static PyObject *sort_propositions;     /* the order of build_records' rows */
 static PyObject *role_names;    /* the value of each label of ROLE_ORDER */
 static PyObject *SrlKitError, *EmptyInput, *UnbalancedParens, *TrailingGarbage;
 static PyObject *MalformedPointer, *EmptyFragment, *MalformedLine, *MalformedOnf;
@@ -1305,9 +1306,9 @@ resolve_exprs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
    build_records and list_faults take a file's propositions and trees. A
    proposition's tree index and predicate terminal are read once into an
    Item; they are ints, of any size as the .prop reader takes up to 4,300
-   digits, so each is kept as a long long when it fits and compared as a
-   Python int when it does not. The checks and their messages are those
-   of _pure._locate, and a pointer's faults are select_node's. */
+   digits, so each is kept as a long long when it fits and is out of range
+   when it does not. The checks and their messages are those of
+   _pure._locate, and a pointer's faults are select_node's. */
 
 typedef struct {
     PyObject *prop;         /* borrowed */
@@ -1338,75 +1339,6 @@ item_of(PyObject *prop, Item *item)
         item->value[k] = PyLong_AsLongLongAndOverflow(key, &item->over[k]);
     }
     return 0;
-}
-
-/* The Items of a tuple of n Propositions, in a PyMem buffer with room
-   for n more as scratch; NULL with an exception set. */
-static Item *
-items_of(PyObject *props)
-{
-    Py_ssize_t n = PyTuple_GET_SIZE(props);
-    if ((size_t)n > PY_SSIZE_T_MAX / (2 * sizeof(Item)))
-        return (Item *)PyErr_NoMemory();
-    Item *items = PyMem_Malloc(2 * (size_t)n * sizeof(Item) + 1);
-    if (items == NULL)
-        return (Item *)PyErr_NoMemory();
-    for (Py_ssize_t k = 0; k < n; k++) {
-        if (item_of(PyTuple_GET_ITEM(props, k), &items[k]) < 0) {
-            PyMem_Free(items);
-            return NULL;
-        }
-    }
-    return items;
-}
-
-/* -1, 0 or 1 as a's key k is below, equal to or above b's; -2 with an
-   exception set when the ints cannot be compared. */
-static int
-key_cmp(const Item *a, const Item *b, int k)
-{
-    if (a->over[k] != b->over[k])
-        return a->over[k] < b->over[k] ? -1 : 1;
-    if (a->over[k] == 0)
-        return (a->value[k] > b->value[k]) - (a->value[k] < b->value[k]);
-    int below = PyObject_RichCompareBool(a->key[k], b->key[k], Py_LT);
-    if (below != 0)
-        return below < 0 ? -2 : -1;
-    int above = PyObject_RichCompareBool(b->key[k], a->key[k], Py_LT);
-    return above < 0 ? -2 : above;
-}
-
-/* Sort items[0:n] by (tree_index, predicate_terminal), ties kept in their
-   order, as sort_propositions does: a bottom-up merge sort that takes
-   from the right run only what sorts strictly before the left run's head.
-   scratch holds n more Items. The sorted Items, in items or in scratch,
-   or NULL with an exception set. */
-static Item *
-sort_items(Item *items, Item *scratch, Py_ssize_t n)
-{
-    for (Py_ssize_t width = 1; width < n; width *= 2) {
-        for (Py_ssize_t lo = 0; lo < n; lo += 2 * width) {
-            Py_ssize_t mid = lo + width < n ? lo + width : n;
-            Py_ssize_t hi = mid + width < n ? mid + width : n;
-            Py_ssize_t i = lo, j = mid, out = lo;
-            while (i < mid && j < hi) {
-                int c = key_cmp(&items[j], &items[i], TREE_INDEX);
-                if (c == 0)
-                    c = key_cmp(&items[j], &items[i], PREDICATE);
-                if (c == -2)
-                    return NULL;
-                scratch[out++] = c < 0 ? items[j++] : items[i++];
-            }
-            while (i < mid)
-                scratch[out++] = items[i++];
-            while (j < hi)
-                scratch[out++] = items[j++];
-        }
-        Item *swap = items;
-        items = scratch;
-        scratch = swap;
-    }
-    return items;
 }
 
 /* The tree of an Item in a tuple of trees, its tables in t, and the
@@ -1528,28 +1460,35 @@ build_records(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
     int tree_guided = PyObject_IsTrue(args[4]);
     if (tree_guided < 0)
         return NULL;
-    /* tuples, so what the Items and tables borrow outlives any callback */
-    PyObject *props = PySequence_Tuple(args[0]);
+    /* sort_propositions' list is new and only this call holds it, and the
+       trees are a tuple, so what an Item and the tables borrow outlives
+       any callback */
+    PyObject *props = PyObject_CallOneArg(sort_propositions, args[0]);
+    if (props != NULL && !PyList_CheckExact(props)) {
+        PyErr_Format(PyExc_TypeError, "sort_propositions returned %.200s, not a list",
+                     Py_TYPE(props)->tp_name);
+        Py_CLEAR(props);
+    }
     PyObject *trees = props ? PySequence_Tuple(args[1]) : NULL;
     PyObject *records = trees ? PyList_New(0) : NULL;
     PyObject *failures = records ? PyList_New(0) : NULL;
     PyObject *result = NULL;
     Kept kept = {NULL, 0, 0};
-    Item *items = failures ? items_of(props) : NULL;
-    Item *sorted = items ? sort_items(items, items + PyTuple_GET_SIZE(props),
-                                      PyTuple_GET_SIZE(props)) : NULL;
-    if (sorted == NULL)
+    if (failures == NULL)
         goto done;
-    for (Py_ssize_t k = 0; k < PyTuple_GET_SIZE(props); k++) {
+    for (Py_ssize_t k = 0; k < PyList_GET_SIZE(props); k++) {
+        Item item;
         PyObject *tree, *t[NTABLES_OF_TREE], *record = NULL;
-        if (locate(&sorted[k], trees, &tree, t) == 0)
-            record = record_of(&sorted[k], t, args[2], args[3], tree_guided, &kept);
+        if (item_of(PyList_GET_ITEM(props, k), &item) < 0)
+            goto done;
+        if (locate(&item, trees, &tree, t) == 0)
+            record = record_of(&item, t, args[2], args[3], tree_guided, &kept);
         int rc = -1;
         if (record != NULL)
             rc = append_new(records, record);
         else if (PyErr_ExceptionMatches(SrlKitError)) {
             PyObject *exc = take_error();
-            rc = append_new(failures, exc ? PyTuple_Pack(2, sorted[k].prop, exc) : NULL);
+            rc = append_new(failures, exc ? PyTuple_Pack(2, item.prop, exc) : NULL);
             Py_XDECREF(exc);
         }
         if (rc < 0)
@@ -1558,7 +1497,6 @@ build_records(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
     result = PyTuple_Pack(2, records, failures);
 done:
     PyMem_Free(kept.token);
-    PyMem_Free(items);
     Py_XDECREF(failures);
     Py_XDECREF(records);
     Py_XDECREF(trees);
@@ -1700,6 +1638,7 @@ static const struct {
     {"srlkit._nodes", "Provenance", &Provenance},
     {"srlkit._nodes", "SrlRecord", &SrlRecord},
     {"srlkit._nodes", "ROLE_ORDER", &role_order},
+    {"srlkit._nodes", "sort_propositions", &sort_propositions},
     {"srlkit.errors", "SrlKitError", &SrlKitError},
     {"srlkit.errors", "EmptyInput", &EmptyInput},
     {"srlkit.errors", "UnbalancedParens", &UnbalancedParens},

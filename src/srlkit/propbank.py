@@ -15,8 +15,8 @@ decimal, so the source text is also the expression's one spelling.
 `parse_prop_file` is the active kernel's reader. The pure kernel's line
 parser, `parse_prop_line`, lives in `srlkit._pure`, which the compiled
 backend never loads. `sort_propositions`, the order a file's records
-are built in, is defined in `srlkit._nodes` beside the types, since the
-pure kernel's record builder uses it; the compiled one has a copy.
+are built in, is defined in `srlkit._nodes` beside the types, since
+both kernels' record builders call it.
 """
 
 from srlkit._backend import parse_prop_file

@@ -239,6 +239,37 @@ class TestExtract:
         assert captured.out == ""
         assert not out.exists()
 
+    # a config file that cannot be read or has a line without "=" fails
+    # before anything is extracted; comments, blank lines and unknown keys
+    # are skipped
+    @pytest.mark.parametrize(
+        "name, text, err",
+        [
+            ("missing.conf", None, "error: ConfigError: cannot read config missing.conf: "
+             "[Errno 2] No such file or directory: 'missing.conf'\n"),
+            (".", None, "error: ConfigError: cannot read config .: [Errno 21] Is a directory: '.'\n"),
+            ("run.conf", "schema orl\n",
+             "error: ConfigError: line 1: expected key = value, got 'schema orl'\n"),
+            ("run.conf", "# a comment\n\ncolour = blue\nschema = orl\n", ""),
+        ],
+        ids=["missing", "directory", "no-equals", "skipped-lines"],
+    )
+    def test_config_file_lines(
+        self, name, text, err, fixtures_dir, golden_orl_csv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            Path(name).write_text(text, encoding="utf-8")
+        out = tmp_path / "d.csv"
+        rc = main(["extract", *flags(fixtures_dir), "--config", name, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (1 if err else 0, err)
+        if err:
+            assert captured.out == ""
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == golden_orl_csv.read_bytes()
+
     @pytest.mark.parametrize("value, rc", [("YES", 1), ("On", 1), ("0", 0), ("Off", 0)])
     def test_config_file_boolean(self, value, rc, fixtures_dir, tmp_path, capsys):
         config = tmp_path / "run.conf"
@@ -519,12 +550,27 @@ class TestStats:
         assert data["sentiment"]["t1"] == 0.1
         assert data["sentiment"]["t2"] == 0.6
 
-    def test_header_mismatch(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("a,b\n1,2\n", "error: HeaderMismatch: expected header "
+             "'sentence,treebanked_sentence,predicate,arg0,arg1,merged_arguments', got ['a', 'b']\n"),
+            ("sentence,treebanked_sentence,predicate,arg0,arg1,merged_arguments\n"
+             "s,t,p,a,b,a|b\na,b,c,d\n",
+             "error: HeaderMismatch: row with 4 fields: ['a', 'b', 'c', 'd']\n"),
+        ],
+        ids=["header", "short-row"],
+    )
+    def test_header_mismatch(self, text, err, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2\n", encoding="utf-8")
-        rc = main(["stats", "--csv", str(bad), "--out", str(tmp_path)])
-        assert rc != 0
-        assert "error: HeaderMismatch:" in capsys.readouterr().err
+        bad.write_text(text, encoding="utf-8")
+        out = tmp_path / "reports"
+        rc = main(["stats", "--csv", str(bad), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_empty_dataset(self, fixtures_dir, tmp_path, capsys):
         # extract skips every proposition of badptr and writes a header-only CSV

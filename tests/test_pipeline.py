@@ -566,6 +566,28 @@ def test_negative_indices_are_out_of_range(kernel):
     ]
 
 
+@requires_build_tools
+@pytest.mark.parametrize(
+    "props",
+    [[object()], [Proposition("f", "0", 0, {})],
+     [Proposition("f", 0, 0, {}), Proposition("f", "0", 0, {})]],
+    ids=["not-a-proposition", "str-index", "str-index-sorted"],
+)
+def test_build_records_refuses_what_the_sort_refuses(props):
+    """Outside the documented types, the compiled build_records fails with
+    the error class of its pure twin, whose sort_propositions or _locate
+    raises it."""
+    from srlkit import _speedups
+
+    trees = [_speedups.parse_spans("(S (NN a))")]
+    raised = []
+    for kernel in (_pure, _speedups):
+        with pytest.raises((AttributeError, TypeError)) as info:
+            kernel.build_records(props, trees, [SentencePair("a", "a")], "00/f", True)
+        raised.append(info.type)
+    assert raised[0] is raised[1]
+
+
 class TestReadFile:
     def test_misaligned_file_reads_but_fails_check(self, fixtures_dir):
         # validate goes on to check the propositions of a misaligned file

@@ -97,7 +97,7 @@ SELECTS = [  # (terminal, height) on RESOLVE_TREE, which has 3 terminals
 def test_compiles_without_warnings():
     includes = {sysconfig.get_paths()["include"], sysconfig.get_paths()["platinclude"]}
     proc = subprocess.run(
-        [*c_compiler(), "-fsyntax-only", "-Wall", "-Werror",
+        [*c_compiler(), "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
          *(f"-I{path}" for path in sorted(includes)), str(KERNEL)],
         capture_output=True,
         text=True,
