@@ -416,7 +416,8 @@ def build_records(
     roles are resolved in ROLE_ORDER; a "|" in ARG0 or ARG1 becomes "/",
     so the one in merged_arguments parts them."""
     records, failures = [], []
-    for prop in sort_propositions(props):
+    props, trees = sort_propositions(props), tuple(trees)
+    for prop in props:
         tree, fault = _locate(prop, trees)
         if fault is None:
             pair = sentences[prop.tree_index]
@@ -454,6 +455,7 @@ def list_faults(
     source order within a role. `where` names the pointer, e.g. "ARG0
     pointer 9:1", and is "" for the two index faults."""
     faults = []
+    props, trees = tuple(props), tuple(trees)
     for prop in props:
         tree, fault = _locate(prop, trees)
         if fault is not None:

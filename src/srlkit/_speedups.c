@@ -25,7 +25,7 @@
 #include <string.h>
 
 /* looked up once at import; read-only afterwards */
-static PyObject *SpanTree, *SentencePair, *RoleLabel, *RoleExpr, *Proposition;
+static PyObject *SpanTree, *SentencePair, *RoleExpr, *Proposition;
 static PyObject *Provenance, *SrlRecord;
 static PyObject *role_order;    /* ROLE_ORDER, the roles of a record in order */
 static PyObject *sort_propositions;     /* the order of build_records' rows */
@@ -33,8 +33,6 @@ static PyObject *role_names;    /* the value of each label of ROLE_ORDER */
 static PyObject *SrlKitError, *EmptyInput, *UnbalancedParens, *TrailingGarbage;
 static PyObject *MalformedPointer, *EmptyFragment, *MalformedLine, *MalformedOnf;
 static PyObject *TerminalOutOfRange, *HeightOverflow, *AlignmentError;
-static PyObject *labels[3];     /* RoleLabel.ARG0, .ARG1 and .REL */
-static const char *const label_names[3] = {"ARG0", "ARG1", "REL"};
 static PyObject *empty_str;     /* the label of a "( (S ...) )" wrapper */
 static PyObject *header_end;    /* "sentence:", the end of both .onf headers */
 static PyObject *parts_name;    /* "parts", the RoleExpr field */
@@ -447,24 +445,25 @@ next_field(Text s, Py_ssize_t *i, Py_ssize_t end, Py_ssize_t *from, Py_ssize_t *
     return 1;
 }
 
-/* The RoleLabel that the suffix s[a:b], upper-cased, is the value of, or
-   NULL. No code point outside ASCII upper-cases into these names' letters
-   or digits, so an ASCII comparison that ignores case is exact. */
+/* The label of ROLE_ORDER that the suffix s[a:b], upper-cased, is the
+   value of, or NULL. No code point outside ASCII upper-cases into these
+   values' letters or digits, so an ASCII comparison that ignores case is
+   exact. */
 static PyObject *
 role_of(Text s, Py_ssize_t a, Py_ssize_t b)
 {
     for (int k = 0; k < 3; k++) {
-        const char *name = label_names[k];
-        Py_ssize_t j = 0;
-        for (; a + j < b && name[j] != '\0'; j++) {
+        PyObject *name = PyTuple_GET_ITEM(role_names, k);
+        Py_ssize_t j = 0, n = PyUnicode_GET_LENGTH(name);
+        for (; j < n && a + j < b; j++) {
             Py_UCS4 c = AT(s, a + j);
             if (c >= 'a' && c <= 'z')
                 c -= 'a' - 'A';
-            if (c != (Py_UCS4)name[j])
+            if (c != PyUnicode_READ_CHAR(name, j))
                 break;
         }
-        if (a + j == b && name[j] == '\0')
-            return labels[k];
+        if (j == n && a + j == b)
+            return PyTuple_GET_ITEM(role_order, k);
     }
     return NULL;
 }
@@ -1304,69 +1303,51 @@ resolve_exprs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
 /* --- a file's records and faults ----------------------------------------
 
    build_records and list_faults take a file's propositions and trees. A
-   proposition's tree index and predicate terminal are read once into an
-   Item; they are ints, of any size as the .prop reader takes up to 4,300
-   digits, so each is kept as a long long when it fits and is out of range
-   when it does not. The checks and their messages are those of
+   proposition's tree index and predicate terminal are ints, of any size
+   as the .prop reader takes up to 4,300 digits; one too big for a long
+   long is out of range. The checks and their messages are those of
    _pure._locate, and a pointer's faults are select_node's. */
 
-typedef struct {
-    PyObject *prop;         /* borrowed */
-    PyObject *key[2];       /* tree_index and predicate_terminal, borrowed */
-    long long value[2];     /* their values when they fit a long long */
-    int over[2];            /* -1 below a long long, 1 above, else 0 */
-} Item;
-
-enum { TREE_INDEX, PREDICATE };
-
-/* The Item of props[k], which must be a Proposition with int indices.
-   0, or -1 with a TypeError set. */
-static int
-item_of(PyObject *prop, Item *item)
+/* The value of the int index when it is in [0, n), else -1; -2 with a
+   TypeError set when it is not an int. */
+static Py_ssize_t
+in_range(PyObject *index, Py_ssize_t n)
 {
+    if (!PyLong_Check(index)) {
+        PyErr_Format(PyExc_TypeError, "a Proposition's indices must be ints, got %.200s",
+                     Py_TYPE(index)->tp_name);
+        return -2;
+    }
+    int over;
+    long long value = PyLong_AsLongLongAndOverflow(index, &over);
+    return over || value < 0 || value >= n ? -1 : (Py_ssize_t)value;
+}
+
+/* The tree index of prop, which must be a Proposition, with its tree in
+   a tuple of trees in *tree and that tree's tables in t. The index when
+   both of prop's indices are in range; else -1 with their fault or
+   another exception set, *tree left NULL when the tree index is out of
+   range. */
+static Py_ssize_t
+locate(PyObject *prop, PyObject *trees, PyObject **tree, PyObject **t)
+{
+    *tree = NULL;
     if (!PyObject_TypeCheck(prop, (PyTypeObject *)Proposition)) {
         PyErr_Format(PyExc_TypeError, "expected a Proposition, got %.200s", Py_TYPE(prop)->tp_name);
         return -1;
     }
-    item->prop = prop;
-    for (int k = 0; k < 2; k++) {
-        PyObject *key = item->key[k] = PyTuple_GET_ITEM(prop, 1 + k);
-        if (!PyLong_Check(key)) {
-            PyErr_Format(PyExc_TypeError, "a Proposition's indices must be ints, got %.200s",
-                         Py_TYPE(key)->tp_name);
-            return -1;
-        }
-        item->value[k] = PyLong_AsLongLongAndOverflow(key, &item->over[k]);
-    }
-    return 0;
-}
-
-/* The tree of an Item in a tuple of trees, its tables in t, and the
-   fault of its indices.
-   0 when both are in range; else -1 with the fault or another exception
-   set, *tree left NULL when the tree index is out of range. */
-static int
-locate(const Item *item, PyObject *trees, PyObject **tree, PyObject **t)
-{
-    Py_ssize_t ntrees = PyTuple_GET_SIZE(trees);
-    *tree = NULL;
-    if (item->over[TREE_INDEX] || item->value[TREE_INDEX] < 0 || item->value[TREE_INDEX] >= ntrees) {
-        PyErr_Format(AlignmentError, "tree index %S out of range (%zd trees)",
-                     item->key[TREE_INDEX], ntrees);
+    PyObject *index = PyTuple_GET_ITEM(prop, 1), *terminal = PyTuple_GET_ITEM(prop, 2);
+    Py_ssize_t ntrees = PyTuple_GET_SIZE(trees), i = in_range(index, ntrees);
+    if (i == -1)
+        PyErr_Format(AlignmentError, "tree index %S out of range (%zd trees)", index, ntrees);
+    if (i < 0 || tree_tables(PyTuple_GET_ITEM(trees, i), t) < 0)
         return -1;
-    }
-    PyObject *found = PyTuple_GET_ITEM(trees, (Py_ssize_t)item->value[TREE_INDEX]);
-    if (tree_tables(found, t) < 0)
-        return -1;
-    *tree = found;
-    Py_ssize_t nterms = PyTuple_GET_SIZE(t[TOKENS]);
-    if (item->over[PREDICATE] || item->value[PREDICATE] < 0 || item->value[PREDICATE] >= nterms) {
+    *tree = PyTuple_GET_ITEM(trees, i);
+    Py_ssize_t nterms = PyTuple_GET_SIZE(t[TOKENS]), p = in_range(terminal, nterms);
+    if (p == -1)
         PyErr_Format(TerminalOutOfRange,
-                     "predicate terminal %S out of range (tree has %zd terminals)",
-                     item->key[PREDICATE], nterms);
-        return -1;
-    }
-    return 0;
+                     "predicate terminal %S out of range (tree has %zd terminals)", terminal, nterms);
+    return p < 0 ? -1 : i;
 }
 
 /* Append item, a new reference or NULL with an exception set, to list.
@@ -1415,14 +1396,14 @@ exprs_of(PyObject *prop, PyObject *label)
     return exprs;
 }
 
-/* The row of a located proposition: its roles resolved in ROLE_ORDER, a
-   "|" in ARG0 and ARG1 made "/", and its Provenance. NULL with an
-   exception set: a fault when an SrlKitError. */
+/* The row of a proposition located at tree index i: its roles resolved
+   in ROLE_ORDER, a "|" in ARG0 and ARG1 made "/", and its Provenance.
+   NULL with an exception set: a fault when an SrlKitError. */
 static PyObject *
-record_of(const Item *item, PyObject **t, PyObject *sentences, PyObject *file_id,
+record_of(PyObject *prop, Py_ssize_t i, PyObject **t, PyObject *sentences, PyObject *file_id,
           int tree_guided, Kept *kept)
 {
-    PyObject *pair = PySequence_GetItem(sentences, (Py_ssize_t)item->value[TREE_INDEX]);
+    PyObject *pair = PySequence_GetItem(sentences, i);
     if (pair == NULL)
         return NULL;
     PyObject *record = NULL, *provenance = NULL, *merged = NULL, *roles[3] = {NULL};
@@ -1431,12 +1412,13 @@ record_of(const Item *item, PyObject **t, PyObject *sentences, PyObject *file_id
         goto done;
     }
     for (int k = 0; k < 3; k++) {
-        PyObject *exprs = exprs_of(item->prop, PyTuple_GET_ITEM(role_order, k));
+        PyObject *exprs = exprs_of(prop, PyTuple_GET_ITEM(role_order, k));
         if (exprs == NULL || (roles[k] = resolve(exprs, t, tree_guided, k > 0, kept)) == NULL)
             goto done;
     }
     merged = join(roles + 1, 2, '|', 0);
-    provenance = named_tuple(Provenance, (PyObject *[]){file_id, item->key[0], item->key[1]}, 3);
+    provenance = named_tuple(Provenance, (PyObject *[]){
+        file_id, PyTuple_GET_ITEM(prop, 1), PyTuple_GET_ITEM(prop, 2)}, 3);
     if (merged != NULL && provenance != NULL)
         record = named_tuple(SrlRecord, (PyObject *[]){
             PyTuple_GET_ITEM(pair, 0), PyTuple_GET_ITEM(pair, 1),
@@ -1461,8 +1443,8 @@ build_records(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
     if (tree_guided < 0)
         return NULL;
     /* sort_propositions' list is new and only this call holds it, and the
-       trees are a tuple, so what an Item and the tables borrow outlives
-       any callback */
+       trees are a tuple, so the propositions and tables borrowed from them
+       outlive any callback */
     PyObject *props = PyObject_CallOneArg(sort_propositions, args[0]);
     if (props != NULL && !PyList_CheckExact(props)) {
         PyErr_Format(PyExc_TypeError, "sort_propositions returned %.200s, not a list",
@@ -1477,18 +1459,16 @@ build_records(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
     if (failures == NULL)
         goto done;
     for (Py_ssize_t k = 0; k < PyList_GET_SIZE(props); k++) {
-        Item item;
-        PyObject *tree, *t[NTABLES_OF_TREE], *record = NULL;
-        if (item_of(PyList_GET_ITEM(props, k), &item) < 0)
-            goto done;
-        if (locate(&item, trees, &tree, t) == 0)
-            record = record_of(&item, t, args[2], args[3], tree_guided, &kept);
+        PyObject *prop = PyList_GET_ITEM(props, k), *tree, *t[NTABLES_OF_TREE], *record = NULL;
+        Py_ssize_t i = locate(prop, trees, &tree, t);
+        if (i >= 0)
+            record = record_of(prop, i, t, args[2], args[3], tree_guided, &kept);
         int rc = -1;
         if (record != NULL)
             rc = append_new(records, record);
         else if (PyErr_ExceptionMatches(SrlKitError)) {
             PyObject *exc = take_error();
-            rc = append_new(failures, exc ? PyTuple_Pack(2, item.prop, exc) : NULL);
+            rc = append_new(failures, exc ? PyTuple_Pack(2, prop, exc) : NULL);
             Py_XDECREF(exc);
         }
         if (rc < 0)
@@ -1555,15 +1535,12 @@ list_faults(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs
     if (faults == NULL)
         goto fail;
     for (Py_ssize_t k = 0; k < PyTuple_GET_SIZE(props); k++) {
-        Item item;
-        PyObject *tree, *t[NTABLES_OF_TREE];
-        if (item_of(PyTuple_GET_ITEM(props, k), &item) < 0)
-            goto fail;
-        if (locate(&item, trees, &tree, t) < 0
+        PyObject *prop = PyTuple_GET_ITEM(props, k), *tree, *t[NTABLES_OF_TREE];
+        if (locate(prop, trees, &tree, t) < 0
             && (!PyErr_ExceptionMatches(SrlKitError)
-                || append_new(faults, fault_entry(item.prop, NULL, NULL)) < 0))
+                || append_new(faults, fault_entry(prop, NULL, NULL)) < 0))
             goto fail;
-        if (tree != NULL && pointer_faults(item.prop, t, faults) < 0)
+        if (tree != NULL && pointer_faults(prop, t, faults) < 0)
             goto fail;
     }
     Py_DECREF(trees);
@@ -1632,7 +1609,6 @@ static const struct {
 } imports[] = {
     {"srlkit._nodes", "SpanTree", &SpanTree},
     {"srlkit._nodes", "SentencePair", &SentencePair},
-    {"srlkit._nodes", "RoleLabel", &RoleLabel},
     {"srlkit._nodes", "RoleExpr", &RoleExpr},
     {"srlkit._nodes", "Proposition", &Proposition},
     {"srlkit._nodes", "Provenance", &Provenance},
@@ -1672,12 +1648,8 @@ PyInit__speedups(void)
         return NULL;
     if (empty_tuple == NULL && (empty_tuple = PyTuple_New(0)) == NULL)
         return NULL;
-    for (int k = 0; k < 3; k++) {
-        Py_XSETREF(labels[k], PyObject_GetAttrString(RoleLabel, label_names[k]));
-        if (labels[k] == NULL)
-            return NULL;
-    }
-    /* build_records and list_faults read three roles */
+    /* the .prop reader, build_records and list_faults read three roles,
+       each named by its str value */
     if (!PyTuple_Check(role_order) || PyTuple_GET_SIZE(role_order) != 3) {
         PyErr_SetString(PyExc_ImportError, "srlkit._nodes.ROLE_ORDER must be a tuple of 3 labels");
         return NULL;
@@ -1690,6 +1662,10 @@ PyInit__speedups(void)
         if (name == NULL)
             return NULL;
         PyTuple_SET_ITEM(role_names, k, name);
+        if (!PyUnicode_Check(name)) {
+            PyErr_SetString(PyExc_ImportError, "srlkit._nodes.ROLE_ORDER's values must be str");
+            return NULL;
+        }
     }
     return PyModule_Create(&module_def);
 }

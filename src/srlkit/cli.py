@@ -18,8 +18,8 @@ import gc
 import sys
 from pathlib import Path
 
+from srlkit import onf, treebank
 from srlkit import stats as statsmod
-from srlkit import treebank
 from srlkit.cleaning import TraceMode
 from srlkit.errors import (
     ConfigError,
@@ -36,7 +36,6 @@ from srlkit.pipeline import (
     extract_corpus,
     list_faults,
     open_replacing,
-    proposition_faults,
     read_corpus,
     read_text,
     resolve_role,
@@ -167,7 +166,7 @@ def cmd_validate(args) -> int:
             continue
         if fault is not None:
             violations.append((triple.file_id, "-", str(fault)))
-        props, _, trees, _ = parts
+        props, _, trees = parts
         for prop, where, exc in list_faults(props, trees):
             at = f"prop line {prop.line_no} {where}".rstrip()
             violations.append((triple.file_id, str(prop.tree_index), f"{at}: {exc}"))
@@ -188,7 +187,7 @@ def cmd_inspect(args) -> int:
     [(_, parts, fault)] = read_corpus([triple])
     if parts is None:
         raise fault
-    props, sentences, trees, tree_texts = parts
+    props, sentences, trees = parts
     if tree_index >= len(trees) or tree_index < 0:
         raise IndexOutOfRange(
             f"tree index {tree_index} out of range ({len(trees)} trees in {file_id})"
@@ -196,7 +195,7 @@ def cmd_inspect(args) -> int:
     tree = trees[tree_index]
     print(f"file: {file_id}  tree: {tree_index}")
     print()
-    print(treebank.pretty(tree_texts[tree_index]))
+    print(treebank.pretty(onf.parse_trees_file(read_text(triple.parse_path))[tree_index]))
     print()
     print("terminals:")
     for i, (token, pos) in enumerate(zip(tree.tokens, tree.pos)):
@@ -215,7 +214,7 @@ def cmd_inspect(args) -> int:
     print(f"propositions for tree {tree_index}: {len(selected)}")
     for prop in selected:
         print(f"  line {prop.line_no}: {prop.raw_line}")
-        for where, exc in proposition_faults(prop, trees):
+        for _, where, exc in list_faults([prop], trees):
             if not where:
                 print(f"    {_error_line(exc)}")
         for label in ROLE_ORDER:
@@ -234,7 +233,7 @@ def cmd_inspect(args) -> int:
         print(f"propositions with no tree: {len(unplaced)}")
         for prop in unplaced:
             print(f"  line {prop.line_no}: {prop.raw_line}")
-            for _, exc in proposition_faults(prop, trees):
+            for _, _, exc in list_faults([prop], trees):
                 print(f"    {_error_line(exc)}")
     return 0
 

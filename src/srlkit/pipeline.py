@@ -58,8 +58,6 @@ __all__ = [
     "resolve_role",
     "build_records",
     "list_faults",
-    "proposition_faults",
-    "build_record",
     "filter_records",
     "map_to_orl",
     "csv_lines",
@@ -204,13 +202,14 @@ def read_text(path, newline=None) -> str:
 
 def read_file(
     triple: FileTriple,
-) -> tuple[list[Proposition], list[SentencePair], list[treebank.SpanTree], list[str]]:
+) -> tuple[list[Proposition], list[SentencePair], list[treebank.SpanTree]]:
     """Read and parse one file triple: its propositions, sentences and
-    trees, and the text of each tree."""
+    span trees. The tree texts are not kept; `inspect`, which lays one
+    out, splits its `.parse` file again."""
     props = parse_prop_file(read_text(triple.prop_path))
     sentences = parse_onf(read_text(triple.onf_path))
-    tree_texts = parse_trees_file(read_text(triple.parse_path))
-    return props, sentences, [treebank.parse_tree(t) for t in tree_texts], tree_texts
+    trees = [treebank.parse_tree(t) for t in parse_trees_file(read_text(triple.parse_path))]
+    return props, sentences, trees
 
 
 def alignment_fault(sentences: list[SentencePair], trees: list[treebank.SpanTree]) -> AlignmentError | None:
@@ -254,36 +253,8 @@ def resolve_role(
     single spaces, expressions in source order. With no policy, traces are
     dropped tree-guided. The backend's resolver does the work.
     """
-    return resolve_exprs(expr_list, tree, _tree_guided(policy))
-
-
-def _tree_guided(policy: TracePolicy | None) -> bool:
-    """Whether `policy` drops traces tree-guided, as no policy does."""
-    return policy is None or policy.mode is TraceMode.TREE_GUIDED
-
-
-def proposition_faults(
-    prop: Proposition, trees: list[treebank.SpanTree]
-) -> list[tuple[str, SrlKitError]]:
-    """Every reason the proposition gives no row, as (where, error) pairs:
-    its part of the kernel's `list_faults`."""
-    return [(where, exc) for _, where, exc in list_faults([prop], trees)]
-
-
-def build_record(
-    prop: Proposition,
-    trees: list[treebank.SpanTree],
-    sentences: list[SentencePair],
-    file_id: str = "",
-    policy: TracePolicy | None = None,
-) -> SrlRecord:
-    """The proposition's row, before filtering, as the kernel's
-    `build_records` builds it. Raises the first of its
-    `proposition_faults`."""
-    records, failures = build_records([prop], trees, sentences, file_id, _tree_guided(policy))
-    if failures:
-        raise failures[0][1]
-    return records[0]
+    tree_guided = policy is None or policy.mode is TraceMode.TREE_GUIDED
+    return resolve_exprs(expr_list, tree, tree_guided)
 
 
 def filter_records(records: list[SrlRecord]) -> list[SrlRecord]:
@@ -376,7 +347,7 @@ def extract_corpus(
                 raise ExtractionError(f"{triple.file_id}: {fault}") from fault
             skip_log.append((triple.file_id, str(fault)))
             continue
-        props, sentences, trees, _ = parts
+        props, sentences, trees = parts
         files_processed += 1
         propositions += len(props)
         built, failures = build_records(props, trees, sentences, triple.file_id, tree_guided)

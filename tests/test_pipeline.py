@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 import support
 from native import requires_build_tools
-from srlkit import _pure, pipeline, treebank
+from srlkit import _pure, treebank
 from srlkit._pure import parse_prop_line
 from srlkit.cleaning import TraceMode, TracePolicy
 from srlkit.errors import (
@@ -27,7 +27,7 @@ from srlkit.errors import (
     SrlKitError,
     TerminalOutOfRange,
 )
-from srlkit.onf import SentencePair
+from srlkit.onf import SentencePair, parse_trees_file
 from srlkit.pipeline import (
     CorpusLayout,
     ORL_HEADER,
@@ -37,7 +37,7 @@ from srlkit.pipeline import (
     Provenance,
     SrlRecord,
     alignment_fault,
-    build_record,
+    build_records,
     csv_lines,
     discover_files,
     export_csv,
@@ -45,7 +45,6 @@ from srlkit.pipeline import (
     filter_records,
     list_faults,
     map_to_orl,
-    proposition_faults,
     read_corpus,
     read_file,
     read_text,
@@ -228,11 +227,18 @@ def _mini_setup():
     return tree, sentences
 
 
+def _one_record(prop, trees, sentences, file_id=""):
+    """The one proposition's row from build_records, which must not fail."""
+    [record], failures = build_records([prop], trees, sentences, file_id, True)
+    assert failures == []
+    return record
+
+
 class TestBuildRecords:
     def test_full_record(self):
         tree, sentences = _mini_setup()
         prop = parse_prop_line("f 0 2 x 0:1-ARG0 2:0-rel")
-        record = build_record(prop, [tree], sentences, file_id="00/x")
+        record = _one_record(prop, [tree], sentences, file_id="00/x")
         assert record.sentence == "The cat sat ."
         assert record.predicate == "sat"
         assert record.arg0 == "The cat"
@@ -245,14 +251,15 @@ class TestBuildRecords:
     def test_both_empty_record_kept_until_filter(self):
         tree, sentences = _mini_setup()
         prop = parse_prop_line("f 0 2 x 2:0-rel")
-        record = build_record(prop, [tree], sentences)
+        record = _one_record(prop, [tree], sentences)
         assert record.merged_arguments == "|"
 
     def test_tree_index_out_of_range(self):
         tree, sentences = _mini_setup()
         prop = parse_prop_line("f 5 2 x 2:0-rel")
-        with pytest.raises(AlignmentError, match=r"^tree index 5 out of range \(1 trees\)$"):
-            build_record(prop, [tree], sentences)
+        records, [(failed, exc)] = build_records([prop], [tree], sentences, "", True)
+        assert (records, failed) == ([], prop)
+        assert (type(exc), str(exc)) == (AlignmentError, "tree index 5 out of range (1 trees)")
 
     def test_sentence_tree_count_mismatch(self):
         tree, sentences = _mini_setup()
@@ -264,7 +271,7 @@ class TestBuildRecords:
         tree = treebank.parse_tree("(S (NP-SBJ (NN a|b)) (VP (VBD ran)) (. .))")
         sentences = [SentencePair("a|b ran .", "a|b ran .")]
         prop = parse_prop_line("f 0 1 x 0:1-ARG0 1:0-rel")
-        record = build_record(prop, [tree], sentences)
+        record = _one_record(prop, [tree], sentences)
         assert record.arg0 == "a/b"
         assert record.merged_arguments.count("|") == 1
 
@@ -326,9 +333,9 @@ def _resolved(resolve_exprs, prop, tree, tree_guided):
     ],
 )
 @given(st.integers(0, 10**9))
-def test_build_record_raises_first_fault(kernel, seed):
-    """extract's builder raises exactly when proposition_faults (what
-    validate lists) is non-empty, and raises its first fault; otherwise
+def test_build_records_fails_on_first_fault(kernel, seed):
+    """extract's builder fails a proposition exactly when list_faults (what
+    validate lists) gives it a fault, and fails it on the first; otherwise
     its roles are the pure resolver's text, which the kernel's resolver
     matches, errors included, in both trace modes."""
     kernel = importlib.import_module(f"srlkit.{kernel}")
@@ -337,7 +344,7 @@ def test_build_record_raises_first_fault(kernel, seed):
     trees = [kernel.parse_spans(support.render(t)) for t in objects]
     sentences = [SentencePair(" ".join(t.tokens), " ".join(t.tokens)) for t in trees]
     prop = _random_proposition(rng, trees, kernel.parse_expr_parts)
-    faults = proposition_faults(prop, trees)
+    faults = [(where, exc) for _, where, exc in kernel.list_faults([prop], trees)]
     assert [where for where, _ in faults] == _oracle_faults(prop, objects)
     for mode in TraceMode:
         tree_guided = mode is TraceMode.TREE_GUIDED
@@ -345,14 +352,15 @@ def test_build_record_raises_first_fault(kernel, seed):
             tree = trees[prop.tree_index]
             expected = _resolved(_pure.resolve_exprs, prop, tree, tree_guided)
             assert _resolved(kernel.resolve_exprs, prop, tree, tree_guided) == expected
-        try:
-            record = build_record(prop, trees, sentences, policy=TracePolicy(mode))
-        except SrlKitError as exc:
-            assert faults
+        records, failures = kernel.build_records([prop], trees, sentences, "", tree_guided)
+        if failures:
+            assert faults and records == []
+            [(_, exc)] = failures
             first = faults[0][1]
             assert (type(exc), str(exc)) == (type(first), str(first))
         else:
             assert faults == []
+            [record] = records
             predicate, arg0, arg1 = expected
             assert (record.predicate, record.arg0, record.arg1) == (
                 predicate, arg0.replace("|", "/"), arg1.replace("|", "/")
@@ -466,7 +474,7 @@ def test_file_kernels_agree(seed):
     """The compiled build_records and list_faults equal the pure twins on
     generated files: rows, failures and faults, in order, in both trace
     modes. Rows and failures come in sort_propositions order and faults
-    in file order, each proposition's as proposition_faults lists them."""
+    in file order, each proposition's as list_faults lists it alone."""
     from srlkit import _speedups
 
     rng = random.Random(seed)
@@ -512,31 +520,27 @@ def test_file_kernels_agree(seed):
 )
 @given(st.integers(0, 10**9))
 def test_one_proposition_callers_are_the_file_kernels(kernel, seed):
-    """build_record and proposition_faults give, for each proposition, its
-    part of the file kernels' output."""
+    """build_records and list_faults called on one proposition, as inspect
+    calls list_faults, give its part of the whole file's output."""
     kernel = importlib.import_module(f"srlkit.{kernel}")
     rng = random.Random(seed)
     trees, sentences, props = _random_file(rng, kernel.parse_spans)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pipeline, "build_records", kernel.build_records)
-        patch.setattr(pipeline, "list_faults", kernel.list_faults)
-        faults = kernel.list_faults(props, trees)
-        for mode in TraceMode:
-            records, failures = kernel.build_records(
-                props, trees, sentences, "00/f", mode is TraceMode.TREE_GUIDED
-            )
-            rows, failed = iter(records), dict((id(p), exc) for p, exc in failures)
-            for prop in sort_propositions(props):
-                try:
-                    outcome = build_record(prop, trees, sentences, "00/f", TracePolicy(mode))
-                except SrlKitError as exc:
-                    assert _errors([(exc,)]) == _errors([(failed[id(prop)],)])
-                else:
-                    assert id(prop) not in failed and outcome == next(rows)
-        for prop in props:
-            assert _errors(proposition_faults(prop, trees)) == _errors(
-                [(where, exc) for p, where, exc in faults if p is prop]
-            )
+    faults = kernel.list_faults(props, trees)
+    for mode in TraceMode:
+        tree_guided = mode is TraceMode.TREE_GUIDED
+        records, failures = kernel.build_records(props, trees, sentences, "00/f", tree_guided)
+        rows, failed = iter(records), dict((id(p), exc) for p, exc in failures)
+        for prop in sort_propositions(props):
+            outcome, failure = kernel.build_records([prop], trees, sentences, "00/f", tree_guided)
+            if failure:
+                [(_, exc)] = failure
+                assert outcome == [] and _errors([(exc,)]) == _errors([(failed[id(prop)],)])
+            else:
+                assert id(prop) not in failed and outcome == [next(rows)]
+    for prop in props:
+        assert _errors(kernel.list_faults([prop], trees)) == _errors(
+            [fault for fault in faults if fault[0] is prop]
+        )
 
 
 @pytest.mark.parametrize(
@@ -588,16 +592,53 @@ def test_build_records_refuses_what_the_sort_refuses(props):
     assert raised[0] is raised[1]
 
 
+@requires_build_tools
+def test_kernels_fault_the_tree_index_before_reading_the_terminal():
+    """A hand-built Proposition whose predicate terminal is not an int is
+    its tree index's AlignmentError fault in both kernels when that index
+    is out of range, and a TypeError in both when it is in range."""
+    from srlkit import _speedups
+
+    trees, sentences = [_speedups.parse_spans("(S (NN a))")], [SentencePair("a", "a")]
+    far, near = Proposition("f", 9, "x", {}), Proposition("f", 0, "x", {})
+    fault = (AlignmentError, "tree index 9 out of range (1 trees)")
+    for kernel in (_pure, _speedups):
+        records, failures = kernel.build_records([far], trees, sentences, "00/f", True)
+        assert (records, _errors(failures)) == ([], [(far, *fault)])
+        assert _errors(kernel.list_faults([far], trees)) == [(far, "", *fault)]
+        with pytest.raises(TypeError):
+            kernel.build_records([near], trees, sentences, "00/f", True)
+        with pytest.raises(TypeError):
+            kernel.list_faults([near], trees)
+
+
+@requires_build_tools
+def test_kernels_refuse_trees_that_are_not_a_sequence():
+    """Both kernels take the trees as a tuple before they read any
+    proposition, so trees that cannot be one are the same TypeError in
+    both, with no propositions too."""
+    from srlkit import _speedups
+
+    for kernel in (_pure, _speedups):
+        for props in ([], [Proposition("f", 0, 0, {})]):
+            with pytest.raises(TypeError, match="^'int' object is not iterable$"):
+                kernel.build_records(props, 5, [], "00/f", True)
+            with pytest.raises(TypeError, match="^'int' object is not iterable$"):
+                kernel.list_faults(props, 5)
+
+
 class TestReadFile:
     def test_misaligned_file_reads_but_fails_check(self, fixtures_dir):
         # validate goes on to check the propositions of a misaligned file
         layout = layout_for(fixtures_dir, "misaligned")
-        parts = read_file(layout.triple("00/wsj_0001"))
-        _, sentences, trees, tree_texts = parts
+        triple = layout.triple("00/wsj_0001")
+        parts = read_file(triple)
+        _, sentences, trees = parts
+        tree_texts = parse_trees_file(read_text(triple.parse_path))
         assert [treebank.parse_tree(t) for t in tree_texts] == trees
         fault = alignment_fault(sentences, trees)
         assert (type(fault), str(fault)) == (AlignmentError, "2 sentences but 1 trees")
-        [(_, walked_parts, walked)] = read_corpus([layout.triple("00/wsj_0001")])
+        [(_, walked_parts, walked)] = read_corpus([triple])
         assert walked_parts == parts
         assert (type(walked), str(walked)) == (AlignmentError, "2 sentences but 1 trees")
 

@@ -129,7 +129,8 @@ def test_no_reference_leaks():
     odd_props = [  # each fails, or is a fault, on its own branch
         Proposition("f", -1, 0, rel), Proposition("f", 0, -(10**30), rel),
         Proposition("f", 0, 0, {RoleLabel.ARG0: [RoleExpr([(10**30, 0), (0, 2**63)], "")]}),
-        Proposition("f", "0", 0, rel), Proposition("f", 0, 0, None),
+        Proposition("f", "0", 0, rel), Proposition("f", 9, "0", rel), Proposition("f", 0, "0", rel),
+        Proposition("f", 0, 0, None),
         Proposition("f", 0, 0, {RoleLabel.REL: 5}), Proposition("f", 0, 0, {RoleLabel.REL: [object()]}),
         Proposition("f", 0, 0, {RoleLabel.REL: [RoleExpr([(0,)], "")]}), object(),
     ]
@@ -138,7 +139,7 @@ def test_no_reference_leaks():
         ([], [], [], "00/f", True), ([Proposition("f", 0, 0, rel)], [odd_tree], [pair], "00/f", True),
         (props, [(1, 2)], [pair], "00/f", True), (props, [tree], [], "00/f", True),
         (props, [tree], [None], "00/f", True), (5, [tree], [pair], "00/f", True),
-        (props, 5, [pair], "00/f", True), (props, [tree], [pair], "00/f"), (),
+        (props, 5, [pair], "00/f", True), ([], 5, [], "00/f", True), (props, [tree], [pair], "00/f"), (),
     ] + [([prop], [tree], [pair], "00/f", True) for prop in odd_props]
     calls = (
         [(_speedups.parse_spans, (text,)) for text in VALID_TREES + BAD_TREES]
