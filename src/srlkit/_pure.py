@@ -387,16 +387,28 @@ def resolve_exprs(expr_list, tree: SpanTree, tree_guided: bool) -> str:
 # --- a file's records and faults -------------------------------------------
 
 
+def _in_range(index, n: int) -> bool:
+    """Whether 0 <= index < n. An index that is not an int (a bool is
+    one) is a TypeError."""
+    if not isinstance(index, int):
+        raise TypeError(f"a Proposition's indices must be ints, got {type(index).__name__}")
+    return 0 <= index < n
+
+
 def _locate(prop: Proposition, trees: list[SpanTree]) -> tuple[SpanTree | None, SrlKitError | None]:
     """The proposition's tree (None if its index is out of range) and the
     fault of its tree index or predicate terminal, or None. A negative
-    index, which only a hand-built Proposition can hold, is out of range."""
-    if not 0 <= prop.tree_index < len(trees):
+    index, which only a hand-built Proposition can hold, is out of range;
+    what is not a Proposition, or an index that is not an int, is a
+    TypeError, as in the compiled kernel."""
+    if not isinstance(prop, Proposition):
+        raise TypeError(f"expected a Proposition, got {type(prop).__name__}")
+    if not _in_range(prop.tree_index, len(trees)):
         return None, AlignmentError(
             f"tree index {prop.tree_index} out of range ({len(trees)} trees)"
         )
     tree = trees[prop.tree_index]
-    if not 0 <= prop.predicate_terminal < len(tree.tokens):
+    if not _in_range(prop.predicate_terminal, len(tree.tokens)):
         return tree, TerminalOutOfRange(
             f"predicate terminal {prop.predicate_terminal} out of range "
             f"(tree has {len(tree.tokens)} terminals)"

@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from srlkit import onf, treebank
-from srlkit import stats as statsmod
 from srlkit.cleaning import TraceMode
 from srlkit.errors import (
     ConfigError,
@@ -28,6 +27,8 @@ from srlkit.errors import (
     UnknownFile,
 )
 from srlkit.pipeline import (
+    DEFAULT_T1,
+    DEFAULT_T2,
     ROLE_ORDER,
     SCHEMAS,
     CorpusLayout,
@@ -143,6 +144,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from srlkit import stats as statsmod  # here, so the other commands never load it
+
     records = statsmod.read_dataset_csv(args.csv)
     lexicon = statsmod.SentimentLexicon.load(args.lexicon) if args.lexicon else None
     bundle = statsmod.compute_stats(records, lexicon=lexicon, t1=args.t1, t2=args.t2)
@@ -273,9 +276,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_stats.set_defaults(handler=cmd_stats)
     p_stats.add_argument("--csv", required=True, help="dataset.csv produced by extract")
     p_stats.add_argument("--lexicon", help="token<TAB>valence sentiment lexicon")
-    p_stats.add_argument("--t1", type=float, default=statsmod.DEFAULT_T1,
+    p_stats.add_argument("--t1", type=float, default=DEFAULT_T1,
                          help="neutral threshold (default %(default)s)")
-    p_stats.add_argument("--t2", type=float, default=statsmod.DEFAULT_T2,
+    p_stats.add_argument("--t2", type=float, default=DEFAULT_T2,
                          help="strong threshold (default %(default)s)")
     p_stats.add_argument("--out", type=Path, default=".",
                          help="report directory (default %(default)s)")

@@ -67,6 +67,10 @@ __all__ = [
 ]
 
 SCHEMAS = ("srl", "orl")
+# the sentiment thresholds `stats` buckets by unless told otherwise; set
+# here, where `cli` gives them as flag defaults without loading `stats`
+DEFAULT_T1 = 0.05
+DEFAULT_T2 = 0.5
 FOLDERS = tuple(f"{n:02d}" for n in range(25))  # the corpus sections searched
 
 

@@ -8,8 +8,6 @@ and normalized as s / sqrt(s^2 + 15), clamped to [-1, 1]. Buckets are
 t2; scores exactly at +-t1 are neutral, exactly at +-t2 are +-1.
 """
 
-import csv
-import io
 import json
 import math
 from collections import Counter
@@ -21,9 +19,15 @@ from srlkit.errors import (
     EmptyInput,
     HeaderMismatch,
     LexiconError,
-    MalformedDataset,
 )
-from srlkit.pipeline import SRL_HEADER, SrlRecord, open_replacing, read_text
+from srlkit.pipeline import (
+    DEFAULT_T1,
+    DEFAULT_T2,
+    SRL_HEADER,
+    SrlRecord,
+    open_replacing,
+    read_text,
+)
 
 __all__ = [
     "ALPHA",
@@ -44,8 +48,6 @@ __all__ = [
 ]
 
 ALPHA = 15.0
-DEFAULT_T1 = 0.05
-DEFAULT_T2 = 0.5
 SENTIMENT_CLASSES = (-2, -1, 0, 1, 2)
 SCORE_BINS = 20  # fixed-width bins over [-1, 1]
 TOP_K = 10  # predicates listed in the report
@@ -313,21 +315,19 @@ def emit_report(stats: DatasetStats, out_dir) -> tuple[Path, Path]:
 
 
 def read_dataset_csv(path) -> list[SrlRecord]:
-    """Load an exported srl-schema dataset.csv back into records. Text
-    the CSV reader rejects, such as a field over its size limit, is a
-    MalformedDataset naming the file and the reader's line number."""
-    reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
-    try:
-        header = next(reader, None)
-        if header != SRL_HEADER:
-            raise HeaderMismatch(
-                f"expected header {','.join(SRL_HEADER)!r}, got {header!r}"
-            )
-        records = []
-        for row in reader:
-            if len(row) != len(SRL_HEADER):
-                raise HeaderMismatch(f"row with {len(row)} fields: {row!r}")
-            records.append(SrlRecord(*row))
-    except csv.Error as exc:
-        raise MalformedDataset(f"{path}: line {reader.line_num}: {exc}") from None
+    """Load an exported srl-schema dataset.csv back into records, from the
+    rows `csv.reader` reads (`_csvrows.csv_rows`). Text the reader
+    rejects, such as a field over its size limit, is a MalformedDataset
+    naming the file and the reader's line number."""
+    from srlkit._csvrows import csv_rows  # here, so only a dataset read loads `csv`
+
+    rows = csv_rows(read_text(path, newline=""), path)
+    header = next(rows, None)
+    if header != SRL_HEADER:
+        raise HeaderMismatch(f"expected header {','.join(SRL_HEADER)!r}, got {header!r}")
+    records = []
+    for row in rows:
+        if len(row) != len(SRL_HEADER):
+            raise HeaderMismatch(f"row with {len(row)} fields: {row!r}")
+        records.append(SrlRecord(*row))
     return records

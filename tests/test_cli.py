@@ -350,9 +350,10 @@ def test_line_ends_do_not_change_outputs(any_corpus, tmp_path, monkeypatch, caps
 def test_cli_import_loads_no_dataclasses_nor_unused_kernel():
     """`import srlkit.cli` in a fresh interpreter adds no `dataclasses`
     (which loads inspect, ast, dis and tokenize) to the modules the
-    interpreter held before it, and on the compiled backend no pure
-    kernel `srlkit._pure`. The modules `site` loads differ between
-    machines, so only what the import adds counts."""
+    interpreter held before it, no `srlkit.stats` nor the `csv` and
+    `json` it reads and writes with, which only `stats` needs, and on the
+    compiled backend no pure kernel `srlkit._pure`. The modules `site`
+    loads differ between machines, so only what the import adds counts."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; before = set(sys.modules); import srlkit.cli; "
             "print(srlkit.backend(), *sorted(set(sys.modules) - before))")
@@ -360,6 +361,7 @@ def test_cli_import_loads_no_dataclasses_nor_unused_kernel():
                           capture_output=True, text=True, check=True)
     backend, *added = proc.stdout.split()
     assert "dataclasses" not in added
+    assert not {"srlkit.stats", "csv", "_csv", "json"} & set(added)
     if backend == "compiled":
         assert "srlkit._pure" not in added
 

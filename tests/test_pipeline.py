@@ -573,23 +573,28 @@ def test_negative_indices_are_out_of_range(kernel):
 @requires_build_tools
 @pytest.mark.parametrize(
     "props",
-    [[object()], [Proposition("f", "0", 0, {})],
+    [[object()], [Proposition("f", "0", 0, {})], [Proposition("f", 0, "0", {})],
      [Proposition("f", 0, 0, {}), Proposition("f", "0", 0, {})]],
-    ids=["not-a-proposition", "str-index", "str-index-sorted"],
+    ids=["not-a-proposition", "str-index", "str-terminal", "str-index-sorted"],
 )
 def test_build_records_refuses_what_the_sort_refuses(props):
-    """Outside the documented types, the compiled build_records fails with
-    the error class of its pure twin, whose sort_propositions or _locate
-    raises it."""
+    """Outside the documented types, the compiled build_records and
+    list_faults fail with the error class and message of their pure
+    twins, whose sort_propositions or _locate raises it."""
     from srlkit import _speedups
 
     trees = [_speedups.parse_spans("(S (NN a))")]
-    raised = []
-    for kernel in (_pure, _speedups):
-        with pytest.raises((AttributeError, TypeError)) as info:
-            kernel.build_records(props, trees, [SentencePair("a", "a")], "00/f", True)
-        raised.append(info.type)
-    assert raised[0] is raised[1]
+    calls = (
+        lambda kernel: kernel.build_records(props, trees, [SentencePair("a", "a")], "00/f", True),
+        lambda kernel: kernel.list_faults(props, trees),
+    )
+    for call in calls:
+        raised = []
+        for kernel in (_pure, _speedups):
+            with pytest.raises((AttributeError, TypeError)) as info:
+                call(kernel)
+            raised.append((info.type, str(info.value)))
+        assert raised[0] == raised[1]
 
 
 @requires_build_tools

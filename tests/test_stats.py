@@ -1,10 +1,15 @@
+import contextlib
+import csv
+import io
 import json
 import math
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import support
+from srlkit._csvrows import split_rows
 from srlkit.errors import (
     BadThresholds,
     EmptyInput,
@@ -12,7 +17,14 @@ from srlkit.errors import (
     LexiconError,
     MalformedDataset,
 )
-from srlkit.pipeline import CorpusLayout, SrlRecord, export_csv, extract_corpus
+from srlkit.pipeline import (
+    SRL_HEADER,
+    CorpusLayout,
+    SrlRecord,
+    csv_lines,
+    export_csv,
+    extract_corpus,
+)
 from srlkit.stats import (
     ALPHA,
     SentimentLexicon,
@@ -286,6 +298,142 @@ class TestReadDatasetCsv:
         with pytest.raises(MalformedDataset) as caught:
             read_dataset_csv(path)
         assert str(caught.value) == message
+
+
+HEADER_LINE = ",".join(SRL_HEADER) + "\n"
+# the characters that steer csv.reader, and a few it passes through
+CSV_ALPHABET = ',"\n\r\x00\x0b é'
+
+
+def _whole_file_read(path):
+    """read_dataset_csv as one csv.reader over the whole file: the rows
+    and errors its split path must keep."""
+    reader = csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
+    try:
+        header = next(reader, None)
+        if header != SRL_HEADER:
+            raise HeaderMismatch(f"expected header {','.join(SRL_HEADER)!r}, got {header!r}")
+        records = []
+        for row in reader:
+            if len(row) != len(SRL_HEADER):
+                raise HeaderMismatch(f"row with {len(row)} fields: {row!r}")
+            records.append(SrlRecord(*row))
+    except csv.Error as exc:
+        raise MalformedDataset(f"{path}: line {reader.line_num}: {exc}") from None
+    return records
+
+
+def _outcome(read, path):
+    """read(path)'s records, or the class and message of what it raised."""
+    try:
+        return read(path)
+    except (HeaderMismatch, MalformedDataset) as exc:
+        return type(exc), str(exc)
+
+
+def _same_as_reader(path, text):
+    """Write text to path; read_dataset_csv gives what the whole-file
+    reader gives, and a split, when there is one, is the reader's rows.
+    Returns the split."""
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(read_dataset_csv, path) == _outcome(_whole_file_read, path)
+    rows = split_rows(text)
+    if rows is not None:
+        assert rows == list(csv.reader(io.StringIO(text, newline="")))
+    return rows
+
+
+@contextlib.contextmanager
+def _field_limit(limit):
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("split") / "d.csv"
+
+
+_fields = st.text(CSV_ALPHABET, max_size=5)
+_texts = st.one_of(
+    # what export_csv writes, of rows with about the header's field count
+    st.lists(st.lists(_fields, min_size=5, max_size=7), max_size=6).map(
+        lambda rows: csv_lines([SRL_HEADER, *rows])),
+    # the header, then lines of six unquoted fields
+    st.lists(st.lists(_fields, min_size=6, max_size=6).map(",".join), max_size=6).map(
+        lambda lines: HEADER_LINE + "\n".join(lines)),
+    # anything
+    st.tuples(st.sampled_from(["", HEADER_LINE]), st.text(CSV_ALPHABET, max_size=60)).map("".join),
+)
+
+
+class TestSplitPath:
+    """read_dataset_csv splits the lines that need no quoting and falls
+    back to the whole-file reader on any text where a split might differ."""
+
+    @settings(max_examples=300)
+    @given(text=_texts, limit=st.sampled_from([None, 6]))
+    def test_reads_what_the_reader_reads(self, csv_path, text, limit):
+        with _field_limit(limit if limit is not None else csv.field_size_limit()):
+            _same_as_reader(csv_path, text)
+
+    def test_splits_written_csv(self, csv_path, golden_srl_csv):
+        text = golden_srl_csv.read_bytes().decode("utf-8")
+        assert '"' in text
+        assert _same_as_reader(csv_path, text) is not None
+
+    def test_splits_header_only(self, csv_path):
+        assert _same_as_reader(csv_path, HEADER_LINE) == [SRL_HEADER]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "s,t,p,a,b,a|b",  # no final line end
+            "s,t,p,a,b,a|b\r\n",  # the reader ends lines at CR too
+            "\ns,t,p,a,b,a|b\n",  # an empty line, which the reader reads as []
+            'a,b,c,d,e,"\nx,y\n',  # a quote opened at the end of its line runs on
+            'ab"c,"d\nx,y\n',  # two quotes, and still a field that runs on
+            '"s,t\np\nq",a,b,a|b\n',  # two quoted lines read as one row
+        ],
+        ids=["no-final-newline", "cr", "empty-line", "quote-at-line-end",
+             "even-quotes-run-on", "quoted-lines-join"],
+    )
+    def test_falls_back(self, csv_path, body):
+        assert _same_as_reader(csv_path, HEADER_LINE + body) is None
+
+    def test_falls_back_on_a_line_over_the_field_limit(self, csv_path):
+        # no field is over the limit, one line is; the header line is 66 long
+        with _field_limit(70):
+            line = "s,t,p,a,b," + "x" * 60
+            assert _same_as_reader(csv_path, HEADER_LINE + line + "\n") is not None
+            assert _same_as_reader(csv_path, HEADER_LINE + line + "y\n") is None
+
+    def test_falls_back_when_the_quoted_lines_raise(self, csv_path):
+        # each line is within the limit, but the field the two quoted
+        # lines join into is not
+        with _field_limit(70):
+            text = HEADER_LINE + '"' + "a" * 40 + "\n" + "b" * 40 + '",t,p,a,b,a|b\n'
+            assert _same_as_reader(csv_path, text) is None
+            assert _outcome(read_dataset_csv, csv_path) == (
+                MalformedDataset, f"{csv_path}: line 3: field larger than field limit (70)")
+
+    def test_nul_reads_as_the_reader_reads(self, csv_path):
+        # Python 3.10's reader rejects NUL; later ones read it as a character
+        assert _same_as_reader(csv_path, HEADER_LINE + "s\x00,t,p,a,b,a|b\n") is None
+        if sys.version_info < (3, 11):
+            assert _outcome(read_dataset_csv, csv_path) == (
+                MalformedDataset, f"{csv_path}: line 2: line contains NUL")
+        else:
+            assert read_dataset_csv(csv_path) == [SrlRecord("s\x00", "t", "p", "a", "b", "a|b")]
+
+    def test_a_bad_row_before_a_reader_error_wins(self, csv_path):
+        text = HEADER_LINE + "s,t\n" + f'"{"x" * 200_000}",t,p,a,b,a|b\n'
+        assert _same_as_reader(csv_path, text) is None
+        assert _outcome(read_dataset_csv, csv_path) == (
+            HeaderMismatch, "row with 2 fields: ['s', 't']")
 
 
 def test_stats_make_no_garbage_cycles(any_corpus, fixtures_dir, tmp_path):
