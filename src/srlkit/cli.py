@@ -37,7 +37,9 @@ from srlkit.pipeline import (
     extract_corpus,
     list_faults,
     open_replacing,
+    prop_fault,
     read_corpus,
+    read_lines,
     read_text,
     resolve_role,
 )
@@ -66,13 +68,10 @@ def _error_line(exc: SrlKitError) -> str:
 def _load_config(path) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        text = read_text(path)
+        lines = read_lines(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    for i, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for i, line in lines:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"line {i}: expected key = value, got {line!r}")
@@ -98,15 +97,6 @@ def _config_defaults(path) -> dict:
     return defaults
 
 
-def _read_exclusions(path) -> frozenset[str]:
-    ids = set()
-    for line in read_text(path).splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            ids.add(line)
-    return frozenset(ids)
-
-
 def _layout(args, exclude=None) -> CorpusLayout:
     missing = [f"--{name}" for name in ("prop", "onf", "parse") if not getattr(args, name)]
     if missing:
@@ -115,7 +105,7 @@ def _layout(args, exclude=None) -> CorpusLayout:
         prop_root=Path(args.prop),
         onf_root=Path(args.onf),
         parse_root=Path(args.parse),
-        exclusions=_read_exclusions(exclude) if exclude else frozenset(),
+        exclusions=frozenset(line for _, line in read_lines(exclude)) if exclude else frozenset(),
     )
 
 
@@ -171,8 +161,7 @@ def cmd_validate(args) -> int:
             violations.append((triple.file_id, "-", str(fault)))
         props, _, trees = parts
         for prop, where, exc in list_faults(props, trees):
-            at = f"prop line {prop.line_no} {where}".rstrip()
-            violations.append((triple.file_id, str(prop.tree_index), f"{at}: {exc}"))
+            violations.append((triple.file_id, str(prop.tree_index), prop_fault(prop, exc, where)))
     if violations:
         print("file_id\ttree\tdetail")
         for file_id, tree_no, detail in violations:

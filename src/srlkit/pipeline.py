@@ -52,8 +52,10 @@ __all__ = [
     "ROLE_ORDER",
     "discover_files",
     "read_text",
+    "read_lines",
     "read_file",
     "alignment_fault",
+    "prop_fault",
     "read_corpus",
     "resolve_role",
     "build_records",
@@ -136,14 +138,17 @@ class ExtractResult(NamedTuple):
     summary: RunSummary
 
 
-def _file_names(folder: Path) -> set[str] | None:
-    """The names in `folder` that `Path.is_file` holds for, symlinks
-    followed, or None when the folder cannot be listed."""
+def _file_names(folder: Path) -> set[str]:
+    """The names of the files in `folder`, symlinks followed and a
+    dangling one none; none if `folder` is missing or not a directory.
+    Any other OSError, such as a folder that cannot be listed or an
+    entry that is a symlink loop, is raised."""
     try:
-        with os.scandir(folder) as entries:
-            return {entry.name for entry in entries if entry.is_file()}
-    except OSError:
-        return None
+        entries = os.scandir(folder)
+    except (FileNotFoundError, NotADirectoryError):
+        return set()
+    with entries:
+        return {entry.name for entry in entries if entry.is_file()}
 
 
 def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[str, str]]]:
@@ -153,7 +158,8 @@ def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[s
     looked up by name in its folder's listing. An id is every file in
     a `.prop` folder whose name ends in ".prop", case-sensitively and
     hidden names included; an entry that is not a file, like a missing
-    companion, is none."""
+    companion, is none. A section folder that exists but cannot be
+    listed raises its OSError, as an unreadable corpus file does."""
     for root in (layout.prop_root, layout.onf_root, layout.parse_root):
         if not Path(root).is_dir():
             raise MissingRoot(f"corpus root does not exist: {root}")
@@ -161,7 +167,7 @@ def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[s
     skips: list[tuple[str, str]] = []
     for folder in FOLDERS:
         folders = layout._folders(folder)
-        names = sorted(name for name in _file_names(folders[0]) or () if name.endswith(".prop"))
+        names = sorted(name for name in _file_names(folders[0]) if name.endswith(".prop"))
         if not names:
             continue
         onf_names, parse_names = _file_names(folders[1]), _file_names(folders[2])
@@ -171,17 +177,12 @@ def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[s
             if file_id in layout.exclusions:
                 skips.append((file_id, "excluded by configuration"))
                 continue
-            triple = _triple(file_id, stem, folders)
-            missing = []
-            if not (triple.onf_path.is_file() if onf_names is None else f"{stem}.onf" in onf_names):
-                missing.append(".onf")
-            if not (triple.parse_path.is_file() if parse_names is None
-                    else f"{stem}.parse" in parse_names):
-                missing.append(".parse")
+            missing = [ext for ext, present in ((".onf", onf_names), (".parse", parse_names))
+                       if stem + ext not in present]
             if missing:
                 skips.append((file_id, f"missing companion file(s): {' '.join(missing)}"))
-                continue
-            triples.append(triple)
+            else:
+                triples.append(_triple(file_id, stem, folders))
     if not triples:
         raise EmptyCorpus("no complete (.prop, .onf, .parse) triples found")
     return triples, skips
@@ -202,6 +203,13 @@ def read_text(path, newline=None) -> str:
     if newline is None and "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+def read_lines(path):
+    """(line number, stripped text) of each line of a side file that is
+    neither blank nor a `#` comment; the file is read at the call."""
+    lines = enumerate(read_text(path).splitlines(), start=1)
+    return ((i, text) for i, line in lines if (text := line.strip()) and not text.startswith("#"))
 
 
 def read_file(
@@ -231,6 +239,12 @@ def alignment_fault(sentences: list[SentencePair], trees: list[treebank.SpanTree
         if tree.tokens != tuple(text.split()):
             return AlignmentError(f"tree {i} leaves differ from its treebanked sentence")
     return None
+
+
+def prop_fault(prop: Proposition, exc: Exception, where: str = "") -> str:
+    """A proposition's fault as the skip log, the `--strict` error and
+    `validate` word it: `prop line N[ <where>]: <error>`."""
+    return f"prop line {prop.line_no}{' ' if where else ''}{where}: {exc}"
 
 
 def read_corpus(triples: list[FileTriple]):
@@ -357,10 +371,8 @@ def extract_corpus(
         built, failures = build_records(props, trees, sentences, triple.file_id, tree_guided)
         if failures and strict:
             prop, exc = failures[0]
-            raise ExtractionError(f"{triple.file_id} prop line {prop.line_no}: {exc}") from exc
-        skip_log.extend(
-            (triple.file_id, f"prop line {prop.line_no}: {exc}") for prop, exc in failures
-        )
+            raise ExtractionError(f"{triple.file_id} {prop_fault(prop, exc)}") from exc
+        skip_log.extend((triple.file_id, prop_fault(prop, exc)) for prop, exc in failures)
         propositions_failed += len(failures)
         records.extend(built)
     kept = filter_records(records)

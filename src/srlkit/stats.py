@@ -26,6 +26,7 @@ from srlkit.pipeline import (
     SRL_HEADER,
     SrlRecord,
     open_replacing,
+    read_lines,
     read_text,
 )
 
@@ -85,10 +86,7 @@ class SentimentLexicon:
     def load(cls, path) -> "SentimentLexicon":
         """Read a `token<TAB>valence` file; `#` comments; extra columns ignored."""
         valences: dict[str, float] = {}
-        for i, line in enumerate(read_text(path).splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for i, line in read_lines(path):
             fields = line.split("\t")
             if len(fields) < 2:
                 raise LexiconError(f"line {i}: expected token<TAB>valence: {line!r}")

@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import os
@@ -172,6 +173,20 @@ class TestExtract:
         assert "Smith Jones" not in text
         assert "The plan , he said" in text
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_exclusion_file_lines(self, eol, fixtures_dir, tmp_path):
+        # each line is stripped; blank, whitespace-only and `#` lines,
+        # indented or not, are skipped
+        exclude = tmp_path / "exclude.txt"
+        lines = ["# ids", "  # indented", " \t ", "", "  00/wsj_0001\t", "00/wsj_0002", ""]
+        exclude.write_bytes(eol.join(lines).encode("utf-8"))
+        out = tmp_path / "d.csv"
+        rc = main(["extract", *flags(fixtures_dir), "--exclude", str(exclude), "--out", str(out)])
+        assert rc == 0
+        assert Path(f"{out}.skiplog").read_text(encoding="utf-8") == (
+            "00/wsj_0001\texcluded by configuration\n00/wsj_0002\texcluded by configuration\n"
+        )
+
     def test_jobs_byte_identical(self, fixtures_dir, tmp_path):
         out1 = tmp_path / "a.csv"
         out8 = tmp_path / "b.csv"
@@ -251,8 +266,10 @@ class TestExtract:
             ("run.conf", "schema orl\n",
              "error: ConfigError: line 1: expected key = value, got 'schema orl'\n"),
             ("run.conf", "# a comment\n\ncolour = blue\nschema = orl\n", ""),
+            ("run.conf", "# a comment\r\n  # indented\r\n \t \r\n  schema orl \r\n",
+             "error: ConfigError: line 4: expected key = value, got 'schema orl'\n"),
         ],
-        ids=["missing", "directory", "no-equals", "skipped-lines"],
+        ids=["missing", "directory", "no-equals", "skipped-lines", "crlf-skipped-lines"],
     )
     def test_config_file_lines(
         self, name, text, err, fixtures_dir, golden_orl_csv, tmp_path, monkeypatch, capsys
@@ -320,6 +337,64 @@ def test_prop_entry_not_a_file_is_no_file_id(entry, fixtures_dir, tmp_path, caps
         return extract, (rc, capsys.readouterr().out)
 
     assert outputs(odd) == outputs(fixtures_dir / "corpus")
+
+
+@pytest.mark.parametrize("command", ["extract", "validate"])
+@pytest.mark.parametrize("ext", ["prop", "onf"])
+def test_unlistable_section_is_an_io_error(ext, command, fixtures_dir, tmp_path, monkeypatch,
+                                           capsys):
+    """A section folder that exists but cannot be listed ends the run with
+    one `error: IoError:` line naming it, as an unreadable corpus file
+    does, and extract writes nothing; its ids are never dropped unseen.
+    Root lists any folder whatever its mode, so `os.scandir` refuses it."""
+    folder = str(fixtures_dir / "corpus" / ext / "01")
+    scandir = os.scandir
+
+    def refusing(path="."):
+        if os.fspath(path) == folder:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), folder)
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refusing)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *flags(fixtures_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: IoError: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: {folder!r}\n"
+    )
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("ext", ["prop", "onf"])
+def test_symlink_loop_in_section_is_an_io_error(ext, fixtures_dir, tmp_path, capsys):
+    """A section entry that is a symlink loop is neither a file nor a
+    dangling link: the run ends with one `error: IoError:` line naming it,
+    and the rest of its section is not dropped unseen."""
+    shutil.copytree(fixtures_dir / "corpus", tmp_path / "corpus")
+    entry = tmp_path / "corpus" / ext / "01" / f"loop.{ext}"
+    entry.symlink_to(entry)
+    assert main(["validate", *flags(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: IoError: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: {str(entry)!r}\n"
+    )
+
+
+@pytest.mark.parametrize("ext, section", [("onf", "absent"), ("parse", "a regular file")])
+def test_companion_section_not_a_folder(ext, section, fixtures_dir, tmp_path, capsys):
+    """A companion root whose section folder is absent, or is a regular
+    file, holds none of that section's files: each id is a logged skip."""
+    shutil.copytree(fixtures_dir / "corpus", tmp_path / "corpus")
+    folder = tmp_path / "corpus" / ext / "01"
+    shutil.rmtree(folder)
+    if section == "a regular file":
+        folder.write_text("", encoding="utf-8")
+    out = tmp_path / "d.csv"
+    assert main(["extract", *flags(tmp_path), "--out", str(out)]) == 0
+    assert "files skipped:       2\n" in capsys.readouterr().out
+    assert Path(f"{out}.skiplog").read_text(encoding="utf-8") == "".join(
+        f"01/{stem}\tmissing companion file(s): .{ext}\n" for stem in ("wsj_0101", "wsj_0102")
+    )
 
 
 def test_line_ends_do_not_change_outputs(any_corpus, tmp_path, monkeypatch, capsys):
