@@ -2,10 +2,11 @@
 corpora and compute dataset statistics.
 
 The hot paths (tree text, pointer expressions, `.prop` lines, `.onf`
-sentence blocks, `.parse` files and span resolution) run from a compiled
-extension when it is built, with a pure-Python fallback selected at
-import; `srlkit.backend()` reports
-which one is active.
+sentence blocks, `.parse` files, span resolution, the per-file record
+builder and fault lister, and the exhaustive pointer round-trip sweep)
+run from a compiled extension when it is built, with a pure-Python
+fallback selected at import; `srlkit.backend()` reports which one is
+active.
 """
 
 from srlkit._backend import backend

@@ -31,6 +31,7 @@ or raise the same error types with the same messages, in the same order.
   one call per file for `extract` and for `validate`.
 """
 
+import itertools
 import re
 
 from srlkit._nodes import (
@@ -146,10 +147,10 @@ def parse_spans(text: str) -> SpanTree:
 
 # --- pointer expressions ---------------------------------------------------
 
-_POINTER = re.compile(r"(0|[1-9][0-9]*):(0|[1-9][0-9]*)\Z")
-_CONNECTOR = re.compile(r"[*,;]")
-
 CONNECTOR_CHARS = "*,;"
+_CONNECTOR = re.compile(f"[{CONNECTOR_CHARS}]")
+# at most 18 digits, so every value fits the compiled kernel's long long
+_POINTER = re.compile(r"(0|[1-9][0-9]{0,17}):(0|[1-9][0-9]{0,17})\Z")
 
 
 def parse_expr_parts(text: str) -> list[tuple[int, int]]:
@@ -161,8 +162,7 @@ def parse_expr_parts(text: str) -> list[tuple[int, int]]:
         if frag == "":
             raise EmptyFragment(f"empty pointer fragment in {text!r}")
         m = _POINTER.match(frag)
-        # 18-digit cap keeps values inside a C long for the compiled kernel
-        if m is None or len(m.group(1)) > 18 or len(m.group(2)) > 18:
+        if m is None:
             raise MalformedPointer(f"bad pointer {frag!r} in {text!r}")
         parts.append((int(m.group(1)), int(m.group(2))))
     return parts
@@ -182,7 +182,8 @@ def roundtrip_exhaustive(max_terminal: int, max_height: int, max_parts: int):
     connector combination up to max_parts parts.
 
     Returns (checked, mismatches, first_bad). Slow; the compiled kernel
-    does the same enumeration, in the same order, in C.
+    does the same enumeration, in the same order (the last piece varies
+    fastest), in C.
     """
     if not 1 <= max_parts <= 3:
         raise ValueError("exhaustive enumeration supports 1..3 parts")
@@ -190,33 +191,14 @@ def roundtrip_exhaustive(max_terminal: int, max_height: int, max_parts: int):
     checked = 0
     mismatches = 0
     first_bad = None
-
-    def check(s: str):
-        nonlocal checked, mismatches, first_bad
-        checked += 1
-        # the connectors come from the text, as in the compiled sweep
-        if format_parts(parse_expr_parts(s), _CONNECTOR.findall(s)) != s:
-            mismatches += 1
-            if first_bad is None:
-                first_bad = s
-
-    for a in singles:
-        check(a)
-    if max_parts >= 2:
-        for a in singles:
-            for c1 in CONNECTOR_CHARS:
-                prefix = a + c1
-                for b in singles:
-                    check(prefix + b)
-    if max_parts >= 3:
-        for a in singles:
-            for c1 in CONNECTOR_CHARS:
-                for b in singles:
-                    prefix = a + c1 + b
-                    for c2 in CONNECTOR_CHARS:
-                        prefix2 = prefix + c2
-                        for c in singles:
-                            check(prefix2 + c)
+    for parts in range(1, max_parts + 1):
+        for pieces in itertools.product(singles, *[CONNECTOR_CHARS, singles] * (parts - 1)):
+            s = "".join(pieces)
+            checked += 1
+            if format_parts(parse_expr_parts(s), pieces[1::2]) != s:
+                mismatches += 1
+                if first_bad is None:
+                    first_bad = s
     return checked, mismatches, first_bad
 
 

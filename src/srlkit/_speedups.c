@@ -1598,7 +1598,8 @@ static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT,
     .m_name = "srlkit._speedups",
     .m_doc = "Compiled scanners for tree, pointer, .prop, .onf and .parse text,\n"
-             "and the pointer climb and span resolver.",
+             "the pointer climb and span resolver, the per-file record builder\n"
+             "and fault lister, and the exhaustive pointer round-trip sweep.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -89,7 +89,8 @@ def _config_defaults(path) -> dict:
         cast, choices = _CONFIG_KEYS[key]
         try:
             value = cast(raw)
-            if choices is not None and value not in choices:
+            # no path and no choice can hold a NUL
+            if "\0" in raw or choices is not None and value not in choices:
                 raise ValueError(raw)
         except (KeyError, ValueError):
             raise ConfigError(f"bad value for {key}: {raw!r}") from None

@@ -294,13 +294,16 @@ def map_to_orl(record: SrlRecord) -> OrlRecord:
 
 @contextlib.contextmanager
 def open_replacing(path, newline=None):
-    """Open a temporary file beside `path` for writing UTF-8 text; it
-    replaces `path` once the block ends, and is removed if the block
-    raises, so `path` is never left half written."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    """Open a temporary file beside `path`, named `path` + "." + the
+    process id + ".tmp", for writing UTF-8 text; it replaces `path` once
+    the block ends, and is removed if the block raises, so `path` is
+    never left half written."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    # mode "x" fails on a file already there, so the cleanup below can
+    # only remove a file this run created
+    handle = open(tmp, "x", encoding="utf-8", newline=newline)
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as handle:
+        with handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:

@@ -218,7 +218,10 @@ class TestExtract:
     # flags are checked by argparse; a config value must fail the same
     # way as any other bad setting, before anything is extracted
     @pytest.mark.parametrize(
-        "key, value", [("schema", "xml"), ("trace-mode", "foo"), ("strict", "ture")]
+        "key, value",
+        [("schema", "xml"), ("trace-mode", "foo"), ("strict", "ture"),
+         # no path can hold a NUL
+         ("out", "a\0b.csv"), ("exclude", "a\0b"), ("lexicon", "a\0b")],
     )
     def test_config_file_bad_choice(self, key, value, fixtures_dir, tmp_path, capsys):
         config = tmp_path / "run.conf"
@@ -253,6 +256,40 @@ class TestExtract:
         assert captured.err == f"error: ConfigError: bad value for {key}: {value!r}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    # the temporary file beside the output is named for this process and
+    # made fresh, so a run never truncates or removes a file it did not make
+    def test_out_directory_leaves_neighbouring_tmp_file(self, fixtures_dir, tmp_path, capsys):
+        out = tmp_path / "outdir"
+        out.mkdir()
+        kept = tmp_path / "outdir.tmp"
+        kept.write_bytes(b"precious")
+        assert main(["extract", *flags(fixtures_dir), "--out", f"{out}/"]) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: IoError: [^\n]*\n", captured.err)
+        assert captured.out == ""
+        assert kept.read_bytes() == b"precious"
+        assert sorted(tmp_path.rglob("*.tmp")) == [kept]
+
+    def test_tmp_file_beside_out_survives(self, fixtures_dir, golden_srl_csv, tmp_path):
+        out = tmp_path / "dataset.csv"
+        kept = tmp_path / "dataset.csv.tmp"
+        kept.write_bytes(b"a file of the user's\n")
+        assert main(["extract", *flags(fixtures_dir), "--out", str(out)]) == 0
+        assert out.read_bytes() == golden_srl_csv.read_bytes()
+        assert kept.read_bytes() == b"a file of the user's\n"
+        assert sorted(tmp_path.iterdir()) == [out, kept]
+
+    @pytest.mark.parametrize("out", ["", "."])
+    def test_out_current_directory_is_an_io_error(
+        self, out, fixtures_dir, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["extract", *flags(fixtures_dir), "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: IoError: [^\n]*\n", captured.err)
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     # a config file that cannot be read or has a line without "=" fails
     # before anything is extracted; comments, blank lines and unknown keys

@@ -142,13 +142,14 @@ class TestPointerSweep:
         assert checked == singles + 3 * singles**2 + 9 * singles**3
         assert (mismatches, first_bad) == (0, None)
 
+    # the ranges pin the enumeration order, which decides first_bad, and
+    # the edges: one single, no singles, one part
     @requires_build_tools
-    def test_compiled_matches_pure(self):
+    @pytest.mark.parametrize("sweep", [RANGE, (0, 0, 3), (2, 1, 2), (-1, 2, 3), (5, 0, 1)])
+    def test_compiled_matches_pure(self, sweep):
         from srlkit import _speedups
 
-        assert _speedups.roundtrip_exhaustive(*self.RANGE) == (
-            _pure.roundtrip_exhaustive(*self.RANGE)
-        )
+        assert _speedups.roundtrip_exhaustive(*sweep) == _pure.roundtrip_exhaustive(*sweep)
 
     @pytest.mark.parametrize(
         "module", ["_pure", pytest.param("_speedups", marks=requires_build_tools)]
