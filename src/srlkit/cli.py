@@ -32,6 +32,7 @@ from srlkit.pipeline import (
     ROLE_ORDER,
     SCHEMAS,
     CorpusLayout,
+    check_replaceable,
     discover_files,
     export_csv,
     extract_corpus,
@@ -116,11 +117,13 @@ def cmd_extract(args) -> int:
         trace_mode=TraceMode(args.trace_mode),
         strict=args.strict,
     )
-    export_csv(result.records, args.out, schema=args.schema)
     summary = result.summary
     # a skip log exists exactly when this run skipped something; one left
-    # by an earlier run would describe a different dataset
+    # by an earlier run would describe a different dataset. Its path is
+    # checked before the CSV is replaced, so a run that fails changes neither
     skip_path = Path(str(args.out) + ".skiplog")
+    check_replaceable(skip_path)
+    export_csv(result.records, args.out, schema=args.schema)
     if summary.skip_log:
         with open_replacing(skip_path) as handle:
             handle.write("".join(f"{fid}\t{reason}\n" for fid, reason in summary.skip_log))

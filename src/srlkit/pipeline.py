@@ -16,6 +16,7 @@ order and words.
 """
 
 import contextlib
+import errno
 import itertools
 import operator
 import os
@@ -65,6 +66,7 @@ __all__ = [
     "csv_lines",
     "export_csv",
     "extract_corpus",
+    "check_replaceable",
     "open_replacing",
 ]
 
@@ -207,8 +209,9 @@ def read_text(path, newline=None) -> str:
 
 def read_lines(path):
     """(line number, stripped text) of each line of a side file that is
-    neither blank nor a `#` comment; the file is read at the call."""
-    lines = enumerate(read_text(path).splitlines(), start=1)
+    neither blank nor a `#` comment; one leading byte-order mark (U+FEFF),
+    which some editors write, is dropped. The file is read at the call."""
+    lines = enumerate(read_text(path).removeprefix("\ufeff").splitlines(), start=1)
     return ((i, text) for i, line in lines if (text := line.strip()) and not text.startswith("#"))
 
 
@@ -292,12 +295,23 @@ def map_to_orl(record: SrlRecord) -> OrlRecord:
     )
 
 
+def check_replaceable(path) -> None:
+    """Raise IsADirectoryError when `path` is a directory, which no file
+    can replace (a symlink is replaced itself, not followed). A command
+    with two outputs checks both before it replaces either, so a run
+    that fails leaves both as they were."""
+    if os.path.isdir(path) and not os.path.islink(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
 @contextlib.contextmanager
 def open_replacing(path, newline=None):
     """Open a temporary file beside `path`, named `path` + "." + the
     process id + ".tmp", for writing UTF-8 text; it replaces `path` once
     the block ends, and is removed if the block raises, so `path` is
-    never left half written."""
+    never left half written. A `path` that is a directory raises
+    IsADirectoryError (`check_replaceable`) before anything is created."""
+    check_replaceable(path)
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     # mode "x" fails on a file already there, so the cleanup below can
     # only remove a file this run created

@@ -305,10 +305,10 @@ def emit_report(stats: DatasetStats, out_dir) -> tuple[Path, Path]:
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "stats.json"
     txt_path = out / "stats.txt"
-    with open_replacing(json_path) as handle:
-        handle.write(json.dumps(_stats_dict(stats), indent=2) + "\n")
-    with open_replacing(txt_path) as handle:
-        handle.write(_stats_text(stats))
+    # nested, so both files are written before either replaces its target
+    with open_replacing(json_path) as json_file, open_replacing(txt_path) as txt_file:
+        json_file.write(json.dumps(_stats_dict(stats), indent=2) + "\n")
+        txt_file.write(_stats_text(stats))
     return json_path, txt_path
 
 

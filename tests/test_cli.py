@@ -173,13 +173,18 @@ class TestExtract:
         assert "Smith Jones" not in text
         assert "The plan , he said" in text
 
-    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
-    def test_exclusion_file_lines(self, eol, fixtures_dir, tmp_path):
+    @pytest.mark.parametrize(
+        "bom, eol",
+        [("", "\n"), ("", "\r\n"), ("\ufeff", "\n"), ("\ufeff", "\r\n")],
+        ids=["lf", "crlf", "bom-lf", "bom-crlf"],
+    )
+    def test_exclusion_file_lines(self, bom, eol, fixtures_dir, tmp_path):
         # each line is stripped; blank, whitespace-only and `#` lines,
-        # indented or not, are skipped
+        # indented or not, are skipped; a leading byte-order mark is not
+        # part of the first id
         exclude = tmp_path / "exclude.txt"
-        lines = ["# ids", "  # indented", " \t ", "", "  00/wsj_0001\t", "00/wsj_0002", ""]
-        exclude.write_bytes(eol.join(lines).encode("utf-8"))
+        lines = ["00/wsj_0001\t", "# ids", "  # indented", " \t ", "", "  00/wsj_0002", ""]
+        exclude.write_bytes((bom + eol.join(lines)).encode("utf-8"))
         out = tmp_path / "d.csv"
         rc = main(["extract", *flags(fixtures_dir), "--exclude", str(exclude), "--out", str(out)])
         assert rc == 0
@@ -305,8 +310,13 @@ class TestExtract:
             ("run.conf", "# a comment\n\ncolour = blue\nschema = orl\n", ""),
             ("run.conf", "# a comment\r\n  # indented\r\n \t \r\n  schema orl \r\n",
              "error: ConfigError: line 4: expected key = value, got 'schema orl'\n"),
+            # a leading byte-order mark is dropped, so the first line is
+            # a comment or a key as it would be without it
+            ("run.conf", "\ufeff# a comment\nschema = orl\n", ""),
+            ("run.conf", "\ufeffschema = orl\n", ""),
         ],
-        ids=["missing", "directory", "no-equals", "skipped-lines", "crlf-skipped-lines"],
+        ids=["missing", "directory", "no-equals", "skipped-lines", "crlf-skipped-lines",
+             "bom-comment", "bom-key"],
     )
     def test_config_file_lines(
         self, name, text, err, fixtures_dir, golden_orl_csv, tmp_path, monkeypatch, capsys
@@ -476,6 +486,71 @@ def test_cli_import_loads_no_dataclasses_nor_unused_kernel():
     assert not {"srlkit.stats", "csv", "_csv", "json"} & set(added)
     if backend == "compiled":
         assert "srlkit._pure" not in added
+
+
+def test_in_place_build_writes_the_package_bytecode(tmp_path):
+    """`setup.py build_ext --inplace` byte-compiles src/srlkit, also when
+    the optional C build fails, so a fresh interpreter that writes no
+    bytecode compiles no srlkit module at import; an edited module is
+    compiled again from its new source."""
+    root = Path(__file__).resolve().parents[1]
+    shutil.copytree(root / "src" / "srlkit", tmp_path / "src" / "srlkit",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyd"))
+    for name in ("setup.py", "pyproject.toml"):
+        shutil.copy(root / name, tmp_path / name)
+    subprocess.run([sys.executable, "setup.py", "-q", "build_ext", "--inplace"], cwd=tmp_path,
+                   env={**os.environ, "CC": "/nonexistent/cc"}, capture_output=True, check=True)
+    # every module compiled from source passes through source_to_code
+    code = ("import os, sys\n"
+            "from importlib.machinery import SourceFileLoader\n"
+            "compiled, real = [], SourceFileLoader.source_to_code\n"
+            "def spy(self, data, path, *args, **kwargs):\n"
+            "    compiled.append(path)\n"
+            "    return real(self, data, path, *args, **kwargs)\n"
+            "SourceFileLoader.source_to_code = spy\n"
+            "import srlkit.cli\n"
+            "package = os.path.dirname(srlkit.__file__)\n"
+            "print(getattr(srlkit.cli, 'EDITED', False),\n"
+            "      *sorted(os.path.relpath(p, package) for p in compiled if p.startswith(package)))\n")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(tmp_path / "src")}
+
+    def import_cli():
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, check=True)
+        return proc.stdout.split()
+
+    assert import_cli() == ["False"]
+    with open(tmp_path / "src" / "srlkit" / "cli.py", "a", encoding="utf-8") as handle:
+        handle.write("EDITED = True\n")
+    assert import_cli() == ["True", "cli.py"]
+
+
+# a command that fails leaves every one of its outputs as it was: both
+# targets are checked before either is replaced
+@pytest.mark.parametrize(
+    "command, corpus, kept, blocked",
+    [
+        ("extract", "badptr", "x/d.csv", "x/d.csv.skiplog"),
+        ("extract", "corpus", "x/d.csv", "x/d.csv.skiplog"),
+        ("stats", None, "rep/stats.json", "rep/stats.txt"),
+    ],
+    ids=["extract-skips", "extract-no-skips", "stats"],
+)
+def test_failed_command_changes_no_output(command, corpus, kept, blocked, fixtures_dir, tmp_path,
+                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if command == "extract":
+        argv = ["extract", *flags(fixtures_dir, corpus), "--out", kept]
+    else:
+        argv = ["stats", "--csv", str(fixtures_dir / "stats_mini.csv"), "--out", "rep"]
+    Path(blocked).mkdir(parents=True)
+    Path(kept).write_bytes(b"an earlier run's output\n")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: IoError: [^\n]*\n", captured.err)
+    assert captured.out == ""
+    assert Path(kept).read_bytes() == b"an earlier run's output\n"
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def _roots(corpus, leave_out=None):

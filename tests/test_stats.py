@@ -205,16 +205,23 @@ class TestSentimentLexicon:
         path.write_text("good\t1.9\t0.5\t[2, 2, 1]\n", encoding="utf-8")
         assert SentimentLexicon.load(path).valence("good") == 1.9
 
-    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
-    def test_skipped_lines_are_counted(self, eol, tmp_path):
+    @pytest.mark.parametrize(
+        "bom, eol",
+        [("", "\n"), ("", "\r\n"), ("\ufeff", "\n"), ("\ufeff", "\r\n")],
+        ids=["lf", "crlf", "bom-lf", "bom-crlf"],
+    )
+    def test_skipped_lines_are_counted(self, bom, eol, tmp_path):
         # each line is stripped; blank, whitespace-only and `#` lines,
-        # indented or not, are skipped, and an error's line number counts them
+        # indented or not, are skipped, and an error's line number counts
+        # them; a leading byte-order mark is dropped
         path = tmp_path / "lex.tsv"
         skipped = ["# comment", "  # indented", " \t ", ""]
-        path.write_bytes(eol.join([*skipped, "  good\t1.9 ", ""]).encode("utf-8"))
+        path.write_bytes((bom + eol.join([*skipped, "  good\t1.9 ", ""])).encode("utf-8"))
         lexicon = SentimentLexicon.load(path)
         assert (len(lexicon), lexicon.valence("good")) == (1, 1.9)
-        path.write_bytes(eol.join([*skipped, "good\t1.9", "tok\t4.5", ""]).encode("utf-8"))
+        path.write_bytes((bom + eol.join(["good\t1.9", ""])).encode("utf-8"))
+        assert SentimentLexicon.load(path).valence("good") == 1.9
+        path.write_bytes((bom + eol.join([*skipped, "good\t1.9", "tok\t4.5", ""])).encode("utf-8"))
         with pytest.raises(LexiconError, match=r"^line 6: valence 4\.5 outside \[-4, 4\]$"):
             SentimentLexicon.load(path)
 
