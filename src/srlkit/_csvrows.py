@@ -1,4 +1,4 @@
-"""The rows `csv.reader` reads from a text, found faster: the lines that
+"""The rows `csv.reader` reads from a file, found faster: the lines that
 need no quoting are split at ",".
 
 `stats.read_dataset_csv` imports this module when it runs, so a process
@@ -6,55 +6,35 @@ that only extracts neither loads it and `csv` nor compiles it.
 """
 
 import csv
-import io
+import itertools
 
 from srlkit.errors import MalformedDataset
 
-__all__ = ["csv_rows", "split_rows"]
+__all__ = ["csv_rows"]
 
 
-def split_rows(text: str) -> list[list[str]] | None:
-    """The rows `csv.reader` reads from `text`, or None where they may
-    differ and the reader must read the whole text. A line with no '"'
-    is split at ","; the lines with one are read by one reader, and each
-    must give one row whose last field took no line end, else one of
-    them opened a quoted field that runs on, which a '"' count cannot
-    tell (`ab"c,"d` holds two)."""
-    # the reader also ends a line at "\r", and before 3.11 rejects NUL
-    if not text.endswith("\n") or "\r" in text or "\0" in text:
-        return None
-    lines = text.split("\n")
-    lines.pop()
-    # it reads an empty line as [], not [""]; its field limit is the
-    # process's, so it is read at each call, and no field is longer
-    # than its line
-    if "" in lines or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    rows = [None if '"' in line else line.split(",") for line in lines]
-    quoted = [i for i, row in enumerate(rows) if row is None]
-    try:
-        parsed = list(csv.reader([lines[i] + "\n" for i in quoted]))
-    except csv.Error:
-        return None
-    if len(parsed) != len(quoted) or any("\n" in row[-1] for row in parsed):
-        return None
-    for i, row in zip(quoted, parsed):
-        rows[i] = row
-    return rows
-
-
-def _reader_rows(text: str, path):
-    """`csv.reader`'s rows of the whole text; what it rejects is a
-    MalformedDataset naming the file and the reader's line number."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise MalformedDataset(f"{path}: line {reader.line_num}: {exc}") from None
-
-
-def csv_rows(text: str, path):
-    """An iterator over `csv.reader`'s rows of `text`: `split_rows`' when
-    it gives them, else the reader's over the whole text."""
-    rows = split_rows(text)
-    return iter(rows) if rows is not None else _reader_rows(text, path)
+def csv_rows(lines, path):
+    """An iterator over the rows `csv.reader` reads from `lines`, the
+    lines of a file opened with `newline=""`. A line is split at ","
+    when it ends in "\n", is not just "\n" (the reader's []), is no
+    longer than the reader's field limit, read at each call, and holds
+    no '"', CR or NUL (before 3.11 the reader rejects NUL). Any other
+    line starts a record that a reader reads from the same stream; it
+    takes just the lines of that record, as it never reads past one.
+    What the reader rejects is a MalformedDataset naming the file and
+    the number of the line it stopped at."""
+    limit = csv.field_size_limit()
+    done = 0  # lines consumed
+    for line in lines:
+        if (line.endswith("\n") and 1 < len(line) <= limit
+                and '"' not in line and "\r" not in line and "\0" not in line):
+            done += 1
+            yield line[:-1].split(",")
+            continue
+        reader = csv.reader(itertools.chain((line,), lines))
+        try:
+            row = next(reader)
+        except csv.Error as exc:
+            raise MalformedDataset(f"{path}: line {done + reader.line_num}: {exc}") from None
+        done += reader.line_num
+        yield row

@@ -190,19 +190,20 @@ def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[s
     return triples, skips
 
 
-def read_text(path, newline=None) -> str:
-    """The text of a UTF-8 file, its line ends translated as `open` does
-    for `newline`: with None, "\r\n" and "\r" become "\n"; with "", none
-    is. Every text input is read through here, as one unbuffered read
+def read_text(path) -> str:
+    """The text of a UTF-8 file, its line ends translated as `open` does:
+    "\r\n" and "\r" become "\n". Every text input but the dataset CSV,
+    which `stats` streams, is read through here, as one unbuffered read
     decoded once, so bytes that are not UTF-8 are a DecodeError, never a
-    UnicodeDecodeError, and its offset counts from the start of the file."""
+    UnicodeDecodeError, and its offset counts from the start of the file;
+    `stats` calls it for that error too."""
     with open(path, "rb", buffering=0) as handle:
         data = handle.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DecodeError(f"{path}: not UTF-8 at byte offset {exc.start} ({exc.reason})") from None
-    if newline is None and "\r" in text:
+    if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
 

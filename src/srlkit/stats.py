@@ -19,6 +19,7 @@ from srlkit.errors import (
     EmptyInput,
     HeaderMismatch,
     LexiconError,
+    MalformedDataset,
 )
 from srlkit.pipeline import (
     DEFAULT_T1,
@@ -314,18 +315,25 @@ def emit_report(stats: DatasetStats, out_dir) -> tuple[Path, Path]:
 
 def read_dataset_csv(path) -> list[SrlRecord]:
     """Load an exported srl-schema dataset.csv back into records, from the
-    rows `csv.reader` reads (`_csvrows.csv_rows`). Text the reader
-    rejects, such as a field over its size limit, is a MalformedDataset
-    naming the file and the reader's line number."""
+    rows `csv.reader` reads (`_csvrows.csv_rows`) as the file is read.
+    Text the reader rejects, such as a field over its size limit, is a
+    MalformedDataset naming the file and the reader's line number. Bytes
+    that are not UTF-8 anywhere in the file are `read_text`'s DecodeError,
+    even after a header or row fault earlier in the file."""
     from srlkit._csvrows import csv_rows  # here, so only a dataset read loads `csv`
 
-    rows = csv_rows(read_text(path, newline=""), path)
-    header = next(rows, None)
-    if header != SRL_HEADER:
-        raise HeaderMismatch(f"expected header {','.join(SRL_HEADER)!r}, got {header!r}")
-    records = []
-    for row in rows:
-        if len(row) != len(SRL_HEADER):
-            raise HeaderMismatch(f"row with {len(row)} fields: {row!r}")
-        records.append(SrlRecord(*row))
+    try:
+        with open(path, encoding="utf-8", newline="") as lines:
+            rows = csv_rows(lines, path)
+            header = next(rows, None)
+            if header != SRL_HEADER:
+                raise HeaderMismatch(f"expected header {','.join(SRL_HEADER)!r}, got {header!r}")
+            records = []
+            for row in rows:
+                if len(row) != len(SRL_HEADER):
+                    raise HeaderMismatch(f"row with {len(row)} fields: {row!r}")
+                records.append(SrlRecord(*row))
+    except (UnicodeDecodeError, HeaderMismatch, MalformedDataset):
+        read_text(path)  # bad bytes anywhere in the file: its DecodeError wins
+        raise
     return records

@@ -842,7 +842,8 @@ class TestCsvLines:
             # read_dataset_csv takes only the srl header, so the orl file
             # goes through the same reader without its header check
             export_csv(srl, path, schema="orl")
-            text = read_text(path, newline="")
+            with open(path, encoding="utf-8", newline="") as handle:
+                text = handle.read()
         assert list(csv.reader(io.StringIO(text, newline=""))) == [
             ORL_HEADER, *(list(map_to_orl(r)[:5]) for r in srl)
         ]
@@ -856,12 +857,12 @@ class TestCsvLines:
 
 
 class TestReadText:
-    """`read_text` against `open(path, encoding="utf-8", newline=...)`,
-    the reader it replaces."""
+    """`read_text` against `open(path, encoding="utf-8")`, the reader it
+    replaces."""
 
     @staticmethod
-    def _opened(path, newline=None):
-        with open(path, encoding="utf-8", newline=newline) as handle:
+    def _opened(path):
+        with open(path, encoding="utf-8") as handle:
             return handle.read()
 
     @given(st.lists(st.sampled_from(["a", "é", "\r", "\n", "\r\n"]), max_size=40))
@@ -869,8 +870,7 @@ class TestReadText:
         with tempfile.TemporaryDirectory() as folder:
             path = Path(folder, "f.txt")
             path.write_bytes("".join(pieces).encode("utf-8"))
-            for newline in (None, ""):
-                assert read_text(path, newline) == self._opened(path, newline)
+            assert read_text(path) == self._opened(path)
 
     @pytest.mark.parametrize("offset", [100, 9_000, 70_000, 2_000_000])
     def test_decode_error_offset(self, offset, tmp_path):

@@ -4,14 +4,16 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
-from srlkit._csvrows import split_rows
+from srlkit.cli import main
 from srlkit.errors import (
     BadThresholds,
+    DecodeError,
     EmptyInput,
     HeaderMismatch,
     LexiconError,
@@ -24,6 +26,7 @@ from srlkit.pipeline import (
     csv_lines,
     export_csv,
     extract_corpus,
+    read_text,
 )
 from srlkit.stats import (
     ALPHA,
@@ -327,7 +330,7 @@ CSV_ALPHABET = ',"\n\r\x00\x0b é'
 
 def _whole_file_read(path):
     """read_dataset_csv as one csv.reader over the whole file: the rows
-    and errors its split path must keep."""
+    and errors its per-line reader must keep."""
     reader = csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
     try:
         header = next(reader, None)
@@ -353,14 +356,9 @@ def _outcome(read, path):
 
 def _same_as_reader(path, text):
     """Write text to path; read_dataset_csv gives what the whole-file
-    reader gives, and a split, when there is one, is the reader's rows.
-    Returns the split."""
+    reader gives."""
     path.write_text(text, encoding="utf-8", newline="")
     assert _outcome(read_dataset_csv, path) == _outcome(_whole_file_read, path)
-    rows = split_rows(text)
-    if rows is not None:
-        assert rows == list(csv.reader(io.StringIO(text, newline="")))
-    return rows
 
 
 @contextlib.contextmanager
@@ -391,8 +389,9 @@ _texts = st.one_of(
 
 
 class TestSplitPath:
-    """read_dataset_csv splits the lines that need no quoting and falls
-    back to the whole-file reader on any text where a split might differ."""
+    """read_dataset_csv splits each line that needs no quoting at "," and
+    hands any other line to csv.reader, which reads that line's record
+    from the file; its rows and errors are the whole-file reader's."""
 
     @settings(max_examples=300)
     @given(text=_texts, limit=st.sampled_from([None, 6]))
@@ -403,10 +402,11 @@ class TestSplitPath:
     def test_splits_written_csv(self, csv_path, golden_srl_csv):
         text = golden_srl_csv.read_bytes().decode("utf-8")
         assert '"' in text
-        assert _same_as_reader(csv_path, text) is not None
+        _same_as_reader(csv_path, text)
 
     def test_splits_header_only(self, csv_path):
-        assert _same_as_reader(csv_path, HEADER_LINE) == [SRL_HEADER]
+        _same_as_reader(csv_path, HEADER_LINE)
+        assert read_dataset_csv(csv_path) == []
 
     @pytest.mark.parametrize(
         "body",
@@ -422,27 +422,27 @@ class TestSplitPath:
              "even-quotes-run-on", "quoted-lines-join"],
     )
     def test_falls_back(self, csv_path, body):
-        assert _same_as_reader(csv_path, HEADER_LINE + body) is None
+        _same_as_reader(csv_path, HEADER_LINE + body)
 
     def test_falls_back_on_a_line_over_the_field_limit(self, csv_path):
         # no field is over the limit, one line is; the header line is 66 long
         with _field_limit(70):
             line = "s,t,p,a,b," + "x" * 60
-            assert _same_as_reader(csv_path, HEADER_LINE + line + "\n") is not None
-            assert _same_as_reader(csv_path, HEADER_LINE + line + "y\n") is None
+            _same_as_reader(csv_path, HEADER_LINE + line + "\n")
+            _same_as_reader(csv_path, HEADER_LINE + line + "y\n")
 
     def test_falls_back_when_the_quoted_lines_raise(self, csv_path):
         # each line is within the limit, but the field the two quoted
         # lines join into is not
         with _field_limit(70):
             text = HEADER_LINE + '"' + "a" * 40 + "\n" + "b" * 40 + '",t,p,a,b,a|b\n'
-            assert _same_as_reader(csv_path, text) is None
+            _same_as_reader(csv_path, text)
             assert _outcome(read_dataset_csv, csv_path) == (
                 MalformedDataset, f"{csv_path}: line 3: field larger than field limit (70)")
 
     def test_nul_reads_as_the_reader_reads(self, csv_path):
         # Python 3.10's reader rejects NUL; later ones read it as a character
-        assert _same_as_reader(csv_path, HEADER_LINE + "s\x00,t,p,a,b,a|b\n") is None
+        _same_as_reader(csv_path, HEADER_LINE + "s\x00,t,p,a,b,a|b\n")
         if sys.version_info < (3, 11):
             assert _outcome(read_dataset_csv, csv_path) == (
                 MalformedDataset, f"{csv_path}: line 2: line contains NUL")
@@ -451,9 +451,73 @@ class TestSplitPath:
 
     def test_a_bad_row_before_a_reader_error_wins(self, csv_path):
         text = HEADER_LINE + "s,t\n" + f'"{"x" * 200_000}",t,p,a,b,a|b\n'
-        assert _same_as_reader(csv_path, text) is None
+        _same_as_reader(csv_path, text)
         assert _outcome(read_dataset_csv, csv_path) == (
             HeaderMismatch, "row with 2 fields: ['s', 't']")
+
+    @pytest.mark.parametrize("shift", range(-2, 3))
+    @pytest.mark.parametrize("end", ["\r\n", "\r", "\n"], ids=["crlf", "lone-cr", "quoted"])
+    def test_line_end_at_the_read_chunk(self, csv_path, end, shift):
+        # the text layer reads a file 8,192 bytes at a time, here 8,192
+        # characters; put a CRLF, a lone CR or a quoted field's line end
+        # at that boundary, give or take a few characters
+        if end == "\n":
+            row = '"s' + "x" * (8_192 + shift - len(HEADER_LINE) - 2) + '\nmore",t,p,a,b,c\n'
+        else:
+            row = "s" + "x" * (8_192 + shift - len(HEADER_LINE) - 11) + ",t,p,a,b,c" + end
+        text = HEADER_LINE + row + "u,v,w,x,y,z\n"
+        assert text.index(end, len(HEADER_LINE)) == 8_192 + shift
+        _same_as_reader(csv_path, text)
+        assert len(read_dataset_csv(csv_path)) == 2
+
+
+class TestDecodeErrorFirst:
+    """Bytes that are not UTF-8 anywhere in the dataset are read_text's
+    DecodeError, with its whole-file offset, also when a header or row
+    fault comes before them."""
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            "sentence,predicate\n",
+            HEADER_LINE + "s,t\n",
+            HEADER_LINE + f'"{"x" * 200_000}",t,p,a,b,a|b\n',
+        ],
+        ids=["bad-header", "short-row", "field-over-limit"],
+    )
+    def test_decode_error_wins(self, head, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        data = (head + "s,t,p,a,b,a|b\n" * 1_000).encode("utf-8")
+        assert len(data) > 8_192  # past the text layer's first read
+        path.write_bytes(data + b"\xff" + b"s,t,p,a,b,a|b\n")
+        fault = f"{path}: not UTF-8 at byte offset {len(data)} (invalid start byte)"
+        for read in (read_text, read_dataset_csv):
+            with pytest.raises(DecodeError) as caught:
+                read(path)
+            assert str(caught.value) == fault
+        assert main(["stats", "--csv", str(path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: DecodeError: {fault}\n"
+        assert captured.out == ""
+
+
+def test_read_holds_little_beyond_its_records(tmp_path):
+    # the file is read a line at a time, so what the read holds at its
+    # peak beyond the records it returns is small next to the file
+    rows = [[f"the sentence {i} of the set", "the treebanked sentence", f"p{i % 50}",
+             "a, b" if i % 10 == 0 else "a b", "c", "a|c"] for i in range(15_000)]
+    path = tmp_path / "d.csv"
+    path.write_text(csv_lines([SRL_HEADER, *rows]), encoding="utf-8", newline="")
+    size = path.stat().st_size
+    assert size > 1_000_000
+    tracemalloc.start()
+    try:
+        records = read_dataset_csv(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == len(rows)
+    assert peak - held < size / 4
 
 
 def test_stats_make_no_garbage_cycles(any_corpus, fixtures_dir, tmp_path):
