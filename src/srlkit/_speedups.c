@@ -79,17 +79,24 @@ is_linebreak(Py_UCS4 c)
     return Py_UNICODE_ISLINEBREAK(c);
 }
 
-/* The pending exception as an instance, the error indicator cleared. An
-   exception set here has no traceback, so the instance holds no frame. */
+/* The pending exception, which is of class match, as an instance, the
+   error indicator cleared. An exception set here has no traceback, so the
+   instance holds no frame. NULL with the error of making the instance,
+   a MemoryError, pending instead: before 3.12 it is made here. */
 static PyObject *
-take_error(void)
+take_error(PyObject *match)
 {
 #if PY_VERSION_HEX >= 0x030C0000
+    (void)match;
     return PyErr_GetRaisedException();
 #else
     PyObject *exc_type, *exc, *tb;
     PyErr_Fetch(&exc_type, &exc, &tb);
     PyErr_NormalizeException(&exc_type, &exc, &tb);
+    if (!PyErr_GivenExceptionMatches(exc_type, match)) {
+        PyErr_Restore(exc_type, exc, tb);
+        return NULL;
+    }
     Py_XDECREF(exc_type);
     Py_XDECREF(tb);
     return exc;
@@ -104,7 +111,7 @@ rewrap_error(PyObject *match, PyObject *type, const char *format, PyObject *obj)
 {
     if (!PyErr_ExceptionMatches(match))
         return;
-    PyObject *exc = take_error();
+    PyObject *exc = take_error(match);
     if (exc != NULL) {
         PyErr_Format(type, format, obj, exc);
         Py_DECREF(exc);
@@ -1366,7 +1373,7 @@ append_new(PyObject *list, PyObject *item)
 static PyObject *
 fault_entry(PyObject *prop, PyObject *label, PyObject *part)
 {
-    PyObject *exc = take_error();
+    PyObject *exc = take_error(SrlKitError);
     if (exc == NULL)
         return NULL;
     PyObject *where = part == NULL
@@ -1467,7 +1474,7 @@ build_records(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nar
         if (record != NULL)
             rc = append_new(records, record);
         else if (PyErr_ExceptionMatches(SrlKitError)) {
-            PyObject *exc = take_error();
+            PyObject *exc = take_error(SrlKitError);
             rc = append_new(failures, exc ? PyTuple_Pack(2, prop, exc) : NULL);
             Py_XDECREF(exc);
         }

@@ -119,16 +119,18 @@ def cmd_extract(args) -> int:
     )
     summary = result.summary
     # a skip log exists exactly when this run skipped something; one left
-    # by an earlier run would describe a different dataset. Its path is
-    # checked before the CSV is replaced, so a run that fails changes neither
+    # by an earlier run would describe a different dataset. The CSV is
+    # written inside the skip log's block, or after its path is checked,
+    # so a run that fails changes neither
     skip_path = Path(str(args.out) + ".skiplog")
-    check_replaceable(skip_path)
-    export_csv(result.records, args.out, schema=args.schema)
     if summary.skip_log:
         with open_replacing(skip_path) as handle:
             handle.write("".join(f"{fid}\t{reason}\n" for fid, reason in summary.skip_log))
+            export_csv(result.records, args.out, schema=args.schema)
         print(f"skip log: {skip_path} ({len(summary.skip_log)} entries)")
     else:
+        check_replaceable(skip_path)
+        export_csv(result.records, args.out, schema=args.schema)
         skip_path.unlink(missing_ok=True)
     for name, value in zip(summary._fields, summary):
         if name != "skip_log":

@@ -224,7 +224,7 @@ def read_file(
     out, splits its `.parse` file again."""
     props = parse_prop_file(read_text(triple.prop_path))
     sentences = parse_onf(read_text(triple.onf_path))
-    trees = [treebank.parse_tree(t) for t in parse_trees_file(read_text(triple.parse_path))]
+    trees = list(map(treebank.parse_tree, parse_trees_file(read_text(triple.parse_path))))
     return props, sentences, trees
 
 

@@ -8,6 +8,7 @@ and normalized as s / sqrt(s^2 + 15), clamped to [-1, 1]. Buckets are
 t2; scores exactly at +-t1 are neutral, exactly at +-t2 are +-1.
 """
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -315,24 +316,45 @@ def emit_report(stats: DatasetStats, out_dir) -> tuple[Path, Path]:
 
 def read_dataset_csv(path) -> list[SrlRecord]:
     """Load an exported srl-schema dataset.csv back into records, from the
-    rows `csv.reader` reads (`_csvrows.csv_rows`) as the file is read.
+    rows `csv.reader` reads as the file is read. A line is split at ","
+    when it ends in "\n", is not just "\n" (the reader's []), is no
+    longer than the reader's field limit, read at each call, and holds
+    no '"', CR or NUL (before 3.11 the reader rejects NUL). Any other
+    line starts a record that a reader reads from the same stream; it
+    takes just the lines of that record, as it never reads past one.
     Text the reader rejects, such as a field over its size limit, is a
     MalformedDataset naming the file and the reader's line number. Bytes
     that are not UTF-8 anywhere in the file are `read_text`'s DecodeError,
     even after a header or row fault earlier in the file."""
-    from srlkit._csvrows import csv_rows  # here, so only a dataset read loads `csv`
+    import csv  # here, so only a dataset read loads it
 
+    limit = csv.field_size_limit()
+    done = 0  # lines consumed
+    row = records = None  # records is a list once the header is read
     try:
         with open(path, encoding="utf-8", newline="") as lines:
-            rows = csv_rows(lines, path)
-            header = next(rows, None)
-            if header != SRL_HEADER:
-                raise HeaderMismatch(f"expected header {','.join(SRL_HEADER)!r}, got {header!r}")
-            records = []
-            for row in rows:
-                if len(row) != len(SRL_HEADER):
-                    raise HeaderMismatch(f"row with {len(row)} fields: {row!r}")
-                records.append(SrlRecord(*row))
+            for line in lines:
+                if (line.endswith("\n") and 1 < len(line) <= limit
+                        and '"' not in line and "\r" not in line and "\0" not in line):
+                    done += 1
+                    row = line[:-1].split(",")
+                else:
+                    reader = csv.reader(itertools.chain((line,), lines))
+                    try:
+                        row = next(reader)
+                    except csv.Error as exc:
+                        raise MalformedDataset(f"{path}: line {done + reader.line_num}: {exc}") from None
+                    done += reader.line_num
+                if records is not None:
+                    if len(row) != len(SRL_HEADER):
+                        raise HeaderMismatch(f"row with {len(row)} fields: {row!r}")
+                    records.append(SrlRecord(*row))
+                elif row == SRL_HEADER:
+                    records = []
+                else:
+                    break
+        if records is None:  # no lines, or the first row is not the header
+            raise HeaderMismatch(f"expected header {','.join(SRL_HEADER)!r}, got {row!r}")
     except (UnicodeDecodeError, HeaderMismatch, MalformedDataset):
         read_text(path)  # bad bytes anywhere in the file: its DecodeError wins
         raise

@@ -1,7 +1,8 @@
 """Constituency trees: parsing, terminal indexing, and node selection.
 
-Trees come from `.parse` files as parenthesized text. `parse_tree` reads
-one into a flat SpanTree with the active kernel's scanner. Terminals are
+Trees come from `.parse` files as parenthesized text. `parse_tree` is the
+active kernel's scanner, `parse_spans`: it reads one tree into a flat
+SpanTree and unwraps the `( (S ...) )` convention. Terminals are
 numbered left to right over ALL POS-tagged leaves, including empty
 elements whose POS is "-NONE-"; a pointer (terminal, height) selects the
 node reached by climbing `height` parent links from that leaf
@@ -10,15 +11,10 @@ node reached by climbing `height` parent links from that leaf
 """
 
 from srlkit._backend import backend, select_node
-from srlkit._backend import parse_spans as _parse_spans
+from srlkit._backend import parse_spans as parse_tree
 from srlkit._nodes import SpanTree
 
 __all__ = ["SpanTree", "backend", "parse_tree", "select_node", "pretty"]
-
-
-def parse_tree(text: str) -> SpanTree:
-    """Parse one parenthesized tree; unwraps the `( (S ...) )` convention."""
-    return _parse_spans(text)
 
 
 def pretty(text: str) -> str:

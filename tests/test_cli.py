@@ -526,31 +526,44 @@ def test_in_place_build_writes_the_package_bytecode(tmp_path):
 
 
 # a command that fails leaves every one of its outputs as it was: both
-# targets are checked before either is replaced
+# targets are checked, or both files written, before either is replaced.
+# The blocked path is a directory, or, when it ends in ".tmp", a file that
+# another run left where this process would write a temporary file
 @pytest.mark.parametrize(
-    "command, corpus, kept, blocked",
+    "command, corpus, blocked",
     [
-        ("extract", "badptr", "x/d.csv", "x/d.csv.skiplog"),
-        ("extract", "corpus", "x/d.csv", "x/d.csv.skiplog"),
-        ("stats", None, "rep/stats.json", "rep/stats.txt"),
+        ("extract", "badptr", "x/d.csv.skiplog"),
+        ("extract", "corpus", "x/d.csv.skiplog"),
+        ("extract", "badptr", "x/d.csv.skiplog.{pid}.tmp"),
+        ("stats", None, "rep/stats.txt"),
     ],
-    ids=["extract-skips", "extract-no-skips", "stats"],
+    ids=["extract-skips", "extract-no-skips", "extract-skiplog-tmp", "stats"],
 )
-def test_failed_command_changes_no_output(command, corpus, kept, blocked, fixtures_dir, tmp_path,
+def test_failed_command_changes_no_output(command, corpus, blocked, fixtures_dir, tmp_path,
                                           monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     if command == "extract":
-        argv = ["extract", *flags(fixtures_dir, corpus), "--out", kept]
+        argv = ["extract", *flags(fixtures_dir, corpus), "--out", "x/d.csv"]
+        outputs = ["x/d.csv", "x/d.csv.skiplog"]
     else:
         argv = ["stats", "--csv", str(fixtures_dir / "stats_mini.csv"), "--out", "rep"]
-    Path(blocked).mkdir(parents=True)
-    Path(kept).write_bytes(b"an earlier run's output\n")
+        outputs = ["rep/stats.json", "rep/stats.txt"]
+    blocked = Path(blocked.format(pid=os.getpid()))
+    other_runs_tmp = [tmp_path / blocked] if blocked.suffix == ".tmp" else []
+    left = {Path(path): b"an earlier run's output\n" for path in outputs if Path(path) != blocked}
+    if other_runs_tmp:
+        left[blocked] = b"another run's temporary file\n"
+    else:
+        blocked.mkdir(parents=True)
+    for path, data in left.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert re.fullmatch(r"error: IoError: [^\n]*\n", captured.err)
     assert captured.out == ""
-    assert Path(kept).read_bytes() == b"an earlier run's output\n"
-    assert list(tmp_path.rglob("*.tmp")) == []
+    assert {path: path.read_bytes() for path in left} == left
+    assert list(tmp_path.rglob("*.tmp")) == other_runs_tmp
 
 
 def _roots(corpus, leave_out=None):

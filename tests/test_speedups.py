@@ -10,6 +10,8 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import pytest
+
 from native import c_compiler, requires_build_tools
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,6 +42,7 @@ BAD_POINTERS = [
     b"1:2", None,
 ]
 SWEEPS = [(2, 1, 2), (2, 1, 0), (2, 1, 4), ("a", 1, 1), (1, 1)]
+ALLOCATION_STARTS = 200  # past the allocations of each sweep call below
 _DELIM = "-" * 20
 
 
@@ -91,6 +94,33 @@ SELECTS = [  # (terminal, height) on RESOLVE_TREE, which has 3 terminals
     (1, 1), (0, 3), (3, 0), (-1, 0), (0, -1), (10**30, 0), (0, 10**30), (-(10**30), 0), ("0", 0),
     (0, None),
 ]
+
+
+def bad_span_trees(tree):
+    """Wrong-shape copies of the SpanTree `tree`, each with the error the
+    compiled kernel raises on it: (tree, error class, message)."""
+    n = len(tree.tokens)
+    return [
+        (list(tree), TypeError, "expected a SpanTree, got list"),
+        (tuple(tree)[:5], TypeError, "expected a SpanTree, got tuple"),
+        (tree._replace(parent=list(tree.parent)), TypeError, "a SpanTree's tables must be tuples"),
+        (tree._replace(pos=tree.pos[1:]), ValueError, "a SpanTree needs one POS tag per token"),
+        (tree._replace(leaf=(len(tree.parent),) * n), IndexError, "SpanTree table index out of range"),
+        (tree._replace(end=(n + 1,) * len(tree.end)), IndexError, "SpanTree span out of range"),
+    ]
+
+
+def _blocks_kept(run, rounds):
+    """The allocated blocks that `rounds` calls of `run` leave behind,
+    after a first call that lets first-call caches (interned names,
+    exception classes) settle."""
+    run()
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for _ in range(rounds):
+        run()
+    gc.collect()
+    return sys.getallocatedblocks() - before
 
 
 @requires_build_tools
@@ -164,6 +194,11 @@ def test_no_reference_leaks():
                 ([object()], tree, True), (5, tree, True), ([], (1, 2), True), ([], tree),
             ]
         ]
+        + [(_speedups.select_node, (bad, 0, 1)) for bad, _, _ in bad_span_trees(tree)]
+        + [
+            (_speedups.resolve_exprs, ([RoleExpr([(0, 0)], "")], bad, True))
+            for bad, _, _ in bad_span_trees(tree)
+        ]
         + [(_speedups.build_records, args) for args in file_args]
         + [(_speedups.list_faults, args[:2]) for args in file_args if len(args) > 1]
         + [(_speedups.list_faults, args) for args in [(props,), (props, [tree], [pair])]]
@@ -177,15 +212,92 @@ def test_no_reference_leaks():
                 pass
 
     rounds = 2000
-    run_all()  # first-call caches (interned names, exception classes) settle here
-    gc.collect()
-    before = sys.getallocatedblocks()
-    for _ in range(rounds):
-        run_all()
-    gc.collect()
-    grown = sys.getallocatedblocks() - before
+    grown = _blocks_kept(run_all, rounds)
     # a leak of one object per call of any single case would add >= rounds
     assert grown < rounds // 4, f"{grown} blocks kept after {rounds * len(calls)} calls"
+
+
+@requires_build_tools
+def test_span_tree_shape_checks():
+    from srlkit import _speedups
+    from srlkit._nodes import RoleExpr
+
+    tree = _speedups.parse_spans(RESOLVE_TREE)
+    for bad, error, message in bad_span_trees(tree):
+        with pytest.raises(error) as raised:
+            _speedups.resolve_exprs([RoleExpr([(0, 0)], "")], bad, True)
+        assert str(raised.value) == message
+        if message == "SpanTree span out of range":  # a climb reads no span
+            assert _speedups.select_node(bad, 0, 1) == _speedups.select_node(tree, 0, 1)
+            continue
+        with pytest.raises(error) as raised:
+            _speedups.select_node(bad, 0, 1)
+        assert str(raised.value) == message
+
+
+@requires_build_tools
+def test_allocation_failures_raise_memory_error():
+    """Each kernel function, with the start-th allocation from the call on
+    and every later one failing, for each start up to well past the
+    allocations the call makes: the call returns or raises what it does
+    unhooked, or raises MemoryError, and leaks nothing."""
+    testcapi = pytest.importorskip("_testcapi")
+    from srlkit import _speedups
+    from srlkit._nodes import RoleExpr, SentencePair
+
+    tree = _speedups.parse_spans(RESOLVE_TREE)
+    bar_tree = tree._replace(tokens=("*T*-1", "a|b", "\U0001F600"))
+    props = _speedups.parse_prop_file(FILE_PROPS)
+    calls = [
+        (_speedups.parse_spans, (RESOLVE_TREE,)),
+        (_speedups.parse_expr_parts, (VALID_POINTERS[1],)),
+        (_speedups.parse_onf, (_onf("A é .") * 2,)),
+        (_speedups.parse_prop_file, (FILE_PROPS,)),
+        (_speedups.parse_trees_file, (VALID_PARSE_FILES[3],)),
+        (_speedups.select_node, (tree, 1, 1)),
+        (_speedups.resolve_exprs, ([RoleExpr(parts, "") for parts in [[(1, 1)], [(0, 0), (2, 0)]]],
+                                   tree, False)),
+        (_speedups.build_records, (props, [bar_tree], [SentencePair("a b", "a b")], "00/f", True)),
+        (_speedups.list_faults, (props, [bar_tree])),
+        (_speedups.roundtrip_exhaustive, SWEEPS[0]),
+    ]
+    public = {name for name in dir(_speedups) if not name.startswith("_")}
+    assert {fn.__name__ for fn, _ in calls} == public
+    if sys.version_info >= (3, 12):
+        # build_records calls the Python sort_propositions, and from 3.12
+        # CPython itself can crash when an allocation fails in a Python
+        # function that C calls: sorted([3, 1, 2], key=lambda n: n.real)
+        # crashes under this sweep
+        calls = [(fn, args) for fn, args in calls if fn is not _speedups.build_records]
+
+    def outcome(fn, args, start=None):  # a result by its repr, as faults are exceptions
+        try:
+            if start is None:
+                return "returned", repr(fn(*args))
+            testcapi.set_nomemory(start, 0)
+            try:
+                result = fn(*args)
+            finally:
+                testcapi.remove_mem_hooks()
+            return "returned", repr(result)
+        except MemoryError:
+            return MemoryError
+        except Exception as exc:
+            return "raised", type(exc), str(exc)
+
+    def sweep():
+        for fn, args in calls:
+            for start in range(ALLOCATION_STARTS):
+                got = outcome(fn, args, start)
+                if got is not MemoryError:
+                    assert got == expected[fn], (fn.__name__, start, got)
+
+    expected = {fn: outcome(fn, args) for fn, args in calls}
+    sweep()
+    rounds = 40
+    grown = _blocks_kept(sweep, rounds)
+    # a leak of one object on any single failure path would add >= rounds
+    assert grown < rounds // 4, f"{grown} blocks kept after {rounds} sweeps"
 
 
 @requires_build_tools
