@@ -178,10 +178,11 @@ def cmd_validate(args) -> int:
 
 def cmd_inspect(args) -> int:
     file_id, tree_index = args.file, args.tree
-    triple = _layout(args).triple(file_id)
-    for path in (triple.prop_path, triple.onf_path, triple.parse_path):
-        if not path.is_file():
-            raise UnknownFile(f"no such corpus file: {path}")
+    triples, skips = discover_files(_layout(args))
+    triple = next((t for t in triples if t.file_id == file_id), None)
+    if triple is None:
+        reason = dict(skips).get(file_id, "no such corpus file")
+        raise UnknownFile(f"{file_id}: {reason}")
     [(_, parts, fault)] = read_corpus([triple])
     if parts is None:
         raise fault

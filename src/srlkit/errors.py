@@ -60,7 +60,7 @@ class MalformedOnf(SrlKitError):
 # --- corpus discovery / pipeline ---
 
 class MissingRoot(SrlKitError):
-    """A corpus root directory does not exist."""
+    """A corpus root is not a directory: it is missing, or a file."""
 
 
 class EmptyCorpus(SrlKitError):

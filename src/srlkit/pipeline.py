@@ -3,14 +3,16 @@ building and filtering, ORL mapping, and CSV export.
 
 A corpus is three parallel directory trees of `.prop`, `.onf`, and
 `.parse` files laid out as `<root>/<NN>/<stem>.<ext>` with NN from 00
-to 24. A file id is `<NN>/<stem>`. Discovery is driven by the `.prop`
-files; ids missing either companion file are skipped and logged. Output
-rows are totally ordered by (file id, tree index, predicate terminal,
-source line), so runs are byte-reproducible. `extract`, `validate` and
-`inspect` read and check each file through one walk, `read_corpus`,
-which yields a file's fault as a value. The kernel then takes a whole
-file: `build_records` builds its rows and names each failing
-proposition's first fault, which `extract` skips it on, and
+to 24. A file id is `<NN>/<stem>`, and names exactly one `.prop` file:
+`<stem>.prop`, whose stem is not empty. Discovery, `discover_files`, is
+the one way from a corpus to its files, for `inspect` too: it is driven
+by the `.prop` files, and ids missing either companion file are skipped
+and logged. Output rows are totally ordered by (file id, tree index,
+predicate terminal, source line), so runs are byte-reproducible.
+`extract`, `validate` and `inspect` read and check each file through one
+walk, `read_corpus`, which yields a file's fault as a value. The kernel
+then takes a whole file: `build_records` builds its rows and names each
+failing proposition's first fault, which `extract` skips it on, and
 `list_faults` lists every fault, which `validate` reports, in the same
 order and words.
 """
@@ -91,24 +93,6 @@ class CorpusLayout(NamedTuple):
     parse_root: Path
     exclusions: frozenset[str] = frozenset()
 
-    def triple(self, file_id: str) -> FileTriple:
-        """The `.prop`, `.onf` and `.parse` paths of a file id `<NN>/<stem>`."""
-        folder, _, stem = file_id.partition("/")
-        return _triple(file_id, stem, self._folders(folder))
-
-    def _folders(self, folder: str) -> tuple[Path, Path, Path]:
-        """The `.prop`, `.onf` and `.parse` folders of section `folder`."""
-        return Path(self.prop_root, folder), Path(self.onf_root, folder), Path(self.parse_root, folder)
-
-
-def _triple(file_id: str, stem: str, folders: tuple[Path, Path, Path]) -> FileTriple:
-    """The triple of `file_id`: `<folder>/<stem>.<ext>` in each of its
-    section's three folders."""
-    prop_dir, onf_dir, parse_dir = folders
-    return FileTriple(
-        file_id, prop_dir / f"{stem}.prop", onf_dir / f"{stem}.onf", parse_dir / f"{stem}.parse"
-    )
-
 
 class OrlRecord(NamedTuple):
     sentence: str
@@ -154,27 +138,35 @@ def _file_names(folder: Path) -> set[str]:
 
 
 def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[str, str]]]:
-    """Aligned (prop, onf, parse) triples plus skip entries, ordered by id.
+    """Aligned (prop, onf, parse) triples plus skip entries, in `.prop`
+    file-name order; the only code that turns a corpus into triples.
 
     Each folder is listed once, by `_file_names`, and a companion is
-    looked up by name in its folder's listing. An id is every file in
-    a `.prop` folder whose name ends in ".prop", case-sensitively and
-    hidden names included; an entry that is not a file, like a missing
-    companion, is none. A section folder that exists but cannot be
-    listed raises its OSError, as an unreadable corpus file does."""
-    for root in (layout.prop_root, layout.onf_root, layout.parse_root):
+    looked up by name in its folder's listing. A file in section NN's
+    `.prop` folder named `<stem>.prop`, case-sensitively, with a
+    non-empty stem (hidden ones included) is the id `NN/<stem>`, so each
+    id names exactly one file; a file named `.prop` is none. An entry
+    that is not a file, like a missing companion, is none. A section
+    folder that exists but cannot be listed raises its OSError, as an
+    unreadable corpus file does."""
+    roots = (layout.prop_root, layout.onf_root, layout.parse_root)
+    for root in roots:
         if not Path(root).is_dir():
-            raise MissingRoot(f"corpus root does not exist: {root}")
+            raise MissingRoot(f"corpus root is not a directory: {root}")
     triples: list[FileTriple] = []
     skips: list[tuple[str, str]] = []
     for folder in FOLDERS:
-        folders = layout._folders(folder)
-        names = sorted(name for name in _file_names(folders[0]) if name.endswith(".prop"))
+        prop_dir, onf_dir, parse_dir = (Path(root, folder) for root in roots)
+        # by file name, not stem, which would change the row order:
+        # "a-b.prop" sorts before "a.prop", but "a" before "a-b"
+        names = sorted(
+            name for name in _file_names(prop_dir) if name.endswith(".prop") and name != ".prop"
+        )
         if not names:
             continue
-        onf_names, parse_names = _file_names(folders[1]), _file_names(folders[2])
+        onf_names, parse_names = _file_names(onf_dir), _file_names(parse_dir)
         for name in names:
-            stem = name[:-5] or name  # the stem of ".prop" is ".prop"
+            stem = name[:-5]
             file_id = f"{folder}/{stem}"
             if file_id in layout.exclusions:
                 skips.append((file_id, "excluded by configuration"))
@@ -184,7 +176,9 @@ def discover_files(layout: CorpusLayout) -> tuple[list[FileTriple], list[tuple[s
             if missing:
                 skips.append((file_id, f"missing companion file(s): {' '.join(missing)}"))
             else:
-                triples.append(_triple(file_id, stem, folders))
+                triples.append(FileTriple(
+                    file_id, prop_dir / name, onf_dir / f"{stem}.onf", parse_dir / f"{stem}.parse"
+                ))
     if not triples:
         raise EmptyCorpus("no complete (.prop, .onf, .parse) triples found")
     return triples, skips
@@ -306,9 +300,10 @@ def check_replaceable(path) -> None:
 
 
 @contextlib.contextmanager
-def open_replacing(path, newline=None):
+def open_replacing(path):
     """Open a temporary file beside `path`, named `path` + "." + the
-    process id + ".tmp", for writing UTF-8 text; it replaces `path` once
+    process id + ".tmp", for writing UTF-8 text with each "\n" written
+    as it is, on every platform; it replaces `path` once
     the block ends, and is removed if the block raises, so `path` is
     never left half written. A `path` that is a directory raises
     IsADirectoryError (`check_replaceable`) before anything is created."""
@@ -316,7 +311,7 @@ def open_replacing(path, newline=None):
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     # mode "x" fails on a file already there, so the cleanup below can
     # only remove a file this run created
-    handle = open(tmp, "x", encoding="utf-8", newline=newline)
+    handle = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with handle:
             yield handle
@@ -354,7 +349,7 @@ def export_csv(records: list[SrlRecord], path, schema: str = "srl") -> None:
     header = SRL_HEADER if schema == "srl" else ORL_HEADER
     rows = records if schema == "srl" else map(map_to_orl, records)
     rows = map(operator.attrgetter(*header), rows)
-    with open_replacing(path, newline="") as handle:
+    with open_replacing(path) as handle:
         handle.write(csv_lines([header]))
         while batch := csv_lines(itertools.islice(rows, CSV_BATCH_ROWS)):
             handle.write(batch)

@@ -579,7 +579,7 @@ def _text_or_none(path):
 
 def _root_case(sub):
     def case(fixtures_dir):
-        missing = "error: MissingRoot: corpus root does not exist: "
+        missing = "error: MissingRoot: corpus root is not a directory: "
         return (
             ["extract", *_roots(fixtures_dir / "corpus", leave_out=sub)], sub,
             ("nowhere_config", "nowhere_config"), [f"--{sub}", "nowhere_flag"],
@@ -1050,7 +1050,28 @@ class TestInspect:
     def test_unknown_file(self, fixtures_dir, capsys):
         rc = main(["inspect", *flags(fixtures_dir), "--file", "00/wsj_9999", "--tree", "0"])
         assert rc != 0
-        assert "error: UnknownFile:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: UnknownFile: 00/wsj_9999: no such corpus file\n"
+
+    def test_skipped_file_names_its_reason(self, fixtures_dir, tmp_path, capsys):
+        # inspect finds its file through discovery, which says why an id
+        # that has a `.prop` file is not a corpus file
+        shutil.copytree(fixtures_dir / "corpus", tmp_path / "corpus")
+        (tmp_path / "corpus" / "onf" / "00" / "wsj_0002.onf").unlink()
+        rc = main(["inspect", *flags(tmp_path), "--file", "00/wsj_0002", "--tree", "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: UnknownFile: 00/wsj_0002: missing companion file(s): .onf\n"
+        assert captured.out == ""
+
+    def test_missing_root(self, fixtures_dir, tmp_path, capsys):
+        # inspect lists every section, as extract and validate do
+        roots = flags(fixtures_dir)
+        roots[1] = str(tmp_path / "nope")
+        rc = main(["inspect", *roots, "--file", "00/wsj_0001", "--tree", "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: MissingRoot: corpus root is not a directory: {tmp_path / 'nope'}\n"
+        assert captured.out == ""
 
     def test_tree_index_out_of_range(self, fixtures_dir, capsys):
         rc = main(["inspect", *flags(fixtures_dir), "--file", "00/wsj_0001", "--tree", "7"])

@@ -80,6 +80,35 @@ def validate_walk(layout) -> list:
     return faults
 
 
+# stems of generated listings: an empty one, ".prop" itself, "a-b",
+# which sorts before "a" by file name but after it by stem, and hidden
+# and case variants; each file's extension may differ in case
+LISTING_STEMS = ["", ".prop", "a", "a-b", ".a", "A", "a.PROP"]
+LISTING_EXTS = [".prop", ".onf", ".parse", ".PROP", ".Onf"]
+# (section, stem, extension) files; half the stems have their three
+# files, the rest any of the extensions
+LISTINGS = st.dictionaries(
+    st.tuples(st.sampled_from(["00", "07"]), st.sampled_from(LISTING_STEMS)),
+    st.one_of(st.just({".prop", ".onf", ".parse"}), st.sets(st.sampled_from(LISTING_EXTS))),
+).map(lambda files: {(section, stem, ext) for (section, stem), exts in files.items() for ext in exts})
+
+
+def reference_discovery(listing):
+    """The ids and skips `discover_files` gives for a generated listing:
+    in each section, every `.prop` file with a non-empty stem, by name."""
+    ids, skips = [], []
+    for section in sorted({section for section, _, _ in listing}):
+        names = sorted(stem + ext for s, stem, ext in listing if s == section and ext == ".prop" and stem)
+        for name in names:
+            stem = name[:-len(".prop")]
+            missing = [ext for ext in (".onf", ".parse") if (section, stem, ext) not in listing]
+            if missing:
+                skips.append((f"{section}/{stem}", f"missing companion file(s): {' '.join(missing)}"))
+            else:
+                ids.append(f"{section}/{stem}")
+    return ids, skips
+
+
 class TestDiscoverFiles:
     def test_golden_corpus(self, golden_layout):
         triples, skips = discover_files(golden_layout)
@@ -112,17 +141,16 @@ class TestDiscoverFiles:
             discover_files(layout)
 
     def test_triple_paths(self, golden_layout):
-        triple = golden_layout.triple("01/wsj_0101")
-        assert triple.file_id == "01/wsj_0101"
+        [triple] = [t for t in discover_files(golden_layout)[0] if t.file_id == "01/wsj_0101"]
         assert triple.prop_path == golden_layout.prop_root / "01" / "wsj_0101.prop"
         assert triple.onf_path == golden_layout.onf_root / "01" / "wsj_0101.onf"
         assert triple.parse_path == golden_layout.parse_root / "01" / "wsj_0101.parse"
-        assert triple in discover_files(golden_layout)[0]
 
     @pytest.mark.parametrize("roots", ["path", "str", "dot"])
     def test_discovered_triples_are_layout_triples(self, roots, any_corpus, monkeypatch):
-        # discovery builds each folder's paths once; its triples must be
-        # `layout.triple`'s, whose text names the files in skip-log lines
+        # each path of a discovered triple is `<root>/<NN>/<stem>.<ext>`
+        # under its layout root, whose text names the file in skip-log and
+        # error lines
         if roots == "dot":
             monkeypatch.chdir(any_corpus / "prop")
             layout = CorpusLayout(".", "../onf", "../parse")
@@ -130,7 +158,7 @@ class TestDiscoverFiles:
             wrap = Path if roots == "path" else str
             layout = CorpusLayout(*(wrap(any_corpus / ext) for ext in ("prop", "onf", "parse")))
         triples, _ = discover_files(layout)
-        assert triples == [layout.triple(t.file_id) for t in triples]
+        assert triples
         for triple in triples:
             folder, _, stem = triple.file_id.partition("/")
             assert [str(path) for path in triple[1:]] == [
@@ -148,6 +176,13 @@ class TestDiscoverFiles:
         with pytest.raises(MissingRoot):
             discover_files(layout)
 
+    def test_root_that_is_a_file(self, golden_layout, tmp_path):
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        layout = golden_layout._replace(prop_root=tmp_path / "afile")
+        with pytest.raises(MissingRoot) as excinfo:
+            discover_files(layout)
+        assert str(excinfo.value) == f"corpus root is not a directory: {tmp_path / 'afile'}"
+
     def test_folder_25_not_discovered(self, golden_layout, fixtures_dir, tmp_path):
         # sections run 00 to 24; a complete triple in 25/ is not looked at
         shutil.copytree(fixtures_dir / "corpus", tmp_path / "corpus")
@@ -164,8 +199,9 @@ class TestDiscoverFiles:
 
     def test_listing_rules(self, fixtures_dir, tmp_path):
         # an id is any file name ending in ".prop", matched case-sensitively,
-        # a hidden one too; a `.prop` entry, like a companion, counts only
-        # as a file, reached through a symlink or not, so a directory is none
+        # a hidden one too, but not ".prop" itself, whose stem is empty; a
+        # `.prop` entry, like a companion, counts only as a file, reached
+        # through a symlink or not, so a directory is none
         shutil.copytree(fixtures_dir / "corpus", tmp_path / "corpus")
         prop, onf, parse = (tmp_path / "corpus" / ext / "00" for ext in ("prop", "onf", "parse"))
         for stem in (".h", "x", "y", "z"):
@@ -187,11 +223,56 @@ class TestDiscoverFiles:
             t.file_id for t in discover_files(layout_for(fixtures_dir, "corpus"))[0]
         ][2:]
         assert skips == [
-            ("00/.prop", "missing companion file(s): .onf .parse"),
             ("00/wsj_0002", "excluded by configuration"),
             ("00/x", "missing companion file(s): .onf"),
             ("00/z", "missing companion file(s): .parse"),
         ]
+
+    def test_prop_named_files_are_one_id_each(self, golden_layout, fixtures_dir, tmp_path):
+        # ".prop.prop" is the id "00/.prop", read once, from itself; a file
+        # named ".prop" has an empty stem and is no id
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixtures_dir / "corpus", corpus)
+        for ext in ("prop", "onf", "parse"):
+            shutil.copy(corpus / ext / "00" / f"wsj_0002.{ext}", corpus / ext / "00" / f".prop.{ext}")
+        shutil.copy(corpus / "prop" / "00" / "wsj_0001.prop", corpus / "prop" / "00" / ".prop")
+        layout = layout_for(tmp_path, "corpus")
+        triples, skips = discover_files(layout)
+        golden_ids = [t.file_id for t in discover_files(golden_layout)[0]]
+        assert [t.file_id for t in triples] == ["00/.prop", *golden_ids]
+        assert triples[0].prop_path == layout.prop_root / "00" / ".prop.prop"
+        assert all(t.prop_path.name in os.listdir(t.prop_path.parent) for t in triples)
+        assert skips == []
+        result = extract_corpus(layout)
+        assert (result.summary.files_discovered, result.summary.rows_emitted) == (7, 23)
+        provenances = [r.provenance for r in result.records]
+        assert len(set(provenances)) == len(provenances)
+
+    @given(LISTINGS)
+    def test_ids_match_reference(self, listing):
+        # `listing` is a corpus as (section, stem, extension) files, each
+        # in the root its lowercased extension names
+        with tempfile.TemporaryDirectory() as tmp:
+            layout = CorpusLayout(*(Path(tmp, root) for root in ("prop", "onf", "parse")))
+            for root in layout[:3]:
+                root.mkdir()
+            for section, stem, ext in listing:
+                folder = Path(tmp, ext[1:].lower(), section)
+                folder.mkdir(exist_ok=True)
+                (folder / f"{stem}{ext}").touch()
+            expected = reference_discovery(listing)
+            if not expected[0]:
+                with pytest.raises(EmptyCorpus):
+                    discover_files(layout)
+                return
+            triples, skips = discover_files(layout)
+        assert ([t.file_id for t in triples], skips) == expected
+        assert len({t.file_id for t in triples}) == len(triples)
+        for triple in triples:
+            section, _, stem = triple.file_id.partition("/")
+            for path, ext in zip(triple[1:], (".prop", ".onf", ".parse")):
+                assert (path.parent.name, path.name) == (section, stem + ext)
+                assert (section, stem, ext) in listing
 
 
 class TestResolveRole:
@@ -635,8 +716,8 @@ def test_kernels_refuse_trees_that_are_not_a_sequence():
 class TestReadFile:
     def test_misaligned_file_reads_but_fails_check(self, fixtures_dir):
         # validate goes on to check the propositions of a misaligned file
-        layout = layout_for(fixtures_dir, "misaligned")
-        triple = layout.triple("00/wsj_0001")
+        [triple], _ = discover_files(layout_for(fixtures_dir, "misaligned"))
+        assert triple.file_id == "00/wsj_0001"
         parts = read_file(triple)
         _, sentences, trees = parts
         tree_texts = parse_trees_file(read_text(triple.parse_path))
