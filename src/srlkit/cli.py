@@ -14,6 +14,7 @@ calls keep Python's defaults.
 """
 
 import argparse
+import contextlib
 import gc
 import sys
 from pathlib import Path
@@ -34,9 +35,9 @@ from srlkit.pipeline import (
     CorpusLayout,
     check_replaceable,
     discover_files,
-    export_csv,
-    extract_corpus,
+    extract_files,
     list_faults,
+    open_csv,
     open_replacing,
     prop_fault,
     read_corpus,
@@ -112,25 +113,26 @@ def _layout(args, exclude=None) -> CorpusLayout:
 
 
 def cmd_extract(args) -> int:
-    result = extract_corpus(
-        _layout(args, args.exclude),
-        trace_mode=TraceMode(args.trace_mode),
-        strict=args.strict,
-    )
-    summary = result.summary
+    triples, skips = discover_files(_layout(args, args.exclude))
     # a skip log exists exactly when this run skipped something; one left
-    # by an earlier run would describe a different dataset. The CSV is
-    # written inside the skip log's block, or after its path is checked,
-    # so a run that fails changes neither
+    # by an earlier run would describe a different dataset. Both outputs
+    # are checked before the corpus is read, each file's rows go to the
+    # CSV's temporary file before the next file is read, and the skip log
+    # is written before the CSV is renamed and renamed after it, so a run
+    # that fails changes neither
     skip_path = Path(str(args.out) + ".skiplog")
+    check_replaceable(skip_path)
+    with contextlib.ExitStack() as renamed_last:
+        with open_csv(args.out, args.schema) as write:
+            summary = extract_files(
+                triples, skips, write, TraceMode(args.trace_mode), args.strict
+            )
+            if summary.skip_log:
+                handle = renamed_last.enter_context(open_replacing(skip_path))
+                handle.write("".join(f"{fid}\t{reason}\n" for fid, reason in summary.skip_log))
     if summary.skip_log:
-        with open_replacing(skip_path) as handle:
-            handle.write("".join(f"{fid}\t{reason}\n" for fid, reason in summary.skip_log))
-            export_csv(result.records, args.out, schema=args.schema)
         print(f"skip log: {skip_path} ({len(summary.skip_log)} entries)")
     else:
-        check_replaceable(skip_path)
-        export_csv(result.records, args.out, schema=args.schema)
         skip_path.unlink(missing_ok=True)
     for name, value in zip(summary._fields, summary):
         if name != "skip_log":

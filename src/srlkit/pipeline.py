@@ -14,12 +14,12 @@ walk, `read_corpus`, which yields a file's fault as a value. The kernel
 then takes a whole file: `build_records` builds its rows and names each
 failing proposition's first fault, which `extract` skips it on, and
 `list_faults` lists every fault, which `validate` reports, in the same
-order and words.
+order and words. `extract_files` hands on each file's rows before it
+reads the next, so `extract` writes its CSV as it reads the corpus.
 """
 
 import contextlib
 import errno
-import itertools
 import operator
 import os
 from pathlib import Path
@@ -66,7 +66,9 @@ __all__ = [
     "filter_records",
     "map_to_orl",
     "csv_lines",
+    "open_csv",
     "export_csv",
+    "extract_files",
     "extract_corpus",
     "check_replaceable",
     "open_replacing",
@@ -321,9 +323,6 @@ def open_replacing(path):
         raise
 
 
-CSV_BATCH_ROWS = 32  # rows formatted per write, so memory does not grow with the output
-
-
 def csv_lines(rows) -> str:
     """Rows of strings as CSV text: fields joined with "," and each row
     ended by "\n". A field holding ",", '"', CR or LF is quoted, each '"'
@@ -341,37 +340,54 @@ def csv_lines(rows) -> str:
     return "".join(lines)
 
 
-def export_csv(records: list[SrlRecord], path, schema: str = "srl") -> None:
-    """Write records as UTF-8 CSV with a header row, in `csv_lines`'
-    quoting; the ORL schema writes each record's `map_to_orl`."""
+@contextlib.contextmanager
+def open_csv(path, schema: str = "srl"):
+    """Replace `path` (`open_replacing`) with a UTF-8 CSV in `schema`: a
+    header row, then the rows of each list of records given to the
+    function this yields, written at the call in `csv_lines`' quoting.
+    A row is a record's header fields; the ORL schema takes them from
+    the record's `map_to_orl`. An unknown schema raises ValueError
+    before anything is created."""
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}")
-    header = SRL_HEADER if schema == "srl" else ORL_HEADER
-    rows = records if schema == "srl" else map(map_to_orl, records)
-    rows = map(operator.attrgetter(*header), rows)
+    orl = schema == "orl"
+    header = ORL_HEADER if orl else SRL_HEADER
+    fields = operator.attrgetter(*header)
     with open_replacing(path) as handle:
         handle.write(csv_lines([header]))
-        while batch := csv_lines(itertools.islice(rows, CSV_BATCH_ROWS)):
-            handle.write(batch)
+        yield lambda records: handle.write(
+            csv_lines(map(fields, map(map_to_orl, records) if orl else records))
+        )
 
 
-def extract_corpus(
-    layout: CorpusLayout,
+def export_csv(records: list[SrlRecord], path, schema: str = "srl") -> None:
+    """Write records as one batch to a CSV at `path`, as `open_csv` does."""
+    with open_csv(path, schema) as write:
+        write(records)
+
+
+def extract_files(
+    triples: list[FileTriple],
+    skips: list[tuple[str, str]],
+    write,
     trace_mode: TraceMode = TraceMode.TREE_GUIDED,
     strict: bool = False,
-) -> ExtractResult:
-    """Run discover -> parse -> resolve -> filter over a corpus, one file
-    after another in file-id order.
+) -> RunSummary:
+    """Parse, resolve and filter discovered files one after another, in
+    file-id order, handing each file's kept rows to `write` before the
+    next file is read, so at most two files' rows are held at a time,
+    never the corpus's. `skips` are discovery's skip entries, which begin
+    the skip log.
 
     A file that fails to parse or align is skipped whole, a proposition
     that fails to resolve alone; each skip is logged, or raised as an
-    ExtractionError under `strict`.
+    ExtractionError under `strict`, after the earlier files' rows went
+    to `write`.
     """
-    triples, skip_log = discover_files(layout)
     tree_guided = trace_mode is TraceMode.TREE_GUIDED
-    files_discovered = len(triples) + len(skip_log)
-    files_processed = propositions = propositions_failed = 0
-    records: list[SrlRecord] = []
+    skip_log = list(skips)
+    files_discovered = len(triples) + len(skips)
+    files_processed = propositions = propositions_failed = rows_filtered = rows_emitted = 0
     for triple, parts, fault in read_corpus(triples):
         if fault is not None:
             if strict:
@@ -387,10 +403,23 @@ def extract_corpus(
             raise ExtractionError(f"{triple.file_id} {prop_fault(prop, exc)}") from exc
         skip_log.extend((triple.file_id, prop_fault(prop, exc)) for prop, exc in failures)
         propositions_failed += len(failures)
-        records.extend(built)
-    kept = filter_records(records)
-    summary = RunSummary(
+        kept = filter_records(built)
+        rows_filtered += len(built) - len(kept)
+        rows_emitted += len(kept)
+        write(kept)
+    return RunSummary(
         files_discovered, files_processed, files_discovered - files_processed,
-        propositions, propositions_failed, len(records) - len(kept), len(kept), skip_log,
+        propositions, propositions_failed, rows_filtered, rows_emitted, skip_log,
     )
-    return ExtractResult(records=kept, summary=summary)
+
+
+def extract_corpus(
+    layout: CorpusLayout,
+    trace_mode: TraceMode = TraceMode.TREE_GUIDED,
+    strict: bool = False,
+) -> ExtractResult:
+    """Run discover -> parse -> resolve -> filter over a corpus through
+    `extract_files`, keeping every kept row."""
+    records: list[SrlRecord] = []
+    summary = extract_files(*discover_files(layout), records.extend, trace_mode, strict)
+    return ExtractResult(records=records, summary=summary)

@@ -111,15 +111,22 @@ def fixtures_dir() -> Path:
 
 
 @pytest.fixture(scope="session")
-def oracle_corpus(tmp_path_factory) -> Path:
-    """The corpus of seed 0 that `tests/test_oracle.py` checks, from the
-    benchmark's generator, `perfbench/corpus.py`."""
-    from test_oracle import SHAPE
-
+def corpus_generator():
+    """The benchmark's corpus generator, `perfbench/corpus.py`."""
     spec = importlib.util.spec_from_file_location("perfbench_corpus", PERFBENCH / "corpus.py")
     corpusmod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpusmod)
-    return corpusmod.generate(corpusmod.Shape(**SHAPE), 0, tmp_path_factory.mktemp("oracle")).root
+    return corpusmod
+
+
+@pytest.fixture(scope="session")
+def oracle_corpus(corpus_generator, tmp_path_factory) -> Path:
+    """The corpus of seed 0 that `tests/test_oracle.py` checks, from the
+    benchmark's generator."""
+    from test_oracle import SHAPE
+
+    shape = corpus_generator.Shape(**SHAPE)
+    return corpus_generator.generate(shape, 0, tmp_path_factory.mktemp("oracle")).root
 
 
 @pytest.fixture(scope="session", params=[*FIXTURE_CORPORA, "oracle"])

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 import support
 from native import requires_build_tools
-from srlkit import _pure, treebank
+from srlkit import _pure, pipeline, treebank
 from srlkit._pure import parse_prop_line
 from srlkit.cleaning import TraceMode, TracePolicy
 from srlkit.errors import (
@@ -42,6 +42,7 @@ from srlkit.pipeline import (
     discover_files,
     export_csv,
     extract_corpus,
+    extract_files,
     filter_records,
     list_faults,
     map_to_orl,
@@ -1078,6 +1079,27 @@ class TestExtractCorpus:
         assert s.rows_emitted == 20
         assert s.rows_emitted == s.propositions - s.propositions_failed - s.rows_filtered
         assert len(result.records) == 20
+
+    def test_rows_are_written_file_by_file(self, golden_layout, golden_records, monkeypatch):
+        # each file's kept rows go to `write` before the next file is read
+        events, real_read = [], pipeline.read_file
+
+        def read(triple):
+            events.append(("read", triple.file_id))
+            return real_read(triple)
+
+        monkeypatch.setattr(pipeline, "read_file", read)
+        triples, skips = discover_files(golden_layout)
+        summary = extract_files(triples, skips, lambda rows: events.append(("write", rows)))
+        assert events == [
+            event
+            for triple in triples
+            for event in (
+                ("read", triple.file_id),
+                ("write", [r for r in golden_records if r.provenance.file_id == triple.file_id]),
+            )
+        ]
+        assert summary == extract_corpus(golden_layout).summary
 
     def test_deterministic_across_runs(self, golden_layout):
         a = extract_corpus(golden_layout).records
