@@ -144,8 +144,9 @@ def cmd_extract(args) -> int:
 def cmd_stats(args) -> int:
     from srlkit import stats as statsmod  # here, so the other commands never load it
 
-    records = statsmod.read_dataset_csv(args.csv)
+    # the lexicon first, so its faults are met before the dataset's read
     lexicon = statsmod.SentimentLexicon.load(args.lexicon) if args.lexicon else None
+    records = statsmod.iter_dataset_csv(args.csv)
     bundle = statsmod.compute_stats(records, lexicon=lexicon, t1=args.t1, t2=args.t2)
     json_path, txt_path = statsmod.emit_report(bundle, args.out)
     b = bundle.breakdown

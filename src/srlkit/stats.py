@@ -2,6 +2,11 @@
 span lengths, and lexicon-based predicate sentiment with five-class
 bucketing.
 
+`compute_stats` is one fold: it reads each record once and keeps only
+counts, a word sum per argument and a `Counter` of predicates, so over
+`iter_dataset_csv`'s stream its memory grows with the distinct
+predicates, not with the rows.
+
 The sentiment scorer is the lexicon-sum core: token valences are summed
 and normalized as s / sqrt(s^2 + 15), clamped to [-1, 1]. Buckets are
 -2 below -t2, -1 in [-t2, -t1), 0 in [-t1, t1], +1 in (t1, t2], +2 above
@@ -40,13 +45,11 @@ __all__ = [
     "SpanLengthStats",
     "SentimentLexicon",
     "DatasetStats",
-    "arg_breakdown",
-    "predicate_frequencies",
-    "span_length_stats",
     "sentiment_score",
     "sentiment_bucket",
     "compute_stats",
     "emit_report",
+    "iter_dataset_csv",
     "read_dataset_csv",
 ]
 
@@ -115,54 +118,6 @@ class DatasetStats(NamedTuple):
     score_histogram_types: list[tuple[float, float, int]]
 
 
-def arg_breakdown(records) -> ArgBreakdown:
-    """Percentages of both / only-ARG1 / only-ARG0 over post-filter records."""
-    records = list(records)
-    if not records:
-        raise EmptyInput("no records to break down")
-    both = sum(1 for r in records if r.arg0 and r.arg1)
-    only1 = sum(1 for r in records if not r.arg0 and r.arg1)
-    only0 = sum(1 for r in records if r.arg0 and not r.arg1)
-    total = len(records)
-    return ArgBreakdown(
-        both=both,
-        only_arg1=only1,
-        only_arg0=only0,
-        both_pct=round(100.0 * both / total, 1),
-        only_arg1_pct=round(100.0 * only1 / total, 1),
-        only_arg0_pct=round(100.0 * only0 / total, 1),
-    )
-
-
-def predicate_frequencies(records, k: int) -> list[tuple[str, int]]:
-    """Top-k exact-string predicate counts; ties broken lexicographically."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    records = list(records)
-    if not records:
-        raise EmptyInput("no records to count")
-    return _top(Counter(r.predicate for r in records), k)
-
-
-def _top(counts: Counter, k: int) -> list[tuple[str, int]]:
-    """The k largest counts, ties broken lexicographically."""
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
-
-
-def span_length_stats(records) -> SpanLengthStats:
-    """Mean whitespace-token counts over non-empty ARG0/ARG1 spans."""
-    arg0_lengths = [len(r.arg0.split()) for r in records if r.arg0]
-    arg1_lengths = [len(r.arg1.split()) for r in records if r.arg1]
-    if not arg0_lengths and not arg1_lengths:
-        raise EmptyInput("no non-empty spans")
-    return SpanLengthStats(
-        mean_arg0=round(sum(arg0_lengths) / len(arg0_lengths), 1) if arg0_lengths else 0.0,
-        mean_arg1=round(sum(arg1_lengths) / len(arg1_lengths), 1) if arg1_lengths else 0.0,
-        arg0_undefined=not arg0_lengths,
-        arg1_undefined=not arg1_lengths,
-    )
-
-
 def sentiment_score(predicate: str, lexicon: SentimentLexicon) -> float:
     """Summed token valences normalized to a compound score in [-1, 1]."""
     total = sum(lexicon.valence(tok) for tok in predicate.split())
@@ -205,12 +160,43 @@ def compute_stats(
     t1: float = DEFAULT_T1,
     t2: float = DEFAULT_T2,
 ) -> DatasetStats:
-    """Fold the full statistics bundle over post-filter records."""
-    records = list(records)
-    breakdown = arg_breakdown(records)  # raises on no records
-    type_counts = Counter(r.predicate for r in records)
-    top = _top(type_counts, TOP_K)
-    spans = span_length_stats(records)
+    """Fold the full statistics bundle over post-filter records, reading
+    each record once as `records` yields it, so a one-shot iterator such
+    as `iter_dataset_csv`'s gives what a list gives. A span counts when
+    it is not empty; its length is its whitespace-token count."""
+    total = n0 = n1 = both = words0 = words1 = 0
+    type_counts = Counter()
+    for r in records:
+        total += 1
+        type_counts[r.predicate] += 1
+        if r.arg0:
+            n0 += 1
+            words0 += len(r.arg0.split())
+        if r.arg1:
+            n1 += 1
+            words1 += len(r.arg1.split())
+            if r.arg0:
+                both += 1
+    if not total:
+        raise EmptyInput("no records to break down")
+    if not (n0 or n1):
+        raise EmptyInput("no non-empty spans")
+    breakdown = ArgBreakdown(
+        both=both,
+        only_arg1=n1 - both,
+        only_arg0=n0 - both,
+        both_pct=round(100.0 * both / total, 1),
+        only_arg1_pct=round(100.0 * (n1 - both) / total, 1),
+        only_arg0_pct=round(100.0 * (n0 - both) / total, 1),
+    )
+    spans = SpanLengthStats(
+        mean_arg0=round(words0 / n0, 1) if n0 else 0.0,
+        mean_arg1=round(words1 / n1, 1) if n1 else 0.0,
+        arg0_undefined=not n0,
+        arg1_undefined=not n1,
+    )
+    # the TOP_K largest counts, ties broken lexicographically
+    top = sorted(type_counts.items(), key=lambda item: (-item[1], item[0]))[:TOP_K]
     lexicon = lexicon or SentimentLexicon({})
     type_scores = {pred: sentiment_score(pred, lexicon) for pred in type_counts}
     class_types = {c: 0 for c in SENTIMENT_CLASSES}
@@ -220,7 +206,7 @@ def compute_stats(
         class_types[bucket] += 1
         class_tokens[bucket] += type_counts[pred]
     return DatasetStats(
-        total_records=len(records),
+        total_records=total,
         breakdown=breakdown,
         top_predicates=top,
         span_lengths=spans,
@@ -229,9 +215,7 @@ def compute_stats(
         distinct_predicates=len(type_counts),
         class_counts_types=class_types,
         class_counts_tokens=class_tokens,
-        score_histogram_types=_score_histogram(
-            score for _, score in sorted(type_scores.items())
-        ),
+        score_histogram_types=_score_histogram(type_scores.values()),
     )
 
 
@@ -314,23 +298,24 @@ def emit_report(stats: DatasetStats, out_dir) -> tuple[Path, Path]:
     return json_path, txt_path
 
 
-def read_dataset_csv(path) -> list[SrlRecord]:
-    """Load an exported srl-schema dataset.csv back into records, from the
-    rows `csv.reader` reads as the file is read. A line is split at ","
-    when it ends in "\n", is not just "\n" (the reader's []), is no
-    longer than the reader's field limit, read at each call, and holds
-    no '"', CR or NUL (before 3.11 the reader rejects NUL). Any other
-    line starts a record that a reader reads from the same stream; it
-    takes just the lines of that record, as it never reads past one.
+def iter_dataset_csv(path):
+    """Yield the records of an exported srl-schema dataset.csv one at a
+    time, from the rows `csv.reader` reads as the file is read. A line is
+    split at "," when it ends in "\n", is not just "\n" (the reader's []),
+    is no longer than the reader's field limit, read as the read starts,
+    and holds no '"', CR or NUL (before 3.11 the reader rejects NUL). Any
+    other line starts a record that a reader reads from the same stream;
+    it takes just the lines of that record, as it never reads past one.
     Text the reader rejects, such as a field over its size limit, is a
     MalformedDataset naming the file and the reader's line number. Bytes
     that are not UTF-8 anywhere in the file are `read_text`'s DecodeError,
-    even after a header or row fault earlier in the file."""
+    even after a header or row fault earlier in the file; the records
+    yielded before a fault stay yielded."""
     import csv  # here, so only a dataset read loads it
 
     limit = csv.field_size_limit()
     done = 0  # lines consumed
-    row = records = None  # records is a list once the header is read
+    row, header_read = None, False
     try:
         with open(path, encoding="utf-8", newline="") as lines:
             for line in lines:
@@ -345,17 +330,22 @@ def read_dataset_csv(path) -> list[SrlRecord]:
                     except csv.Error as exc:
                         raise MalformedDataset(f"{path}: line {done + reader.line_num}: {exc}") from None
                     done += reader.line_num
-                if records is not None:
+                if header_read:
                     if len(row) != len(SRL_HEADER):
                         raise HeaderMismatch(f"row with {len(row)} fields: {row!r}")
-                    records.append(SrlRecord(*row))
+                    yield SrlRecord(*row)
                 elif row == SRL_HEADER:
-                    records = []
+                    header_read = True
                 else:
                     break
-        if records is None:  # no lines, or the first row is not the header
+        if not header_read:  # no lines, or the first row is not the header
             raise HeaderMismatch(f"expected header {','.join(SRL_HEADER)!r}, got {row!r}")
     except (UnicodeDecodeError, HeaderMismatch, MalformedDataset):
         read_text(path)  # bad bytes anywhere in the file: its DecodeError wins
         raise
-    return records
+
+
+def read_dataset_csv(path) -> list[SrlRecord]:
+    """Load an exported srl-schema dataset.csv back into records; see
+    `iter_dataset_csv`."""
+    return list(iter_dataset_csv(path))

@@ -20,12 +20,11 @@ from srlkit.pipeline import map_to_orl
 from srlkit.stats import (
     ALPHA,
     SentimentLexicon,
-    arg_breakdown,
-    predicate_frequencies,
+    compute_stats,
+    iter_dataset_csv,
     read_dataset_csv,
     sentiment_bucket,
     sentiment_score,
-    span_length_stats,
 )
 
 
@@ -152,20 +151,20 @@ def test_trace_stripping_equivalence(corpus_trees, golden_records):
 
 @criterion(5, "statistics match hand-computed oracle values")
 def test_statistics_oracle(golden_srl_csv):
-    records = read_dataset_csv(golden_srl_csv)
+    # the fold over the streamed read, as the stats command runs it
+    stats = compute_stats(iter_dataset_csv(golden_srl_csv))
 
-    breakdown = arg_breakdown(records)
+    breakdown = stats.breakdown
     assert abs(breakdown.both_pct - 55.0) <= 0.05
     assert abs(breakdown.only_arg1_pct - 40.0) <= 0.05
     assert abs(breakdown.only_arg0_pct - 5.0) <= 0.05
     assert (breakdown.both, breakdown.only_arg1, breakdown.only_arg0) == (11, 8, 1)
 
-    ranking = predicate_frequencies(records, 3)
-    assert ranking == [("said", 4), ("is", 2), ("applauded", 1)]
-    full = predicate_frequencies(records, 10**6)
-    assert sum(count for _, count in full) == 20
+    assert stats.top_predicates[:3] == [("said", 4), ("is", 2), ("applauded", 1)]
+    assert stats.total_records == 20
+    assert sum(stats.class_counts_tokens.values()) == 20
 
-    spans = span_length_stats(records)
+    spans = stats.span_lengths
     assert abs(spans.mean_arg0 - 1.8) <= 0.05
     assert abs(spans.mean_arg1 - 2.7) <= 0.05
     assert not spans.arg0_undefined and not spans.arg1_undefined

@@ -1,5 +1,6 @@
 import errno
 import gc
+import importlib
 import json
 import os
 import re
@@ -487,6 +488,19 @@ def test_cli_import_loads_no_dataclasses_nor_unused_kernel():
     assert not {"srlkit.stats", "csv", "_csv", "json"} & set(added)
     if backend == "compiled":
         assert "srlkit._pure" not in added
+
+
+def test_every_module_all_name_resolves():
+    """Each name in the `__all__` of each srlkit source module is defined
+    there, so `from srlkit.<module> import *` never fails on a name that
+    was deleted or renamed."""
+    package = Path(cli.__file__).parent
+    missing = []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module("srlkit" if path.stem == "__init__" else f"srlkit.{path.stem}")
+        missing += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []
 
 
 def test_in_place_build_writes_the_package_bytecode(tmp_path):

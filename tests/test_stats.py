@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,15 +31,18 @@ from srlkit.pipeline import (
 )
 from srlkit.stats import (
     ALPHA,
+    DEFAULT_T1,
+    DEFAULT_T2,
+    ArgBreakdown,
+    DatasetStats,
     SentimentLexicon,
-    arg_breakdown,
+    SpanLengthStats,
     compute_stats,
     emit_report,
-    predicate_frequencies,
+    iter_dataset_csv,
     read_dataset_csv,
     sentiment_bucket,
     sentiment_score,
-    span_length_stats,
 )
 
 
@@ -46,78 +50,84 @@ def rec(predicate="p", arg0="", arg1="", sentence="s"):
     return SrlRecord(sentence, sentence, predicate, arg0, arg1, f"{arg0}|{arg1}")
 
 
+def top_predicates(*predicates):
+    """compute_stats' top predicates over one record per predicate, each
+    with an ARG0, so the fold has a span to measure."""
+    return compute_stats([rec(p, arg0="a") for p in predicates]).top_predicates
+
+
 class TestArgBreakdown:
     def test_mini_fixture(self, fixtures_dir):
         records = read_dataset_csv(fixtures_dir / "stats_mini.csv")
-        b = arg_breakdown(records)
+        b = compute_stats(records).breakdown
         assert (b.both_pct, b.only_arg1_pct, b.only_arg0_pct) == (50.0, 25.0, 25.0)
         assert (b.both, b.only_arg1, b.only_arg0) == (2, 1, 1)
 
     def test_single_record(self):
-        b = arg_breakdown([rec(arg0="a", arg1="b")])
+        b = compute_stats([rec(arg0="a", arg1="b")]).breakdown
         assert (b.both_pct, b.only_arg1_pct, b.only_arg0_pct) == (100.0, 0.0, 0.0)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            arg_breakdown([])
+        with pytest.raises(EmptyInput, match="^no records to break down$"):
+            compute_stats([])
 
     def test_golden_breakdown(self, golden_records):
-        b = arg_breakdown(golden_records)
+        b = compute_stats(golden_records).breakdown
         assert (b.both_pct, b.only_arg1_pct, b.only_arg0_pct) == (55.0, 40.0, 5.0)
         assert abs(b.both_pct + b.only_arg1_pct + b.only_arg0_pct - 100.0) <= 0.2
 
 
 class TestPredicateFrequencies:
     def test_example(self):
-        records = [rec("said"), rec("said"), rec("is")]
-        assert predicate_frequencies(records, 2) == [("said", 2), ("is", 1)]
+        assert top_predicates("said", "said", "is") == [("said", 2), ("is", 1)]
 
     def test_k_larger_than_vocabulary(self):
-        records = [rec("a"), rec("b")]
-        assert predicate_frequencies(records, 10) == [("a", 1), ("b", 1)]
+        # fewer than ten predicates: each is listed
+        assert top_predicates("a", "b") == [("a", 1), ("b", 1)]
+
+    def test_ten_listed(self):
+        predicates = [f"p{i:02}" for i in range(12)]
+        assert top_predicates("p11", *predicates) == [
+            ("p11", 2), *((p, 1) for p in predicates[:9])]
 
     def test_tie_broken_lexicographically(self):
-        records = [rec("zebra"), rec("apple")]
-        assert predicate_frequencies(records, 2) == [("apple", 1), ("zebra", 1)]
+        assert top_predicates("zebra", "apple") == [("apple", 1), ("zebra", 1)]
 
     def test_counts_sum_to_total(self, golden_records):
-        full = predicate_frequencies(golden_records, 10**6)
-        assert sum(count for _, count in full) == len(golden_records)
-
-    def test_bad_k(self):
-        with pytest.raises(ValueError):
-            predicate_frequencies([rec()], 0)
+        stats = compute_stats(golden_records)
+        assert stats.total_records == len(golden_records)
+        assert sum(stats.class_counts_tokens.values()) == len(golden_records)
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            predicate_frequencies([], 3)
+            compute_stats([])
 
 
 class TestSpanLengthStats:
     def test_example(self):
         records = [rec(arg0="He"), rec(arg0="The old man")]
-        s = span_length_stats(records)
+        s = compute_stats(records).span_lengths
         assert s.mean_arg0 == 2.0
         assert s.arg1_undefined
 
     def test_undefined_class_flagged(self):
-        s = span_length_stats([rec(arg1="a b")])
+        s = compute_stats([rec(arg1="a b")]).span_lengths
         assert s.mean_arg0 == 0.0
         assert s.arg0_undefined
         assert s.mean_arg1 == 2.0
         assert not s.arg1_undefined
 
     def test_single_one_word_span(self):
-        s = span_length_stats([rec(arg0="He")])
+        s = compute_stats([rec(arg0="He")]).span_lengths
         assert s.mean_arg0 == 1.0
 
     def test_no_spans_at_all(self):
-        with pytest.raises(EmptyInput):
-            span_length_stats([rec(), rec()])
+        with pytest.raises(EmptyInput, match="^no non-empty spans$"):
+            compute_stats([rec(), rec()])
 
     def test_matches_bruteforce_on_golden_csv(self, golden_srl_csv):
         records = read_dataset_csv(golden_srl_csv)
-        s = span_length_stats(records)
+        s = compute_stats(records).span_lengths
         arg0 = [len(r.arg0.split()) for r in records if r.arg0]
         arg1 = [len(r.arg1.split()) for r in records if r.arg1]
         assert s.mean_arg0 == round(sum(arg0) / len(arg0), 1)
@@ -265,12 +275,104 @@ class TestComputeStats:
         assert sum(stats.class_counts_tokens.values()) == stats.total_records
 
 
+def _list_stats(records, lexicon=None, t1=DEFAULT_T1, t2=DEFAULT_T2):
+    """The statistics bundle from list formulas, a walk per value: the
+    reference compute_stats' one fold is held to."""
+    records = list(records)
+    if not records:
+        raise EmptyInput("no records to break down")
+    total = len(records)
+    both = sum(1 for r in records if r.arg0 and r.arg1)
+    only1 = sum(1 for r in records if not r.arg0 and r.arg1)
+    only0 = sum(1 for r in records if r.arg0 and not r.arg1)
+    breakdown = ArgBreakdown(both, only1, only0, round(100.0 * both / total, 1),
+                             round(100.0 * only1 / total, 1), round(100.0 * only0 / total, 1))
+    type_counts = Counter(r.predicate for r in records)
+    top = sorted(type_counts.items(), key=lambda item: (-item[1], item[0]))[:10]
+    arg0_lengths = [len(r.arg0.split()) for r in records if r.arg0]
+    arg1_lengths = [len(r.arg1.split()) for r in records if r.arg1]
+    if not arg0_lengths and not arg1_lengths:
+        raise EmptyInput("no non-empty spans")
+    spans = SpanLengthStats(
+        round(sum(arg0_lengths) / len(arg0_lengths), 1) if arg0_lengths else 0.0,
+        round(sum(arg1_lengths) / len(arg1_lengths), 1) if arg1_lengths else 0.0,
+        not arg0_lengths,
+        not arg1_lengths,
+    )
+    lexicon = lexicon or SentimentLexicon({})
+    scores = {pred: sentiment_score(pred, lexicon) for pred in sorted(type_counts)}
+    buckets = {pred: sentiment_bucket(score, t1, t2) for pred, score in scores.items()}
+    classes = (-2, -1, 0, 1, 2)
+    width = 2.0 / 20
+    bins = [min(19, max(0, int((score + 1.0) / width))) for score in scores.values()]
+    return DatasetStats(
+        total_records=total,
+        breakdown=breakdown,
+        top_predicates=top,
+        span_lengths=spans,
+        t1=t1,
+        t2=t2,
+        distinct_predicates=len(type_counts),
+        class_counts_types={c: sum(1 for b in buckets.values() if b == c) for c in classes},
+        class_counts_tokens={c: sum(type_counts[p] for p, b in buckets.items() if b == c)
+                             for c in classes},
+        score_histogram_types=[
+            (round(-1.0 + i * width, 2), round(-1.0 + (i + 1) * width, 2), bins.count(i))
+            for i in range(20)],
+    )
+
+
+def _stats_outcome(stats, records, *args):
+    """stats(records, *args), or the class and message of what it raised."""
+    try:
+        return stats(records, *args)
+    except (EmptyInput, BadThresholds) as exc:
+        return type(exc), str(exc)
+
+
+# empty, whitespace-only, one-word and multi-word spans
+_spans = st.one_of(st.sampled_from(["", " ", "\t \n", "He", "the old man"]),
+                   st.text(" \tab", max_size=6))
+_record = st.builds(
+    rec,
+    # few predicates, so they repeat, and often more than the ten listed
+    predicate=st.one_of(st.sampled_from(["said", "good news", "bad"]),
+                        st.integers(0, 14).map("p{}".format), st.text("ab", max_size=2)),
+    arg0=_spans,
+    arg1=_spans,
+)
+_records = st.one_of(st.lists(_record, max_size=8), st.lists(_record, min_size=11, max_size=20))
+_lexicon = SentimentLexicon({"good": 1.9, "bad": -2.5, "said": 0.3, "a": 0.1, "b": -4.0})
+
+
+class TestFold:
+    """compute_stats reads its records once, and gives what the list
+    formulas give, outcome for outcome."""
+
+    @settings(max_examples=200)
+    @given(records=_records, lexicon=st.sampled_from([None, _lexicon]),
+           thresholds=st.sampled_from([(DEFAULT_T1, DEFAULT_T2), (0.1, 0.6), (0.5, 0.05)]))
+    def test_matches_the_list_formulas(self, records, lexicon, thresholds):
+        expected = _stats_outcome(_list_stats, records, lexicon, *thresholds)
+        assert _stats_outcome(compute_stats, records, lexicon, *thresholds) == expected
+        one_shot = (r for r in records)
+        assert _stats_outcome(compute_stats, one_shot, lexicon, *thresholds) == expected
+        assert next(one_shot, None) is None
+
+    def test_streamed_read_gives_the_listed_bundle(self, fixtures_dir, golden_srl_csv):
+        lexicon = SentimentLexicon.load(fixtures_dir / "lexicon.tsv")
+        for path in (golden_srl_csv, fixtures_dir / "stats_mini.csv"):
+            assert compute_stats(iter_dataset_csv(path), lexicon) == compute_stats(
+                read_dataset_csv(path), lexicon)
+
+
 class TestEmitReport:
     def test_breakdown_section_matches_operation(self, golden_records, tmp_path):
         stats = compute_stats(golden_records)
         json_path, _ = emit_report(stats, tmp_path)
         data = json.loads(json_path.read_text(encoding="utf-8"))
-        b = arg_breakdown(golden_records)
+        b = stats.breakdown
+        assert (b.both_pct, b.only_arg1_pct, b.only_arg0_pct) == (55.0, 40.0, 5.0)
         assert data["argument_presence"]["both_pct"] == b.both_pct
         assert data["argument_presence"]["only_arg1_pct"] == b.only_arg1_pct
         assert data["argument_presence"]["only_arg0_pct"] == b.only_arg0_pct
@@ -520,18 +622,106 @@ def test_read_holds_little_beyond_its_records(tmp_path):
     assert peak - held < size / 4
 
 
+def test_stats_peak_memory_does_not_grow_with_the_csv(fixtures_dir, tmp_path, capsys):
+    """The stats command folds each row as it reads it, so its peak traced
+    memory on a 12,000-row CSV exceeds that on a 3,000-row one by little.
+    Keeping every row first cost 6.6 times the CSV's growth; folding them
+    as they are read, nothing measurable on either kernel."""
+
+    def run(n):
+        rows = [[f"the sentence {i} of the set", "the treebanked sentence", f"p{i % 50}",
+                 "a, b" if i % 10 == 0 else "a b", "c", "a|c"] for i in range(n)]
+        path = tmp_path / f"d{n}.csv"
+        path.write_text(csv_lines([SRL_HEADER, *rows]), encoding="utf-8", newline="")
+        del rows
+        argv = ["stats", "--csv", str(path), "--lexicon", str(fixtures_dir / "lexicon.tsv"),
+                "--out", str(tmp_path / f"out{n}")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        return peak, path.stat().st_size
+
+    run(100)  # imports and first-call caches are not the dataset's
+    (peak, csv_bytes), (peak4, csv_bytes4) = run(3_000), run(12_000)
+    assert peak4 - peak < 0.3 * (csv_bytes4 - csv_bytes)
+
+
+def _stats_run(csv_path, lexicon_path):
+    """What the stats command computes, in its order: the lexicon, then
+    the fold over the streamed read."""
+    lexicon = SentimentLexicon.load(lexicon_path)
+    return compute_stats(iter_dataset_csv(csv_path), lexicon=lexicon)
+
+
 def test_stats_make_no_garbage_cycles(any_corpus, fixtures_dir, tmp_path):
     # what the stats command runs, over the CSV extract writes from each corpus
     layout = CorpusLayout(*(any_corpus / ext for ext in ("prop", "onf", "parse")))
     csv_path = tmp_path / "d.csv"
     export_csv(extract_corpus(layout).records, csv_path)
+    empty = not read_dataset_csv(csv_path)  # every proposition of the corpus was skipped
 
     def run():
-        records = read_dataset_csv(csv_path)
-        lexicon = SentimentLexicon.load(fixtures_dir / "lexicon.tsv")
         try:
-            compute_stats(records, lexicon=lexicon)
-        except EmptyInput:  # every proposition of the corpus was skipped
-            assert not records
+            _stats_run(csv_path, fixtures_dir / "lexicon.tsv")
+        except EmptyInput:
+            assert empty
 
     assert support.cyclic_garbage(run) == 0
+
+
+@pytest.mark.parametrize("fault", [b"s,t\n", b"\xff"], ids=["bad-row", "not-utf8"])
+def test_a_failed_stats_read_makes_no_garbage_cycles(fault, fixtures_dir, tmp_path):
+    # the read raises midway, out of the generator the fold is reading
+    path = tmp_path / "d.csv"
+    rows = b"s,t,p,a,b,a|b\n" * 1_000
+    path.write_bytes(HEADER_LINE.encode("utf-8") + rows + fault + rows)
+
+    def run():
+        try:
+            _stats_run(path, fixtures_dir / "lexicon.tsv")
+        except (HeaderMismatch, DecodeError):
+            pass
+        else:
+            raise AssertionError("the read did not fail")
+
+    assert support.cyclic_garbage(run) == 0
+
+
+# each case has two faults, and the one the command reports comes first;
+# the lexicon is b"..." bytes, MISSING (a path with no file) or None (no flag)
+MISSING = object()
+_ERROR_ORDER = {
+    # the lexicon is read before the dataset
+    "lexicon-before-header": ("sentence,predicate\n", b"tok\n", [], "LexiconError"),
+    "lexicon-decode-before-malformed": (
+        HEADER_LINE + f'"{"x" * 200_000}",t,p,a,b,a|b\n', b"\xff\n", [], "DecodeError"),
+    "lexicon-missing-before-decode": (b"\xff", MISSING, [], "IoError"),
+    # the thresholds are checked after the dataset is read
+    "empty-before-thresholds": (HEADER_LINE, b"good\t1.9\n", ["--t1", "0.6"], "EmptyInput"),
+    "header-before-thresholds": ("sentence,predicate\n", None, ["--t1", "0.6"], "HeaderMismatch"),
+    "lexicon-before-thresholds": (HEADER_LINE + "s,t,p,a,b,a|b\n", b"tok\n", ["--t1", "0.6"],
+                                  "LexiconError"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ERROR_ORDER))
+def test_stats_error_order(case, tmp_path, capsys):
+    dataset, lexicon, flags, error = _ERROR_ORDER[case]
+    csv_path, lexicon_path, out = tmp_path / "d.csv", tmp_path / "lex.tsv", tmp_path / "out"
+    csv_path.write_bytes(dataset.encode("utf-8") if isinstance(dataset, str) else dataset)
+    if isinstance(lexicon, bytes):
+        lexicon_path.write_bytes(lexicon)
+    if lexicon is not None:
+        flags = [*flags, "--lexicon", str(lexicon_path)]
+    assert main(["stats", "--csv", str(csv_path), "--out", str(out), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}: ")
+    if error in ("DecodeError", "IoError"):  # the class either file could raise
+        assert str(lexicon_path) in captured.err
+    assert str(csv_path) not in captured.err
+    assert not out.exists()
