@@ -14,7 +14,6 @@ calls keep Python's defaults.
 """
 
 import argparse
-import contextlib
 import gc
 import sys
 from pathlib import Path
@@ -33,11 +32,10 @@ from srlkit.pipeline import (
     ROLE_ORDER,
     SCHEMAS,
     CorpusLayout,
-    check_replaceable,
+    csv_writer,
     discover_files,
     extract_files,
     list_faults,
-    open_csv,
     open_replacing,
     prop_fault,
     read_corpus,
@@ -115,25 +113,20 @@ def _layout(args, exclude=None) -> CorpusLayout:
 def cmd_extract(args) -> int:
     triples, skips = discover_files(_layout(args, args.exclude))
     # a skip log exists exactly when this run skipped something; one left
-    # by an earlier run would describe a different dataset. Both outputs
-    # are checked before the corpus is read, each file's rows go to the
-    # CSV's temporary file before the next file is read, and the skip log
-    # is written before the CSV is renamed and renamed after it, so a run
-    # that fails changes neither
+    # by an earlier run would describe a different dataset. Each file's
+    # rows go to the CSV's temporary file before the next file is read,
+    # and both outputs are replaced only once the run ends
     skip_path = Path(str(args.out) + ".skiplog")
-    check_replaceable(skip_path)
-    with contextlib.ExitStack() as renamed_last:
-        with open_csv(args.out, args.schema) as write:
-            summary = extract_files(
-                triples, skips, write, TraceMode(args.trace_mode), args.strict
-            )
-            if summary.skip_log:
-                handle = renamed_last.enter_context(open_replacing(skip_path))
-                handle.write("".join(f"{fid}\t{reason}\n" for fid, reason in summary.skip_log))
+    with open_replacing(args.out, skip_path) as [csv_file, log_file]:
+        summary = extract_files(
+            triples, skips, csv_writer(csv_file, args.schema), TraceMode(args.trace_mode),
+            args.strict,
+        )
+        log_file.write("".join(f"{fid}\t{reason}\n" for fid, reason in summary.skip_log))
     if summary.skip_log:
         print(f"skip log: {skip_path} ({len(summary.skip_log)} entries)")
     else:
-        skip_path.unlink(missing_ok=True)
+        skip_path.unlink()
     for name, value in zip(summary._fields, summary):
         if name != "skip_log":
             print(f"{name.replace('_', ' ') + ':':<21}{value}")

@@ -66,11 +66,10 @@ __all__ = [
     "filter_records",
     "map_to_orl",
     "csv_lines",
-    "open_csv",
+    "csv_writer",
     "export_csv",
     "extract_files",
     "extract_corpus",
-    "check_replaceable",
     "open_replacing",
 ]
 
@@ -259,6 +258,7 @@ def read_corpus(triples: list[FileTriple]):
             yield triple, None, exc
         else:
             yield triple, parts, alignment_fault(parts[1], parts[2])
+            del parts  # not held while the next file is read
 
 
 def resolve_role(
@@ -292,34 +292,34 @@ def map_to_orl(record: SrlRecord) -> OrlRecord:
     )
 
 
-def check_replaceable(path) -> None:
-    """Raise IsADirectoryError when `path` is a directory, which no file
-    can replace (a symlink is replaced itself, not followed). A command
-    with two outputs checks both before it replaces either, so a run
-    that fails leaves both as they were."""
-    if os.path.isdir(path) and not os.path.islink(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-
-
 @contextlib.contextmanager
-def open_replacing(path):
-    """Open a temporary file beside `path`, named `path` + "." + the
-    process id + ".tmp", for writing UTF-8 text with each "\n" written
-    as it is, on every platform; it replaces `path` once
-    the block ends, and is removed if the block raises, so `path` is
-    never left half written. A `path` that is a directory raises
-    IsADirectoryError (`check_replaceable`) before anything is created."""
-    check_replaceable(path)
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
-    # mode "x" fails on a file already there, so the cleanup below can
-    # only remove a file this run created
-    handle = open(tmp, "x", encoding="utf-8", newline="")
+def open_replacing(*paths):
+    """Open `<path>.<pid>.tmp` for each of `paths`, to write UTF-8 text
+    with each "\n" written as it is, and yield the list of handles. Once
+    the block ends they replace `paths` in the order given; if anything
+    fails first, every temporary file is removed, so a command that
+    fails leaves its outputs as they were. A path that is a directory,
+    which no file can replace (a symlink is replaced itself, not
+    followed), raises IsADirectoryError before anything is created."""
+    for path in paths:
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    handles = []
     try:
-        with handle:
-            yield handle
-        os.replace(tmp, path)
+        for path in paths:
+            # mode "x" fails on a file already there, so the cleanup below
+            # can only remove a file this run created
+            handles.append(open(f"{path}.{os.getpid()}.tmp", "x", encoding="utf-8", newline=""))
+        yield handles
+        for handle in handles:
+            handle.close()
+        for path, handle in zip(paths, handles):
+            os.replace(handle.name, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for handle in handles:
+            with contextlib.suppress(OSError):  # its text is thrown away
+                handle.close()
+            Path(handle.name).unlink(missing_ok=True)
         raise
 
 
@@ -340,30 +340,29 @@ def csv_lines(rows) -> str:
     return "".join(lines)
 
 
-@contextlib.contextmanager
-def open_csv(path, schema: str = "srl"):
-    """Replace `path` (`open_replacing`) with a UTF-8 CSV in `schema`: a
-    header row, then the rows of each list of records given to the
-    function this yields, written at the call in `csv_lines`' quoting.
-    A row is a record's header fields; the ORL schema takes them from
-    the record's `map_to_orl`. An unknown schema raises ValueError
-    before anything is created."""
+def csv_writer(handle, schema: str = "srl"):
+    """Write the header row of a CSV in `schema` to `handle`, an open
+    text file, and return a function that writes the rows of a list of
+    records to it at the call, in `csv_lines`' quoting. A row is a
+    record's header fields; the ORL schema takes them from the record's
+    `map_to_orl`. An unknown schema raises ValueError before anything is
+    written."""
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}")
     orl = schema == "orl"
     header = ORL_HEADER if orl else SRL_HEADER
     fields = operator.attrgetter(*header)
-    with open_replacing(path) as handle:
-        handle.write(csv_lines([header]))
-        yield lambda records: handle.write(
-            csv_lines(map(fields, map(map_to_orl, records) if orl else records))
-        )
+    handle.write(csv_lines([header]))
+    return lambda records: handle.write(
+        csv_lines(map(fields, map(map_to_orl, records) if orl else records))
+    )
 
 
 def export_csv(records: list[SrlRecord], path, schema: str = "srl") -> None:
-    """Write records as one batch to a CSV at `path`, as `open_csv` does."""
-    with open_csv(path, schema) as write:
-        write(records)
+    """Replace `path` (`open_replacing`) with a UTF-8 CSV of `records` in
+    `schema`, as `csv_writer` writes them."""
+    with open_replacing(path) as [handle]:
+        csv_writer(handle, schema)(records)
 
 
 def extract_files(
@@ -374,9 +373,9 @@ def extract_files(
     strict: bool = False,
 ) -> RunSummary:
     """Parse, resolve and filter discovered files one after another, in
-    file-id order, handing each file's kept rows to `write` before the
-    next file is read, so at most two files' rows are held at a time,
-    never the corpus's. `skips` are discovery's skip entries, which begin
+    file-id order, handing each file's kept rows to `write` and dropping
+    them before the next file is read, so one file is held at a time,
+    never the corpus. `skips` are discovery's skip entries, which begin
     the skip log.
 
     A file that fails to parse or align is skipped whole, a proposition
@@ -393,6 +392,7 @@ def extract_files(
             if strict:
                 raise ExtractionError(f"{triple.file_id}: {fault}") from fault
             skip_log.append((triple.file_id, str(fault)))
+            del parts  # as below: one file is held at a time
             continue
         props, sentences, trees = parts
         files_processed += 1
@@ -407,6 +407,8 @@ def extract_files(
         rows_filtered += len(built) - len(kept)
         rows_emitted += len(kept)
         write(kept)
+        # the file and its rows go before the next file is read
+        del parts, props, sentences, trees, built, kept
     return RunSummary(
         files_discovered, files_processed, files_discovered - files_processed,
         propositions, propositions_failed, rows_filtered, rows_emitted, skip_log,

@@ -291,8 +291,7 @@ def emit_report(stats: DatasetStats, out_dir) -> tuple[Path, Path]:
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "stats.json"
     txt_path = out / "stats.txt"
-    # nested, so both files are written before either replaces its target
-    with open_replacing(json_path) as json_file, open_replacing(txt_path) as txt_file:
+    with open_replacing(json_path, txt_path) as [json_file, txt_file]:
         json_file.write(json.dumps(_stats_dict(stats), indent=2) + "\n")
         txt_file.write(_stats_text(stats))
     return json_path, txt_path

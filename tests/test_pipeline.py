@@ -46,6 +46,7 @@ from srlkit.pipeline import (
     filter_records,
     list_faults,
     map_to_orl,
+    open_replacing,
     read_corpus,
     read_file,
     read_text,
@@ -870,6 +871,39 @@ class TestExportCsv:
             export_csv([*golden_records, object()], out)  # the last row cannot be written
         assert out.read_text(encoding="utf-8") == "previous run\n"
         assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("fail_at", [None, "block", "second-replace"])
+def test_open_replacing_order_and_cleanup(fail_at, tmp_path, monkeypatch):
+    """The paths are replaced in the order given, and a failure in the
+    block or at a replace leaves no temporary file; the paths replaced
+    before a failing replace stay replaced."""
+    paths = [tmp_path / name for name in ("a", "b", "c")]
+    replaced, real_replace = [], os.replace
+
+    def replace(src, dst):
+        if fail_at == "second-replace" and len(replaced) == 1:
+            raise OSError("replace failed")
+        real_replace(src, dst)
+        replaced.append(dst)
+
+    def run():
+        with open_replacing(*paths) as handles:
+            for path, handle in zip(paths, handles):
+                handle.write(path.name)
+            if fail_at == "block":
+                raise OSError("write failed")
+
+    monkeypatch.setattr(os, "replace", replace)
+    if fail_at is None:
+        run()
+    else:
+        with pytest.raises(OSError, match="failed"):
+            run()
+    done = paths[:{None: 3, "block": 0, "second-replace": 1}[fail_at]]
+    assert replaced == done
+    assert sorted(tmp_path.iterdir()) == done
+    assert [path.read_text(encoding="utf-8") for path in done] == [path.name for path in done]
 
 
 # fields drawn to hold what CSV quoting turns on, next to arbitrary text
